@@ -25,7 +25,7 @@ namespace {
 constexpr const char* kGeneratorVersion = "bgpcc-e2e-corpus-1";
 // Live corpora: the day cut into 12-minute dumps per collector.
 constexpr std::size_t kRotations = 120;
-// Packed corpora: announcements per UPDATE at most.
+// Packed corpora: announcements per UPDATE at most (chosen, not measured).
 constexpr std::size_t kPackMax = 16;
 // IPv4 prefixes left out of the registry, per mille (the §4 drop path).
 constexpr std::uint64_t kUnallocatedPerMille = 10;
@@ -58,8 +58,8 @@ std::vector<Message> single_prefix_messages(
 
 /// Packs each session's consecutive announcements into UPDATEs of up to
 /// kPackMax prefixes of one address family, sharing the first one's
-/// attributes and timestamp — the shape of table transfers after a
-/// session reset. An announcement joins the session's oldest open UPDATE
+/// attributes and timestamp. The rule is a synthetic stress shape, not
+/// calibrated against real archives (see README.md). An announcement joins the session's oldest open UPDATE
 /// of its family that has room and comes after the one holding its
 /// stream's previous announcement (an UPDATE names a prefix once), so
 /// each (session, prefix) stream keeps its order. A withdrawal on the

@@ -263,22 +263,9 @@ struct RunEnv {
   int parent_span = -1;
 };
 
-/// The live loop's input: per round, the (collector, archive) pairs added.
-using Rounds = std::vector<std::vector<std::pair<std::string, std::string>>>;
-
-/// Rotated dumps: round r adds every collector's r-th file. A day or
-/// packed corpus has one file per collector, so each collector becomes a
-/// round of its own.
-[[nodiscard]] Rounds rounds_of(const Corpus& corpus);
-
 /// Runs one iteration of `spec` over `corpus`.
 [[nodiscard]] Iteration run_iteration(const WorkloadSpec& spec,
                                       const Corpus& corpus, const RunEnv& env);
-
-/// The live loop over explicit rounds (the live_epochs iteration, also
-/// the trace kernel that serves a day corpus as epochs).
-[[nodiscard]] Iteration run_live(const Corpus& corpus, const Rounds& rounds,
-                                 unsigned threads, const RunEnv& env);
 
 /// Mean time of `count` back-to-back set-ups of the workload (everything
 /// before its first ingest call), in seconds.
@@ -301,8 +288,8 @@ void write_iteration(JsonWriter& json, const Iteration& it);
 /// `reference`: the one-thread batch reference digests of a corpus.
 void write_reference(const std::filesystem::path& dir);
 
-/// `trace`: untraced baseline, one traced iteration with obs enabled, the
-/// per-layer kernels and the live kernel; raw results as one JSON object.
+/// `trace`: untraced baseline, one traced iteration with obs enabled and
+/// the per-layer kernels; raw results as one JSON object.
 [[nodiscard]] std::string run_trace(const WorkloadSpec& spec,
                                     const Corpus& corpus,
                                     const std::string& spill_dir,

@@ -198,15 +198,12 @@ class Checker:
                 problems.append("stream digest differs from expected.json")
         return problems
 
-    def iteration(self, it, passes=None):
-        """Problems of one iteration (`passes`: it ran the nine passes;
-        by default, whether the workload does)."""
+    def iteration(self, it):
+        """Problems of one iteration."""
         ref, problems = self.reference, []
-        if passes is None:
-            passes = self.workload in PASS_WORKLOADS
         if it["records"] != ref["records"]:
             problems.append(f"records {it['records']} != {ref['records']}")
-        if passes:
+        if self.workload in PASS_WORKLOADS:
             if it["digest"] != ref["report_digest"]:
                 problems.append(f"report digest {it['digest']} != "
                                 f"{ref['report_digest']}")
@@ -307,18 +304,21 @@ def per_layer(raw):
             counts[f"analytics.save_state.{p}"] / MIB)
     for k in ("finalize", "snapshot", "checkpoint", "restore"):
         m[f"analytics.{k}_s"] = seconds[f"analytics.{k}"]
-    checkpoints = [s for s in raw["spans"] if s["name"] == "live.checkpoint"]
-    m["analytics.checkpoint_mb"] = checkpoints[-1]["count"] / MIB
+    # The live-round metrics exist on live_epochs only; elsewhere they read 0.
+    checkpoints = [s["count"] for s in raw["spans"]
+                   if s["name"] == "live.checkpoint"]
+    m["analytics.checkpoint_mb"] = checkpoints[-1] / MIB if checkpoints else 0.0
     for k in ("poll", "snapshot", "checkpoint", "render"):
-        m[f"live.{k}_ms_p50"] = statistics.median(durations[f"live.{k}"]) * 1e3
-    work, live = raw["obs_workload"], raw["obs_live"]
+        d = durations[f"live.{k}"]
+        m[f"live.{k}_ms_p50"] = statistics.median(d) * 1e3 if d else 0.0
+    work = raw["obs"]
     stage = {s: obs_value(work, "bgpcc_ingest_stage_seconds", ("stage", s),
                           "sum") for s in INGEST_STAGES}
     for s in INGEST_STAGES:
         m[f"obs.stage_s.{s}"] = stage[s]
     for s in ANALYSIS_STAGES:
         m[f"obs.analysis_s.{s}"] = obs_value(
-            live, "bgpcc_analysis_stage_seconds", ("stage", s), "sum")
+            work, "bgpcc_analysis_stage_seconds", ("stage", s), "sum")
     m["obs.pool.queue_wait_s"] = obs_value(
         work, "bgpcc_pool_queue_wait_seconds", field="sum")
     tasks = obs_value(work, "bgpcc_pool_tasks_total")
@@ -364,12 +364,6 @@ def traced_run(program, build_dir, workload, seed, smoke):
     checker = Checker(workload, corpus, seed, smoke)
     its = raw["untraced"] + [raw["traced"]]
     attempted, failed, problems = checker.count(its)
-    if "live" in raw:
-        # The day served as epochs must end on the same reports.
-        attempted += 1
-        found = checker.iteration(raw["live"], passes=True)
-        failed += bool(found)
-        problems += found
     attempted += 1
     if raw["kernel_digest"] != checker.reference["report_digest"]:
         failed += 1
@@ -377,8 +371,7 @@ def traced_run(program, build_dir, workload, seed, smoke):
                         f"!= {checker.reference['report_digest']}")
     metrics = per_layer(raw)
     trace = {"workload": workload, "seed": seed, "metrics": metrics,
-             "spans": raw["spans"], "obs_workload": raw["obs_workload"],
-             "obs_live": raw["obs_live"]}
+             "spans": raw["spans"], "obs": raw["obs"]}
     with open(build_dir / f"trace-{workload}.json", "w") as f:
         json.dump(trace, f)
     return metrics, attempted, failed, problems
@@ -493,11 +486,22 @@ def orchestrate(args, program, build_dir, spec):
 
 
 def compare(path_a, path_b, spec):
-    """Per workload and metric: both medians and quartiles vs the bound."""
+    """Per workload and metric: both medians and quartiles vs the bound.
+    A set holding a failed run (nonzero exit, timeout or a failed
+    correctness check) is rejected before any verdict."""
     sets = [load_json(path_a)["rows"], load_json(path_b)["rows"]]
+    status = 0
+    for path, rows in zip((path_a, path_b), sets):
+        for r in rows:
+            if not r["correct"] or r["metrics"] is None:
+                log(f"{path}: rep {r['rep']} of {r['workload']} failed "
+                    f"({r['failed']} of {r['attempted']} iterations)")
+                status = 1
+    if status:
+        log("run_e2e: a set with failed runs cannot be compared")
+        return status
     workloads = [w for w in WORKLOADS
                  if any(r["workload"] == w for s in sets for r in s)]
-    status = 0
     print(f"{'workload':14s} {'metric':14s} {'median A':>12s} {'q1-q3 A':>25s}"
           f" {'median B':>12s} {'q1-q3 B':>25s} {'B vs A':>8s} {'bound':>6s}"
           f"  verdict")

@@ -5,9 +5,7 @@
 //
 // Order: an untraced baseline of the workload; one traced iteration with
 // obs enabled (its wall time over the baseline is the tracing overhead);
-// the single-threaded layer kernels over the workload's corpus; and, for
-// the day corpora, the live loop serving the corpus one collector per
-// epoch, so the snapshot/checkpoint layer is measured on every corpus.
+// then the single-threaded layer kernels over the workload's corpus.
 #include <sstream>
 
 #include "bgp/codec.h"
@@ -283,27 +281,10 @@ std::string run_trace(const WorkloadSpec& spec, const Corpus& corpus,
   }
   json.key("spill_bytes").value(written_bytes() - written_before);
   obs::set_enabled(false);
-  const std::string obs_workload = render_obs();
-  json.key("obs_workload").raw(obs_workload);
+  json.key("obs").raw(render_obs());
 
   json.key("kernel_digest")
       .value(hex64(run_kernels(spec, corpus, spill_dir, tracer)));
-
-  if (spec.live) {
-    json.key("obs_live").raw(obs_workload);
-  } else {
-    obs::Registry::global().reset();
-    obs::set_enabled(true);
-    {
-      Tracer::Scope span(tracer, "live");
-      const RunEnv traced{spill_dir, &tracer, span.id()};
-      json.key("live");
-      write_iteration(json, run_live(corpus, rounds_of(corpus),
-                                     workload_threads(spec), traced));
-    }
-    obs::set_enabled(false);
-    json.key("obs_live").raw(render_obs());
-  }
   json.key("spans");
   tracer.write(json);
   json.end_object();

@@ -42,24 +42,21 @@ unsigned workload_threads(const WorkloadSpec& spec) {
   return std::clamp(hw, 1u, 4u);
 }
 
+namespace {
+
+/// The live loop's input: per round, the (collector, archive) pairs added.
+using Rounds = std::vector<std::vector<std::pair<std::string, std::string>>>;
+
+/// Rotated dumps: round r adds every collector's r-th file.
 Rounds rounds_of(const Corpus& corpus) {
-  Rounds rounds;
-  if (corpus.rotations() > 1) {
-    rounds.resize(corpus.rotations());
-    for (const auto& [collector, paths] : corpus.files) {
-      for (std::size_t r = 0; r < paths.size(); ++r) {
-        rounds[r].emplace_back(collector, paths[r]);
-      }
-    }
-    return rounds;
-  }
+  Rounds rounds(corpus.rotations());
   for (const auto& [collector, paths] : corpus.files) {
-    rounds.push_back({{collector, paths.front()}});
+    for (std::size_t r = 0; r < paths.size(); ++r) {
+      rounds[r].emplace_back(collector, paths[r]);
+    }
   }
   return rounds;
 }
-
-namespace {
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return seconds_between(a, b) * 1e3;
@@ -168,13 +165,14 @@ Iteration run_day(const WorkloadSpec& spec, const Corpus& corpus,
   return it;
 }
 
-}  // namespace
-
-Iteration run_live(const Corpus& corpus, const Rounds& rounds,
-                   unsigned threads, const RunEnv& env) {
+/// live_epochs: the closed loop over rotated dumps — each round adds one
+/// dump per collector, drains, snapshots, projects and checkpoints.
+Iteration run_live(const WorkloadSpec& spec, const Corpus& corpus,
+                   const RunEnv& env) {
   Iteration it;
+  const Rounds rounds = rounds_of(corpus);
   const Clock::time_point t0 = Clock::now();
-  Setup setup(find_workload("live_epochs"), corpus, threads, env.spill_dir);
+  Setup setup(spec, corpus, workload_threads(spec), env.spill_dir);
   const Clock::time_point t1 = Clock::now();
   analytics::AnalysisDriver& driver = *setup.driver;
   core::StreamingIngestor& ingestor = *setup.ingestor;
@@ -226,12 +224,11 @@ Iteration run_live(const Corpus& corpus, const Rounds& rounds,
   return it;
 }
 
+}  // namespace
+
 Iteration run_iteration(const WorkloadSpec& spec, const Corpus& corpus,
                         const RunEnv& env) {
-  if (spec.live) {
-    return run_live(corpus, rounds_of(corpus), workload_threads(spec), env);
-  }
-  return run_day(spec, corpus, env);
+  return spec.live ? run_live(spec, corpus, env) : run_day(spec, corpus, env);
 }
 
 double setup_batch(const WorkloadSpec& spec, const Corpus& corpus,
