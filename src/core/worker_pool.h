@@ -34,7 +34,11 @@ namespace bgpcc::core {
 ///  - A failed group short-circuits: once one task of a group throws,
 ///    the group's remaining queued tasks are skipped (completed without
 ///    running), so a failing stage stops promptly instead of burning
-///    the pool on doomed work.
+///    the pool on doomed work. The check runs when a task starts, so a
+///    task already in flight may let later tasks of its group start:
+///    until its throw is recorded, other workers and helping waiters
+///    keep taking the group's queued tasks. Only tasks that start after
+///    the failure is recorded are skipped.
 ///
 /// Tasks must not wait() on their own group (they would deadlock on
 /// their own completion); submitting into their own group is fine.

@@ -3,6 +3,8 @@
 // the paper's text.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "synth/labtopo.h"
 
 namespace bgpcc::synth {
@@ -12,6 +14,9 @@ struct LabCase {
   const char* vendor;
   bool junos_like;  // suppresses duplicates
 };
+
+// Prints the vendor, so CTest names carry no raw parameter bytes.
+void PrintTo(const LabCase& c, std::ostream* os) { *os << c.vendor; }
 
 VendorProfile vendor_of(const LabCase& c) {
   if (c.vendor == std::string("junos")) return VendorProfile::junos();

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -20,10 +21,6 @@ namespace bgpcc {
 namespace {
 
 using core::archgen::ArchiveGenerator;
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "bgpcc_merge_" + name;
-}
 
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary);
@@ -50,6 +47,13 @@ int run_tool(const std::string& args, const std::string& stdout_path) {
 class MergeToolTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One directory per test: CTest runs the cases as concurrent
+    // processes, which must not share archive or state files.
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           (std::string("bgpcc_merge_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
     ArchiveGenerator gen_a(424200);
     ArchiveGenerator gen_b(424201);
     archive_a_ = temp_path("a.mrt");
@@ -58,6 +62,11 @@ class MergeToolTest : public ::testing::Test {
     write_file(archive_b_, gen_b.generate(400));
   }
 
+  std::string temp_path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+  std::filesystem::path dir_;
   std::string archive_a_;
   std::string archive_b_;
 };

@@ -2,6 +2,8 @@
 // generation/suppression — driven through small simulated networks.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "netbase/error.h"
 #include "sim/network.h"
 
@@ -336,6 +338,9 @@ struct VendorCase {
   const char* name;
   bool expect_duplicate;
 };
+
+// Prints the vendor, so CTest names carry no raw parameter bytes.
+void PrintTo(const VendorCase& c, std::ostream* os) { *os << c.name; }
 
 class VendorDuplicateSweep : public ::testing::TestWithParam<VendorCase> {};
 

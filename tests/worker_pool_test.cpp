@@ -11,9 +11,11 @@
 
 #include <atomic>
 #include <cstddef>
+#include <latch>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace bgpcc::core {
@@ -134,9 +136,32 @@ TEST(WorkerPool, ParallelForPropagatesFirstError) {
 TEST(WorkerPool, ErrorSkipsQueuedGroupTasks) {
   // The regression this pool exists to fix: the old per-call spawn code
   // kept executing every remaining job after one had already thrown.
-  // With one worker the queue drains strictly in order, so when task 0
-  // throws, tasks 1..99 must be skipped — not one of them may run.
+  // Tasks queued behind a throw must be skipped once the failure is
+  // recorded. The latch holds task 0 until all 99 followers are queued,
+  // and the spin keeps this thread from helping (wait() would otherwise
+  // start task 1 while task 0's throw is still in flight — allowed by
+  // the pool's contract, see worker_pool.h).
   WorkerPool pool(1);
+  WorkerPool::Group group;
+  std::latch queued(1);
+  std::atomic<int> executed{0};
+  pool.submit(group, [&queued] {
+    queued.wait();
+    throw std::runtime_error("first task fails");
+  });
+  for (int i = 0; i < 99; ++i) {
+    pool.submit(group, [&executed] { executed.fetch_add(1); });
+  }
+  queued.count_down();
+  while (!group.failed()) std::this_thread::yield();
+  EXPECT_THROW(pool.wait(group), std::runtime_error);
+  EXPECT_EQ(executed.load(), 0);
+}
+
+TEST(WorkerPool, ErrorSkipsQueuedGroupTasksWithoutWorkers) {
+  // With no workers the waiting thread drains the queue strictly in
+  // order, so task 0's failure is recorded before task 1 can start.
+  WorkerPool pool(0);
   WorkerPool::Group group;
   std::atomic<int> executed{0};
   pool.submit(group, [] { throw std::runtime_error("first task fails"); });
