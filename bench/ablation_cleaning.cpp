@@ -1,10 +1,12 @@
-// Ablation 1 (DESIGN.md): community filtering — the paper's operational
-// recommendation. Sweeps the fraction of cleaning peers and compares
+// Ablation 1: community filtering — the paper's operational
+// recommendation, grounded in its lab experiments Exp3/Exp4 (§3,
+// src/synth/labtopo.h). Sweeps the fraction of cleaning peers and compares
 // ingress vs egress placement; then sweeps geo-tagging granularity (number
 // of distinct transit ingress tags) against exploration burst size.
 #include <cstdio>
 
-#include "core/beacon.h"
+#include "analytics/driver.h"
+#include "analytics/passes.h"
 #include "core/tables.h"
 #include "synth/beacon_internet.h"
 
@@ -36,10 +38,14 @@ DayCounts run_day(double clean_fraction, bool ingress, int ingresses) {
   DayCounts counts;
   core::UpdateStream stream = internet.stream();
   counts.collector_messages = stream.size();
-  core::TypeCounts types = core::classify_stream(stream);
+  analytics::AnalysisDriver driver;
+  auto classifier = driver.add(analytics::ClassifierPass{});
+  auto exploration = driver.add(analytics::ExplorationPass{schedule});
+  driver.observe_stream(stream);
+  core::TypeCounts types = driver.report(classifier).counts;
   counts.nc = types.count(core::AnnouncementType::kNc);
   counts.nn = types.count(core::AnnouncementType::kNn);
-  auto events = core::find_community_exploration(stream, schedule);
+  auto events = driver.report(exploration);
   counts.exploration_events = events.size();
   for (const auto& e : events) {
     counts.mean_event_len += e.nc_count;

@@ -1,11 +1,13 @@
-// Ablation 2 (DESIGN.md): vendor duplicate suppression and MRAI.
+// Ablation 2: vendor duplicate suppression (the §3 lab experiments'
+// vendor split, src/synth/labtopo.h) and MRAI.
 //  (a) What if every router ran Junos-style Adj-RIB-Out comparison?
 //      Re-runs the beacon day under different vendor mixes and reports the
 //      collector message volume plus suppressed-duplicate counts.
 //  (b) MRAI batching on a community-churn burst.
 #include <cstdio>
 
-#include "core/classifier.h"
+#include "analytics/driver.h"
+#include "analytics/passes.h"
 #include "core/tables.h"
 #include "synth/beacon_internet.h"
 
@@ -26,7 +28,10 @@ void vendor_mix_row(core::TextTable& table, const char* name,
   internet.run_day();
 
   core::UpdateStream stream = internet.stream();
-  core::TypeCounts types = core::classify_stream(stream);
+  analytics::AnalysisDriver driver;
+  auto classifier = driver.add(analytics::ClassifierPass{});
+  driver.observe_stream(stream);
+  core::TypeCounts types = driver.report(classifier).counts;
   RouterStats stats = internet.network().total_router_stats();
   table.add_row({name, core::with_commas(stream.size()),
                  core::with_commas(types.count(core::AnnouncementType::kNn)),

@@ -270,9 +270,8 @@ BENCHMARK(BM_IngestMrtSourcesWindowed)
 // The small-window regime where per-window fixed cost dominates: tiny
 // window budgets mean hundreds of windows per run, so this prices what
 // the persistent worker pool + window pipelining removed — a full
-// spawn/join of every worker thread per window. arg2 toggles
-// pipelining: off ≈ the legacy strictly-sequential window schedule, on
-// overlaps window N+1's frame/decode with window N's clean+merge.
+// spawn/join of every worker thread per window. Window N+1's
+// frame/decode overlaps window N's clean+merge.
 void BM_IngestSmallWindows(benchmark::State& state) {
   constexpr int kFiles = 4;
   static const std::vector<std::string> archives = [] {
@@ -291,7 +290,6 @@ void BM_IngestSmallWindows(benchmark::State& state) {
   options.chunk_records = 64;
   options.cleaning = &cleaning;
   options.window_records = static_cast<std::size_t>(state.range(1));
-  options.pipeline_windows = state.range(2) != 0;
   std::size_t records = 0;
   std::size_t windows = 0;
   for (auto _ : state) {
@@ -313,14 +311,11 @@ void BM_IngestSmallWindows(benchmark::State& state) {
                           static_cast<std::int64_t>(records));
   state.counters["threads"] = static_cast<double>(options.num_threads);
   state.counters["window"] = static_cast<double>(options.window_records);
-  state.counters["pipelined"] = options.pipeline_windows ? 1.0 : 0.0;
   state.counters["windows"] = static_cast<double>(windows);
 }
 BENCHMARK(BM_IngestSmallWindows)
-    ->Args({4, 64, 0})
-    ->Args({4, 64, 1})
-    ->Args({4, 1024, 0})
-    ->Args({4, 1024, 1})
+    ->Args({4, 64})
+    ->Args({4, 1024})
     ->UseRealTime();
 
 // The compressed-input path: the same archive gzip-compressed once,
@@ -377,8 +372,8 @@ void BM_AnalyzeInline(benchmark::State& state) {
     driver.attach(options);
     std::istringstream in(archive);
     core::IngestResult result = core::ingest_mrt_stream("bench", in, options);
-    // Pre-clean decoded total: the same denominator BM_AnalyzeSink uses,
-    // so the Inline/Sink throughput delta compares identical work.
+    // Pre-clean decoded total: the same denominator BM_AnomalyInline
+    // uses, so the two compare identical work.
     records = result.stats.records;
     benchmark::DoNotOptimize(driver.report(types));
     benchmark::DoNotOptimize(driver.report(tomography));
@@ -440,51 +435,10 @@ BENCHMARK(BM_MetricsOverhead)
     ->Args({4, 1})
     ->UseRealTime();
 
-// Same pass set through the streaming-sink mode: records observed in
-// final merged order on one thread, no materialized stream — the
-// windowed O(window) configuration. The Inline/Sink delta is the price
-// of single-threaded observation.
-void BM_AnalyzeSink(benchmark::State& state) {
-  static const std::string archive = synthetic_ingest_archive(64, 256);
-  core::Registry registry = ingest_bench_registry();
-  core::CleaningOptions cleaning;
-  cleaning.registry = &registry;
-  std::size_t records = 0;
-  for (auto _ : state) {
-    analytics::AnalysisDriver driver;
-    auto types = driver.add(analytics::ClassifierPass{});
-    auto tomography = driver.add(analytics::TomographyPass{});
-    auto communities = driver.add(analytics::CommunityStatsPass{});
-    auto duplicates = driver.add(analytics::DuplicateBurstPass{});
-    core::IngestOptions options;
-    options.num_threads = static_cast<unsigned>(state.range(0));
-    options.chunk_records = 1024;
-    options.window_records = static_cast<std::size_t>(state.range(1));
-    options.cleaning = &cleaning;
-    std::istringstream in(archive);
-    core::StreamingIngestor engine(options);
-    engine.add_stream("bench", in);
-    core::IngestResult result = engine.finish(driver.sink());
-    records = result.stats.records;
-    benchmark::DoNotOptimize(driver.report(types));
-    benchmark::DoNotOptimize(driver.report(tomography));
-    benchmark::DoNotOptimize(driver.report(communities));
-    benchmark::DoNotOptimize(driver.report(duplicates));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(records));
-  state.counters["threads"] = static_cast<double>(state.range(0));
-  state.counters["window"] = static_cast<double>(state.range(1));
-}
-BENCHMARK(BM_AnalyzeSink)
-    ->Args({1, 4096})
-    ->Args({4, 4096})
-    ->UseRealTime();
-
 // The §6/§7 anomaly + beacon passes riding ingest inline — the port that
 // unlocked streaming multi-month archives for the Figure 4/6 and anomaly
-// kernels. Same pre-clean denominator as BM_AnalyzeInline/Sink, so the
-// three benchmarks compare per-record cost of the different pass sets.
+// kernels. Same pre-clean denominator as BM_AnalyzeInline, so the two
+// benchmarks compare per-record cost of the different pass sets.
 void BM_AnomalyInline(benchmark::State& state) {
   static const std::string archive = synthetic_ingest_archive(64, 256);
   core::Registry registry = ingest_bench_registry();

@@ -6,7 +6,8 @@
 #include <cstdio>
 #include <string>
 
-#include "core/beacon.h"
+#include "analytics/driver.h"
+#include "analytics/passes.h"
 #include "core/tables.h"
 #include "synth/beacon_internet.h"
 
@@ -41,8 +42,15 @@ int main(int argc, char** argv) {
               stream.size(), stream.announcement_count(),
               stream.withdrawal_count(), stream.sessions().size());
 
+  // One pass over the stream feeds all three analyses.
+  analytics::AnalysisDriver driver;
+  auto types = driver.add(analytics::ClassifierPass{});
+  auto exploration = driver.add(analytics::ExplorationPass{schedule});
+  auto revealed_pass = driver.add(analytics::RevealedPass{schedule});
+  driver.observe_stream(stream);
+
   // Announcement-type mix (Table 2's d_beacon column).
-  core::TypeCounts counts = core::classify_stream(stream);
+  core::TypeCounts counts = driver.report(types).counts;
   core::TextTable table({"type", "count", "share"});
   for (core::AnnouncementType t : core::kAllAnnouncementTypes) {
     table.add_row({core::label(t), core::with_commas(counts.count(t)),
@@ -52,7 +60,7 @@ int main(int argc, char** argv) {
               table.to_string().c_str());
 
   // Community exploration events (§6, Figure 4's mechanism).
-  auto events = core::find_community_exploration(stream, schedule);
+  auto events = driver.report(exploration);
   std::printf("\ncommunity exploration events: %zu\n", events.size());
   for (std::size_t i = 0; i < events.size() && i < 5; ++i) {
     const core::ExplorationEvent& e = events[i];
@@ -63,7 +71,7 @@ int main(int argc, char** argv) {
   }
 
   // Revealed information (§6, Figure 6's per-day numbers).
-  core::RevealedStats revealed = core::analyze_revealed(stream, schedule);
+  core::RevealedStats revealed = driver.report(revealed_pass);
   std::printf("\nrevealed community attributes: %llu unique\n",
               static_cast<unsigned long long>(revealed.total_unique));
   std::printf("  withdrawal-phase exclusive: %llu (%s)\n",

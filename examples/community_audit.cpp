@@ -7,7 +7,8 @@
 // Run: ./community_audit
 #include <cstdio>
 
-#include "core/anomaly.h"
+#include "analytics/driver.h"
+#include "analytics/passes.h"
 #include "core/peering.h"
 #include "core/tables.h"
 #include "core/tomography.h"
@@ -98,7 +99,10 @@ int main() {
   std::printf("%s\n", peering.to_string().c_str());
 
   // Anomaly scan: a healthy simulated day should be quiet.
-  core::AnomalyReport report = core::detect_anomalies(stream);
+  analytics::AnalysisDriver driver;
+  auto anomalies = driver.add(analytics::AnomalyPass{});
+  driver.observe_stream(stream);
+  core::AnomalyReport report = driver.report(anomalies);
   std::printf("== anomaly scan ==\n\n");
   std::printf("population nn share: mean %s, stddev %s\n",
               core::percent(report.population_mean_nn_share).c_str(),

@@ -6,6 +6,7 @@
 // (produce an input with ./beacon_study, which writes rrc0*.mrt)
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "core/classifier.h"
@@ -29,25 +30,25 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  core::TypeCounts counts = core::classify_stream(
-      stream, [quiet](const core::UpdateRecord& record,
-                      std::optional<core::AnnouncementType> type) {
-        if (quiet) return;
-        if (!record.announcement) {
-          std::printf("%s %-22s W %s\n",
-                      record.time.time_of_day_string().c_str(),
-                      record.session.peer_asn.to_string().c_str(),
-                      record.prefix.to_string().c_str());
-          return;
-        }
-        std::printf("%s %-22s A %-20s %-4s [%s] {%s}\n",
-                    record.time.time_of_day_string().c_str(),
-                    record.session.peer_asn.to_string().c_str(),
-                    record.prefix.to_string().c_str(),
-                    type ? core::label(*type) : "new",
-                    record.attrs.as_path.to_string().c_str(),
-                    record.attrs.communities.to_string().c_str());
-      });
+  core::Classifier classifier;
+  for (const core::UpdateRecord& record : stream.records()) {
+    std::optional<core::AnnouncementType> type = classifier.classify(record);
+    if (quiet) continue;
+    if (!record.announcement) {
+      std::printf("%s %-22s W %s\n", record.time.time_of_day_string().c_str(),
+                  record.session.peer_asn.to_string().c_str(),
+                  record.prefix.to_string().c_str());
+      continue;
+    }
+    std::printf("%s %-22s A %-20s %-4s [%s] {%s}\n",
+                record.time.time_of_day_string().c_str(),
+                record.session.peer_asn.to_string().c_str(),
+                record.prefix.to_string().c_str(),
+                type ? core::label(*type) : "new",
+                record.attrs.as_path.to_string().c_str(),
+                record.attrs.communities.to_string().c_str());
+  }
+  const core::TypeCounts& counts = classifier.counts();
 
   std::printf("\n%zu records, %zu announcements, %zu withdrawals, %zu "
               "sessions\n",

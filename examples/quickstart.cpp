@@ -6,6 +6,7 @@
 //
 // Run: ./quickstart
 #include <cstdio>
+#include <optional>
 
 #include "core/classifier.h"
 #include "sim/network.h"
@@ -47,15 +48,16 @@ int main() {
   core::UpdateStream stream =
       core::UpdateStream::from_collector(net.collector("rrc00"));
   std::printf("collector heard %zu update records\n", stream.size());
-  core::TypeCounts counts = core::classify_stream(
-      stream, [](const core::UpdateRecord& record,
-                 std::optional<core::AnnouncementType> type) {
-        std::printf("  %s  %-4s  path=[%s] comms={%s}\n",
-                    record.time.time_of_day_string().c_str(),
-                    type ? core::label(*type) : "new",
-                    record.attrs.as_path.to_string().c_str(),
-                    record.attrs.communities.to_string().c_str());
-      });
+  core::Classifier classifier;
+  for (const core::UpdateRecord& record : stream.records()) {
+    std::optional<core::AnnouncementType> type = classifier.classify(record);
+    std::printf("  %s  %-4s  path=[%s] comms={%s}\n",
+                record.time.time_of_day_string().c_str(),
+                type ? core::label(*type) : "new",
+                record.attrs.as_path.to_string().c_str(),
+                record.attrs.communities.to_string().c_str());
+  }
+  const core::TypeCounts& counts = classifier.counts();
 
   std::printf("\nannouncement types:\n");
   for (core::AnnouncementType t : core::kAllAnnouncementTypes) {

@@ -42,7 +42,7 @@ void AnalysisDriver::ensure_can_add() const {
   if (!states_.empty()) {
     throw ConfigError(
         "AnalysisDriver: add() after observation started — register every "
-        "pass before attach()/sink()/observe()");
+        "pass before attach()/observe()");
   }
 }
 
@@ -83,15 +83,6 @@ void AnalysisDriver::attach(core::IngestOptions& options) {
   // from another thread lands exactly on a window boundary.
   options.window_begin = [this] { window_mutex_.lock(); };
   options.window_commit = [this] { window_mutex_.unlock(); };
-}
-
-std::function<void(core::UpdateRecord&&)> AnalysisDriver::sink() {
-  {
-    std::lock_guard<std::mutex> lock(window_mutex_);
-    if (finalized_) throw_finalized("sink()");
-    ensure_states();
-  }
-  return [this](core::UpdateRecord&& record) { observe(record); };
 }
 
 void AnalysisDriver::observe(const core::UpdateRecord& record) {
@@ -306,7 +297,7 @@ void AnalysisDriver::load_state(std::istream& in) {
     }
     return;
   }
-  // kCheckpoint: fold every shard slot into the sink slot. Valid for
+  // kCheckpoint: fold every shard slot into the observe slot. Valid for
   // combining disjoint runs; resuming needs restore() (shard fidelity).
   if (r.boolean()) {
     (void)serialize::read_ingest_checkpoint(r);  // cursor: skip

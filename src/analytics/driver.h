@@ -6,14 +6,13 @@
 //       shard-clean worker threads, in parallel, while the stream is
 //       being ingested; partial states are merged after the tournament
 //       merge. Zero extra traversal, O(shard states) extra memory.
-//   (b) sink — sink() returns a StreamingIngestor callback that observes
-//       each record in final merged order without materializing the
-//       stream: the window-at-a-time configuration for archives larger
-//       than RAM.
-//   (c) materialized — observe_stream() walks an UpdateStream already in
-//       memory (simulator output, tests).
+//   (b) materialized — observe_stream() walks an UpdateStream already in
+//       memory (simulator output, tests); observe() feeds one record, so
+//       a caller wanting final-order observation can pass
+//       [&](core::UpdateRecord&& r) { driver.observe(r); } to
+//       StreamingIngestor::finish().
 //
-// All three modes produce identical reports for every pass honoring the
+// Both modes produce identical reports for every pass honoring the
 // Pass contract (pass.h). Typical use:
 //
 //   analytics::AnalysisDriver driver;
@@ -44,7 +43,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -109,9 +107,9 @@ class ReportSnapshot {
 };
 
 /// Runs any set of Passes over the cleaned update stream in one
-/// traversal — inline on the shard workers, as a streaming sink, or over
-/// a materialized stream (see the header comment for the full mode
-/// semantics and a usage sketch).
+/// traversal — inline on the shard workers or over a materialized stream
+/// (see the header comment for the full mode semantics and a usage
+/// sketch).
 class AnalysisDriver {
  public:
   /// An empty driver: add() passes, then pick an execution mode.
@@ -122,7 +120,7 @@ class AnalysisDriver {
   /// Not copy-assignable (same reason).
   AnalysisDriver& operator=(const AnalysisDriver&) = delete;
 
-  /// Registers a pass. Call before any observation (attach/sink/observe*);
+  /// Registers a pass. Call before any observation (attach/observe*);
   /// throws ConfigError afterwards.
   template <Pass P>
   [[nodiscard]] PassHandle<P> add(P pass) {
@@ -148,13 +146,9 @@ class AnalysisDriver {
   /// otherwise).
   void attach(core::IngestOptions& options);
 
-  /// Sink mode: a callback for StreamingIngestor::finish(sink) observing
-  /// every record in final merged order on the caller's thread. Do not
-  /// combine with attach() on the same ingestion run — the passes would
-  /// observe every record twice.
-  [[nodiscard]] std::function<void(core::UpdateRecord&&)> sink();
-
-  /// Observes one record (single-threaded feed).
+  /// Observes one record (single-threaded feed). Do not combine with
+  /// attach() on the same ingestion run — the passes would observe every
+  /// record twice.
   void observe(const core::UpdateRecord& record);
 
   /// Observes a whole materialized stream (simulator output, tests).
@@ -203,7 +197,7 @@ class AnalysisDriver {
 
   /// Reads a kPartialState (or kCheckpoint) block and MERGES its states
   /// into this driver, as if this driver had observed those records
-  /// itself. Checkpoint shard slots are folded into the sink slot, so
+  /// itself. Checkpoint shard slots are folded into the observe slot, so
   /// load_state is valid only for combining DISJOINT runs (no session
   /// continues across the boundary) — resuming an interrupted run needs
   /// restore(), which keeps shard fidelity. Callable any number of
@@ -259,17 +253,17 @@ class AnalysisDriver {
   std::vector<std::unique_ptr<detail::AnyPass>> passes_;
   /// How many shard slots ensure_states() mints: attach() pins it to the
   /// ingestion run's resolved shard count, restore_impl() to the
-  /// checkpoint's. Defaults to core::kIngestShards for the sink/observe
-  /// modes, which only ever touch slot 0.
+  /// checkpoint's. Defaults to core::kIngestShards for the observe
+  /// mode, which only ever touches slot 0.
   std::size_t shard_slots_ = core::kIngestShards;
-  /// states_[shard][pass]; shard slot 0 doubles as the sink/observe slot
+  /// states_[shard][pass]; shard slot 0 doubles as the observe slot
   /// (any partition of the observations merges to the same final state —
   /// the Pass contract).
   std::vector<std::vector<std::unique_ptr<detail::AnyState>>> states_;
   /// The committed-window barrier: held by the engine for the whole
   /// observer phase of each window (attach() wires window_begin /
   /// window_commit to lock/unlock), by snapshot() while cloning, and by
-  /// the sink/observe paths while folding records in. Everything the
+  /// the observe paths while folding records in. Everything the
   /// barrier guards is the states_ matrix + the lifecycle flags.
   mutable std::mutex window_mutex_;
   /// Epochs handed out by snapshot(); process-local, never serialized.

@@ -1,10 +1,9 @@
 // The Pass concept: one analysis over the cleaned update stream,
 // expressed as per-shard state so it can run anywhere the stream flows —
-// inline on the ingestion engine's shard threads (zero extra traversal),
-// as a streaming sink over the final merged order, or over an
-// already-materialized UpdateStream. A pass supplies:
+// inline on the ingestion engine's shard threads (zero extra traversal)
+// or over an already-materialized UpdateStream. A pass supplies:
 //
-//   State make_state() const       — one state per shard (or sink)
+//   State make_state() const       — one state per shard
 //   State::observe(record)         — folds one cleaned record in
 //   State::merge(State&&)          — associative combination of partial
 //                                    states (any grouping, any order)
@@ -17,7 +16,8 @@
 // session — never on cross-session interleaving. The engine guarantees
 // each session lands wholly inside one shard and that per-session order
 // equals final stream order, so any pass honoring the contract reports
-// identically for 1 thread, N threads, any window size, inline or sink —
+// identically for 1 thread, N threads, any window size, inline or
+// materialized —
 // analytics_test asserts exactly that for every shipped pass.
 //
 // Snapshot contract: State must additionally be copy-constructible, and

@@ -3,8 +3,8 @@
 // community-attribute statistics and the duplicate (nn) burst
 // attribution the §5 "manual check" calls for. Every pass honors the
 // Pass contract (pass.h): state depends only on the record multiset and
-// per-session order, so inline-parallel, streaming-sink, and
-// materialized execution report identically.
+// per-session order, so inline-parallel and materialized execution
+// report identically.
 //
 // All nine States also honor the snapshot contract (pass.h): every
 // member is value-semantic (std::map / unordered_set / vector /
@@ -81,8 +81,8 @@ class ClassifierPass {
 };
 
 /// Figure 3: per-session type tallies, optionally restricted to one
-/// prefix. report() projects through core::rank_session_types, so the
-/// ranking is byte-identical to the legacy per_session_types path.
+/// prefix. report() projects through core::rank_session_types (sorted by
+/// classified announcement count, descending).
 class PerSessionTypesPass {
  public:
   /// Tallies every (session, prefix) stream.
@@ -511,7 +511,7 @@ class RevealedPass {
 /// wholly inside one shard and the engine preserves per-session order,
 /// exactly the invariant cleaning::SecondCarry relies on for §4.
 /// report() flushes still-active runs and sorts all events by
-/// (begin, session, prefix), matching find_community_exploration.
+/// (begin, session, prefix) (core::sort_exploration_events).
 class ExplorationPass {
  public:
   /// Default beacon schedule (core::BeaconSchedule), validated.

@@ -153,23 +153,4 @@ void score_duplicate_outliers(
   }
 }
 
-AnomalyReport detect_anomalies(const UpdateStream& stream,
-                               const AnomalyOptions& options) {
-  if (options.novelty_window.count_micros() <= 0) {
-    // Checked up front so an empty stream rejects the misconfiguration
-    // just as loudly as a populated one.
-    throw ConfigError("AnomalyOptions::novelty_window must be positive");
-  }
-  std::map<SessionKey, Classifier> classifiers;
-  NoveltyEvidence novelties;
-  for (const UpdateRecord& record : stream.records()) {
-    classifiers[record.session].classify(record);
-    accumulate_novelty(record, options.novelty_window, novelties);
-  }
-  AnomalyReport report;
-  score_duplicate_outliers(classifiers, options, report);
-  report.novelty_bursts = finalize_novelty_bursts(novelties, options);
-  return report;
-}
-
 }  // namespace bgpcc::core

@@ -134,9 +134,4 @@ void score_duplicate_outliers(
     const std::map<SessionKey, Classifier>& classifiers,
     const AnomalyOptions& options, AnomalyReport& report);
 
-/// Runs both detectors over a (time-sorted) stream: a thin wrapper around
-/// the accumulate/finalize kernels above.
-[[nodiscard]] AnomalyReport detect_anomalies(const UpdateStream& stream,
-                                             const AnomalyOptions& options = {});
-
 }  // namespace bgpcc::core

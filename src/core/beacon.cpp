@@ -126,16 +126,6 @@ RevealedStats finalize_revealed(const RevealedEvidence& evidence) {
   return stats;
 }
 
-RevealedStats analyze_revealed(const UpdateStream& stream,
-                               const BeaconSchedule& schedule) {
-  schedule.validate();
-  RevealedEvidence evidence;
-  for (const UpdateRecord& record : stream.records()) {
-    accumulate_revealed(record, schedule, evidence);
-  }
-  return finalize_revealed(evidence);
-}
-
 // ---------------------------------------------------------------------------
 // Community exploration (Figure 4).
 
@@ -205,22 +195,6 @@ void sort_exploration_events(std::vector<ExplorationEvent>& events) {
               if (a.end != b.end) return a.end < b.end;
               return a.nc_count < b.nc_count;
             });
-}
-
-std::vector<ExplorationEvent> find_community_exploration(
-    const UpdateStream& stream, const BeaconSchedule& schedule) {
-  schedule.validate();
-  ExplorationRuns runs;
-  std::vector<ExplorationEvent> events;
-  for (const UpdateRecord& record : stream.records()) {
-    observe_exploration(record, schedule, runs, events);
-  }
-  // End-of-stream flush walks the run map in key order, NOT in time
-  // order like the mid-stream finishes — the sort restores the single
-  // deterministic output order.
-  flush_exploration(runs, events);
-  sort_exploration_events(events);
-  return events;
 }
 
 RouteSeries route_series(const UpdateStream& stream, const SessionKey& session,

@@ -93,12 +93,6 @@ void merge_revealed(RevealedEvidence& into, RevealedEvidence&& from);
 /// Projects the evidence into the Figure-6 exclusivity statistic.
 [[nodiscard]] RevealedStats finalize_revealed(const RevealedEvidence& evidence);
 
-/// Counts unique community attributes (the full CommunitySet as a value)
-/// across all announcements, bucketed by phase exclusivity: a thin
-/// wrapper around the accumulate/finalize kernels.
-[[nodiscard]] RevealedStats analyze_revealed(const UpdateStream& stream,
-                                             const BeaconSchedule& schedule);
-
 /// A community-exploration event: a run of announcements for one
 /// (session, prefix) with an unchanged AS path but changing communities,
 /// inside a withdrawal phase — the paper's analogue of path exploration.
@@ -145,12 +139,6 @@ void flush_exploration(ExplorationRuns& runs,
 /// end-of-stream events sort identically regardless of which shard or
 /// window emitted them.
 void sort_exploration_events(std::vector<ExplorationEvent>& events);
-
-/// Scans a time-sorted stream for community-exploration events (>= 2 nc
-/// announcements on the same path within one withdrawal phase), sorted by
-/// (begin, session, prefix): a thin wrapper around the kernels above.
-[[nodiscard]] std::vector<ExplorationEvent> find_community_exploration(
-    const UpdateStream& stream, const BeaconSchedule& schedule);
 
 /// One point of the Figure 4/5 cumulative-count series.
 struct SeriesPoint {

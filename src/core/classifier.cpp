@@ -97,28 +97,6 @@ void Classifier::merge(Classifier&& other) {
   last_.merge(std::move(other.last_));
 }
 
-TypeCounts classify_stream(
-    const UpdateStream& stream,
-    const std::function<void(const UpdateRecord&,
-                             std::optional<AnnouncementType>)>& callback) {
-  Classifier classifier;
-  for (const UpdateRecord& record : stream.records()) {
-    auto type = classifier.classify(record);
-    if (callback) callback(record, type);
-  }
-  return classifier.counts();
-}
-
-std::vector<std::pair<SessionKey, TypeCounts>> per_session_types(
-    const UpdateStream& stream, const std::optional<Prefix>& only_prefix) {
-  std::map<SessionKey, Classifier> classifiers;
-  for (const UpdateRecord& record : stream.records()) {
-    if (only_prefix && record.prefix != *only_prefix) continue;
-    classifiers[record.session].classify(record);
-  }
-  return rank_session_types(classifiers);
-}
-
 std::vector<std::pair<SessionKey, TypeCounts>> rank_session_types(
     const std::map<SessionKey, Classifier>& classifiers) {
   std::vector<std::pair<SessionKey, TypeCounts>> out;
@@ -251,15 +229,6 @@ std::vector<AsUsage> finalize_usage(const UsageEvidence& evidence,
     return a.asn16 < b.asn16;
   });
   return out;
-}
-
-std::vector<AsUsage> classify_community_usage_stream(
-    const UpdateStream& stream, const UsageOptions& options) {
-  UsageEvidence evidence;
-  for (const UpdateRecord& record : stream.records()) {
-    accumulate_usage(record, evidence);
-  }
-  return finalize_usage(evidence, options);
 }
 
 }  // namespace bgpcc::core

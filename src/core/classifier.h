@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -114,24 +113,9 @@ class Classifier {
   TypeCounts counts_;
 };
 
-/// Classifies a whole (time-sorted) stream. The optional callback sees
-/// every record with its classification.
-TypeCounts classify_stream(
-    const UpdateStream& stream,
-    const std::function<void(const UpdateRecord&,
-                             std::optional<AnnouncementType>)>& callback = {});
-
-/// Per-session tallies (Figure 3): classification restricted to one prefix
-/// if `only_prefix` is set. Result is sorted by announcement count,
-/// descending.
-[[nodiscard]] std::vector<std::pair<SessionKey, TypeCounts>> per_session_types(
-    const UpdateStream& stream,
-    const std::optional<Prefix>& only_prefix = std::nullopt);
-
 /// Projects per-session classifiers into the Figure-3 ranking (sorted by
-/// classified announcement count, descending). The shared projection of
-/// per_session_types and analytics::PerSessionTypesPass — one sort, so
-/// the two paths cannot drift apart on tie handling.
+/// classified announcement count, descending): the report projection of
+/// analytics::PerSessionTypesPass.
 [[nodiscard]] std::vector<std::pair<SessionKey, TypeCounts>>
 rank_session_types(const std::map<SessionKey, Classifier>& classifiers);
 
@@ -141,7 +125,7 @@ rank_session_types(const std::map<SessionKey, Classifier>& classifiers);
 // community namespace is profiled from the values its owner AS mints and
 // how widely sessions carry them. Split into a per-value heuristic plus
 // accumulate/merge/finalize evidence kernels so the classification can
-// run shard-parallel (analytics::UsageClassificationPass) or one-shot.
+// run shard-parallel (analytics::UsageClassificationPass).
 
 /// What a single community value appears to encode.
 enum class CommunityUsage : std::uint8_t {
@@ -227,9 +211,5 @@ struct AsUsage {
 /// occurrences descending then asn16 ascending.
 [[nodiscard]] std::vector<AsUsage> finalize_usage(
     const UsageEvidence& evidence, const UsageOptions& options);
-
-/// One-shot wrapper: accumulate over a stream, then finalize.
-[[nodiscard]] std::vector<AsUsage> classify_community_usage_stream(
-    const UpdateStream& stream, const UsageOptions& options = {});
 
 }  // namespace bgpcc::core

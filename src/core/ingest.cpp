@@ -166,23 +166,17 @@ DecodedChunk decode_mrt_chunk(const std::string& collector,
   return out;
 }
 
-bool seq_only_order(const SeqRecord& a, const SeqRecord& b) {
-  return a.seq < b.seq;
-}
-
 // Merges one output partition: a k-way tournament (winner tree, runs
 // padded to a power of two) over the per-shard ranges [lo, hi), moving
-// each record straight into its final slot. cmp is a strict total order
-// (seq is globally unique), so the merge — and every partitioning of it —
-// is deterministic. Out is UpdateRecord for the batch path (seq tags are
-// spent) or SeqRecord for window runs (the final run-merge still needs
-// the tie-break).
+// each record straight into its final slot. seq_time_order is a strict
+// total order (seq is globally unique), so the merge — and every
+// partitioning of it — is deterministic. Out is UpdateRecord for the
+// batch path (seq tags are spent) or SeqRecord for window runs (the final
+// run-merge still needs the tie-break).
 template <typename Out>
 void merge_partition(std::vector<std::vector<SeqRecord>>& shards,
                      const std::vector<std::size_t>& lo,
-                     const std::vector<std::size_t>& hi,
-                     bool (*cmp)(const SeqRecord&, const SeqRecord&),
-                     Out* out) {
+                     const std::vector<std::size_t>& hi, Out* out) {
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
   const std::size_t k = shards.size();
   struct Run {
@@ -205,7 +199,7 @@ void merge_partition(std::vector<std::vector<SeqRecord>>& shards,
   auto play = [&](std::size_t a, std::size_t b) {
     if (a == npos) return b;
     if (b == npos) return a;
-    return cmp(*runs[a].cur, *runs[b].cur) ? a : b;
+    return seq_time_order(*runs[a].cur, *runs[b].cur) ? a : b;
   };
   auto child_winner = [&](std::size_t child) {
     return child >= m ? leaf_run(child) : node[child];
@@ -240,11 +234,9 @@ constexpr std::size_t kMinRecordsPerMergePartition = 1024;
 // tournament-merges every partition concurrently into its preallocated
 // output slice.
 template <typename Out>
-void parallel_merge(std::vector<std::vector<SeqRecord>>& shards, bool by_time,
+void parallel_merge(std::vector<std::vector<SeqRecord>>& shards,
                     WorkerPool* pool, unsigned threads, std::vector<Out>& out) {
   obs::StageTimer merge_timer(obs::pipeline_metrics().ingest_merge);
-  bool (*cmp)(const SeqRecord&, const SeqRecord&) =
-      by_time ? &seq_time_order : &seq_only_order;
 
   std::size_t total = 0;
   for (const auto& shard : shards) total += shard.size();
@@ -277,7 +269,8 @@ void parallel_merge(std::vector<std::vector<SeqRecord>>& shards, bool by_time,
         shards[largest][p * shards[largest].size() / partitions];
     for (std::size_t s = 0; s < k; ++s) {
       cuts[p][s] = static_cast<std::size_t>(
-          std::lower_bound(shards[s].begin(), shards[s].end(), splitter, cmp) -
+          std::lower_bound(shards[s].begin(), shards[s].end(), splitter,
+                           seq_time_order) -
           shards[s].begin());
     }
   }
@@ -290,7 +283,7 @@ void parallel_merge(std::vector<std::vector<SeqRecord>>& shards, bool by_time,
   }
 
   run_parallel(pool, partitions, [&](std::size_t p) {
-    merge_partition(shards, cuts[p], cuts[p + 1], cmp, out.data() + offsets[p]);
+    merge_partition(shards, cuts[p], cuts[p + 1], out.data() + offsets[p]);
   });
 }
 
@@ -345,8 +338,7 @@ void gather_and_clean(std::vector<DecodedChunk>& decoded,
       // Establish final merge order once per shard (cleaning can perturb
       // (time, seq) order: sub-second spacing moves stamps forward); both
       // the observer and parallel_merge consume it.
-      std::sort(shards[s].begin(), shards[s].end(),
-                options.sort_by_time ? &seq_time_order : &seq_only_order);
+      sort_seq_records(shards[s]);
     }
     if (options.shard_observer && !shards[s].empty()) {
       obs::StageTimer observe_timer(metrics.ingest_observe);
@@ -380,8 +372,7 @@ void finish_engine(std::vector<DecodedChunk>& decoded,
   std::vector<std::vector<SeqRecord>> shards;
   gather_and_clean(decoded, options, pool, shard_count, nullptr, shards,
                    result.cleaning);
-  parallel_merge(shards, options.sort_by_time, pool, threads,
-                 result.stream.records());
+  parallel_merge(shards, pool, threads, result.stream.records());
 }
 
 void sort_decoded(std::vector<DecodedChunk>& decoded) {
@@ -650,13 +641,10 @@ class RunStore {
 
   [[nodiscard]] std::size_t total_records() const { return total_records_; }
 
-  /// Streams the k-way merge of every run (by `cmp` order) into `emit`,
-  /// holding one record per run in memory. Consumes the store.
-  void merge(bool by_time,
-             const std::function<void(UpdateRecord&&)>& emit) {
+  /// Streams the k-way merge of every run (by seq_time_order) into
+  /// `emit`, holding one record per run in memory. Consumes the store.
+  void merge(const std::function<void(UpdateRecord&&)>& emit) {
     obs::StageTimer run_merge_timer(obs::pipeline_metrics().ingest_run_merge);
-    bool (*cmp)(const SeqRecord&, const SeqRecord&) =
-        by_time ? &seq_time_order : &seq_only_order;
     std::vector<std::unique_ptr<RunCursor>> cursors;
     cursors.reserve(memory_.size() + files_.size());
     for (std::vector<SeqRecord>& run : memory_) {
@@ -671,10 +659,10 @@ class RunStore {
       SeqRecord record;
       std::size_t cursor;
     };
-    // Min-heap via inverted cmp; cmp is a strict total order (unique
+    // Min-heap via the inverted order, a strict total order (unique
     // seq), so the merge is deterministic for any cursor order.
-    auto heap_after = [cmp](const HeapEntry& a, const HeapEntry& b) {
-      return cmp(b.record, a.record);
+    auto heap_after = [](const HeapEntry& a, const HeapEntry& b) {
+      return seq_time_order(b.record, a.record);
     };
     std::vector<HeapEntry> heap;
     heap.reserve(cursors.size());
@@ -746,11 +734,10 @@ std::size_t resolve_shard_count(const IngestOptions& options) {
 // lives as long as the engine — reused across windows and across
 // poll()/finish() calls. Windowed multi-threaded runs additionally
 // pipeline: while window N runs shard-clean + merge + inline passes on
-// the pool, window N+1 is framed and decoded on the same pool
-// (IngestOptions::pipeline_windows), with decode tasks in flight bounded
-// by the queue_chunks cap. Batch mode (window_records == 0, finish()
-// without poll()) takes the multi-framer path instead — same output,
-// whole input as one window.
+// the pool, window N+1 is framed and decoded on the same pool, with
+// decode tasks in flight bounded by the queue_chunks cap. Batch mode
+// (window_records == 0, finish() without poll()) takes the multi-framer
+// path instead — same output, whole input as one window.
 
 struct StreamingIngestor::Impl {
   struct SourceEntry {
@@ -1038,7 +1025,7 @@ struct StreamingIngestor::Impl {
     // cleans and merges. Only when this window filled its whole budget —
     // a short window means the input is exhausted (and leaves add_*
     // between polls cheap: no prefetch to quiesce).
-    if (pool != nullptr && options.pipeline_windows && w->framed >= budget) {
+    if (pool != nullptr && w->framed >= budget) {
       start_prefetch(budget);
     }
 
@@ -1054,7 +1041,7 @@ struct StreamingIngestor::Impl {
     gather_and_clean(w->decoded, options, pool.get(), shard_count, &carry,
                      shards, cleaning_report);
     std::vector<SeqRecord> run;
-    parallel_merge(shards, options.sort_by_time, pool.get(), threads, run);
+    parallel_merge(shards, pool.get(), threads, run);
     runs.add_run(std::move(run));
     ++stats.windows;
     metrics.ingest_windows->inc();
@@ -1122,13 +1109,10 @@ struct StreamingIngestor::Impl {
       // Pool mode: framer tasks claim whole files and fan chunks out as
       // decode tasks on the same group — framing I/O overlaps decode,
       // multiple archives are framed in parallel, and the caller helps
-      // (wait executes queued tasks) instead of spawning threads.
-      std::size_t framers =
-          options.frame_threads != 0
-              ? std::min<std::size_t>(options.frame_threads, sources.size())
-              : std::min<std::size_t>(
-                    {sources.size(), threads, std::size_t{4}});
-      if (framers == 0) framers = 1;
+      // (wait executes queued tasks) instead of spawning threads. Up to
+      // four framers: min(#files, threads, 4).
+      const std::size_t framers =
+          std::min<std::size_t>({sources.size(), threads, std::size_t{4}});
 
       WindowDecode w;
       const std::size_t cap = resolve_queue_capacity(options, threads);
@@ -1216,14 +1200,12 @@ struct StreamingIngestor::Impl {
       result.cleaning = cleaning_report;
       result.stats = stats;
       if (sink != nullptr) {
-        runs.merge(options.sort_by_time,
-                   [&](UpdateRecord&& record) { (*sink)(std::move(record)); });
+        runs.merge([&](UpdateRecord&& record) { (*sink)(std::move(record)); });
       } else {
         std::vector<UpdateRecord>& out = result.stream.records();
         out.reserve(runs.total_records());
-        runs.merge(options.sort_by_time, [&](UpdateRecord&& record) {
-          out.push_back(std::move(record));
-        });
+        runs.merge(
+            [&](UpdateRecord&& record) { out.push_back(std::move(record)); });
       }
     }
     result.stats.files = sources.size();
@@ -1273,7 +1255,7 @@ struct StreamingIngestor::Impl {
   bool failed = false;  // a poll() threw → results would be incomplete
 
   // The next window, framing/decoding on the pool while the current one
-  // cleans and merges. Null when pipelining is off or the input ran dry.
+  // cleans and merges. Null without a pool or once the input ran dry.
   std::unique_ptr<WindowDecode> prefetch;
   // Declared last: destroyed first, after ~Impl has quiesced the
   // prefetch group, while every member its tasks referenced still lives.

@@ -6,8 +6,9 @@
 // Pipeline (every stage runs on one persistent core::WorkerPool, created
 // with the engine and reused across windows and poll()/finish() calls —
 // no per-window thread spawn/join):
-//   1. Frame   — sequential readers (one per archive file, fanned out over
-//                `frame_threads`) slice the input into batches of
+//   1. Frame   — sequential readers (one per archive file; a batch run
+//                frames up to min(#files, threads, 4) files concurrently)
+//                slice the input into batches of
 //                `chunk_records` raw records. Each batch carries a
 //                (file, chunk) arrival coordinate — the determinism
 //                anchor — and is submitted as a decode task, with the
@@ -18,7 +19,7 @@
 //                decoding BGP4MP endpoints + inner UPDATE and exploding
 //                messages into per-prefix UpdateRecords. In windowed mode
 //                window N+1 frames/decodes on the pool while window N
-//                cleans and merges (IngestOptions::pipeline_windows).
+//                cleans and merges.
 //   3. Shard   — decoded records are bucketed by SessionKey hash, so every
 //                BGP session lands wholly inside one shard — even when its
 //                messages span several archive files — and the §4 cleaning
@@ -88,39 +89,25 @@ struct IngestOptions {
   /// bytes in flight (framers block when decode falls behind). 0 means
   /// "auto": 2× the worker count, at least 4.
   std::size_t queue_chunks = 0;
-  /// Concurrent framer threads for multi-archive ingestion (each frames
-  /// whole files; a single stream is inherently one framer). 0 means
-  /// "auto": min(#files, num_threads, 4).
-  unsigned frame_threads = 0;
-  /// When true (default) the output is sorted by (timestamp, arrival
-  /// sequence); when false it keeps arrival order — the legacy
-  /// UpdateStream::from_mrt_file / from_collector contract.
-  bool sort_by_time = true;
   /// Optional §4 cleaning, applied per shard before the merge. Null skips
   /// cleaning entirely.
   const CleaningOptions* cleaning = nullptr;
   /// Raw MRT records per streaming window (chunk-granular: a window closes
   /// at the first chunk boundary at or past the budget). 0 processes the
-  /// whole input as one window — the batch mode, where `frame_threads`
-  /// fans archive files out over concurrent framers. Any non-zero window
-  /// frames sequentially (a window is by definition a prefix of the
-  /// arrival order) while decode, cleaning, and the merge stay parallel.
-  /// The output is byte-identical for every window size; only peak memory
-  /// changes: O(window + shards) with spilling, O(archive) without.
+  /// whole input as one window — the batch mode, which frames up to
+  /// min(#files, num_threads, 4) archive files concurrently. Any non-zero
+  /// window frames sequentially (a window is by definition a prefix of
+  /// the arrival order) while decode, cleaning, and the merge stay
+  /// parallel; with a pool, window N+1 is framed and decoded while
+  /// window N cleans and merges. The output is byte-identical for every
+  /// window size; only peak memory changes: O(window + shards) with
+  /// spilling, O(archive) without.
   std::size_t window_records = 0;
   /// When non-empty, completed window runs spill to temp files under this
   /// directory (created if missing) instead of accumulating in memory —
   /// the archives-larger-than-RAM configuration. Ignored in batch mode
   /// (window_records == 0), which never materializes runs.
   std::string spill_dir;
-  /// Pipeline windows (default on): while window N runs shard-clean,
-  /// merge, and inline passes, window N+1 is framed and decoded on the
-  /// persistent worker pool, bounded by the same queue_chunks cap so
-  /// peak memory stays O(window + shards). Effective only in windowed
-  /// multi-threaded runs; the output is byte-identical either way
-  /// (windows are processed strictly in order — only the frame/decode
-  /// work overlaps). Off is mainly useful for benchmarking the overlap.
-  bool pipeline_windows = true;
   /// SessionKey-hash shard count. 0 (default) resolves to kIngestShards,
   /// doubled until it is at least the resolved thread count (capped at
   /// kMaxIngestShards); an explicit value is used as-is. The resolved

@@ -63,28 +63,15 @@ void UpdateStream::add_message(const std::string& collector, Asn peer_asn,
                         records_);
 }
 
-namespace {
-
-// The legacy builders keep their original contract — single-threaded,
-// arrival (file) order, no cleaning — by running the ingestion engine in
-// its compatibility configuration.
-IngestOptions legacy_options() {
-  IngestOptions options;
-  options.num_threads = 1;
-  options.sort_by_time = false;
-  return options;
-}
-
-}  // namespace
-
+// One thread, no cleaning: the engine's default configuration.
 UpdateStream UpdateStream::from_collector(
     const sim::RouteCollector& collector) {
-  return ingest_collector(collector, legacy_options()).stream;
+  return ingest_collector(collector).stream;
 }
 
 UpdateStream UpdateStream::from_mrt_file(const std::string& collector,
                                          const std::string& path) {
-  return ingest_mrt_file(collector, path, legacy_options()).stream;
+  return ingest_mrt_file(collector, path).stream;
 }
 
 void UpdateStream::merge(const UpdateStream& other) {

@@ -68,12 +68,14 @@ class UpdateStream {
                    const IpAddress& peer_address, Timestamp time,
                    const UpdateMessage& update);
 
-  /// Ingests everything a simulated collector recorded.
+  /// Ingests everything a simulated collector recorded, uncleaned and
+  /// sorted by (timestamp, arrival order).
   [[nodiscard]] static UpdateStream from_collector(
       const sim::RouteCollector& collector);
 
-  /// Parses an MRT file (BGP4MP messages) into a stream.
-  /// `collector` names the file's origin for the session keys.
+  /// Parses an MRT file (BGP4MP messages) into a stream, uncleaned and
+  /// sorted by (timestamp, arrival order). `collector` names the file's
+  /// origin for the session keys.
   [[nodiscard]] static UpdateStream from_mrt_file(const std::string& collector,
                                                   const std::string& path);
 

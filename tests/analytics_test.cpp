@@ -2,7 +2,7 @@
 //
 //  - differential: every shipped pass must report IDENTICALLY across
 //    thread counts × window sizes × execution mode (inline on the shard
-//    threads, streaming sink, materialized stream) — the Pass contract
+//    threads, materialized stream) — the Pass contract
 //    (analytics/pass.h) made executable;
 //  - golden: classifier and tomography pass reports over the shared
 //    golden fixture (tests/golden_fixture.h) are pinned value by value;
@@ -80,11 +80,9 @@ AllReports collect(AnalysisDriver& driver, const Handles& handles) {
                     driver.report(handles.duplicates)};
 }
 
-enum class Mode { kInline, kSink };
-
-AllReports run_config(const std::string& archive,
+AllReports run_inline(const std::string& archive,
                       const CleaningOptions& cleaning, unsigned threads,
-                      std::size_t window_records, Mode mode) {
+                      std::size_t window_records) {
   IngestOptions options;
   options.num_threads = threads;
   options.chunk_records = 32;
@@ -94,18 +92,11 @@ AllReports run_config(const std::string& archive,
   AnalysisDriver driver;
   Handles handles = add_all_passes(driver);
   std::istringstream in(archive);
-  if (mode == Mode::kInline) {
-    driver.attach(options);
-    StreamingIngestor engine(options);
-    engine.add_stream("rrc00", in);
-    IngestResult result = engine.finish();
-    EXPECT_GT(result.stream.size(), 0u);
-  } else {
-    StreamingIngestor engine(options);
-    engine.add_stream("rrc00", in);
-    IngestResult result = engine.finish(driver.sink());
-    EXPECT_EQ(result.stream.size(), 0u);
-  }
+  driver.attach(options);
+  StreamingIngestor engine(options);
+  engine.add_stream("rrc00", in);
+  IngestResult result = engine.finish();
+  EXPECT_GT(result.stream.size(), 0u);
   return collect(driver, handles);
 }
 
@@ -140,15 +131,9 @@ TEST(AnalyticsDifferential, ThreadsWindowsAndModesAgree) {
 
   for (unsigned threads : {1u, 4u}) {
     for (std::size_t window : {std::size_t{0}, std::size_t{64}}) {
-      for (Mode mode : {Mode::kInline, Mode::kSink}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "threads=" << threads << " window=" << window
-                     << " mode=" << (mode == Mode::kInline ? "inline"
-                                                           : "sink"));
-        AllReports actual =
-            run_config(archive, cleaning, threads, window, mode);
-        EXPECT_TRUE(actual == expected);
-      }
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " window=" << window);
+      EXPECT_TRUE(run_inline(archive, cleaning, threads, window) == expected);
     }
   }
 }

@@ -3,7 +3,7 @@
 //  - differential: AnomalyPass, RevealedPass, ExplorationPass, and
 //    UsageClassificationPass must report IDENTICALLY across thread
 //    counts × window sizes × execution mode (inline on the shard
-//    threads, streaming sink, materialized stream) — the §6/§7
+//    threads, materialized stream) — the §6/§7
 //    detectors' port onto the Pass contract, made executable;
 //  - algebra: manual session-partition splits merge to the
 //    single-state result;
@@ -99,11 +99,9 @@ AllReports collect(AnalysisDriver& driver, const Handles& handles) {
                     driver.report(handles.usage)};
 }
 
-enum class Mode { kInline, kSink };
-
-AllReports run_config(const std::string& archive,
+AllReports run_inline(const std::string& archive,
                       const CleaningOptions& cleaning, unsigned threads,
-                      std::size_t window_records, Mode mode) {
+                      std::size_t window_records) {
   IngestOptions options;
   options.num_threads = threads;
   options.chunk_records = 32;
@@ -113,18 +111,11 @@ AllReports run_config(const std::string& archive,
   AnalysisDriver driver;
   Handles handles = add_all_passes(driver);
   std::istringstream in(archive);
-  if (mode == Mode::kInline) {
-    driver.attach(options);
-    StreamingIngestor engine(options);
-    engine.add_stream("rrc00", in);
-    IngestResult result = engine.finish();
-    EXPECT_GT(result.stream.size(), 0u);
-  } else {
-    StreamingIngestor engine(options);
-    engine.add_stream("rrc00", in);
-    IngestResult result = engine.finish(driver.sink());
-    EXPECT_EQ(result.stream.size(), 0u);
-  }
+  driver.attach(options);
+  StreamingIngestor engine(options);
+  engine.add_stream("rrc00", in);
+  IngestResult result = engine.finish();
+  EXPECT_GT(result.stream.size(), 0u);
   return collect(driver, handles);
 }
 
@@ -161,48 +152,11 @@ TEST(AnomalyBeaconDifferential, ThreadsWindowsAndModesAgree) {
 
   for (unsigned threads : {1u, 4u}) {
     for (std::size_t window : {std::size_t{0}, std::size_t{64}}) {
-      for (Mode mode : {Mode::kInline, Mode::kSink}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "threads=" << threads << " window=" << window
-                     << " mode=" << (mode == Mode::kInline ? "inline"
-                                                           : "sink"));
-        AllReports actual =
-            run_config(archive, cleaning, threads, window, mode);
-        EXPECT_TRUE(actual == expected);
-      }
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " window=" << window);
+      EXPECT_TRUE(run_inline(archive, cleaning, threads, window) == expected);
     }
   }
-}
-
-// The pass path must agree with the legacy one-shot entry points (now
-// thin wrappers over the same kernels) on the materialized stream.
-TEST(AnomalyBeaconDifferential, PassesMatchLegacyWrappers) {
-  ArchiveGenerator gen(77);
-  std::string archive = gen.generate(800);
-  Registry registry = allocated_registry();
-  CleaningOptions cleaning;
-  cleaning.registry = &registry;
-
-  IngestOptions options;
-  options.num_threads = 2;
-  options.cleaning = &cleaning;
-  AnalysisDriver driver;
-  Handles handles = add_all_passes(driver);
-  driver.attach(options);
-  std::istringstream in(archive);
-  IngestResult result = core::ingest_mrt_stream("rrc00", in, options);
-  AllReports actual = collect(driver, handles);
-
-  EXPECT_TRUE(actual.anomalies ==
-              core::detect_anomalies(result.stream, test_anomaly_options()));
-  EXPECT_TRUE(actual.revealed ==
-              core::analyze_revealed(result.stream, test_schedule()));
-  EXPECT_TRUE(actual.exploration ==
-              core::find_community_exploration(result.stream,
-                                               test_schedule()));
-  EXPECT_TRUE(actual.usage ==
-              core::classify_community_usage_stream(result.stream,
-                                                    test_usage_options()));
 }
 
 // ---------------------------------------------------------------------------

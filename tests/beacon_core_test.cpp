@@ -4,6 +4,7 @@
 
 #include "core/beacon.h"
 #include "netbase/error.h"
+#include "run_pass.h"
 
 namespace bgpcc::core {
 namespace {
@@ -143,7 +144,8 @@ TEST(RevealedStats, BucketsByPhaseExclusivity) {
   // Empty communities never count.
   stream.add(record_at(at(2, 3), "1 2", ""));
 
-  RevealedStats stats = analyze_revealed(stream, schedule);
+  RevealedStats stats =
+      test::run_pass(analytics::RevealedPass{schedule}, stream);
   EXPECT_EQ(stats.total_unique, 4u);
   EXPECT_EQ(stats.withdrawal_only, 1u);
   EXPECT_EQ(stats.announce_only, 1u);
@@ -158,7 +160,8 @@ TEST(RevealedStats, AttributeIsTheWholeSet) {
   UpdateStream stream;
   stream.add(record_at(at(2, 1), "1 2", "3356:1"));
   stream.add(record_at(at(2, 2), "1 2", "3356:1 3356:2"));
-  RevealedStats stats = analyze_revealed(stream, schedule);
+  RevealedStats stats =
+      test::run_pass(analytics::RevealedPass{schedule}, stream);
   EXPECT_EQ(stats.total_unique, 2u);
   EXPECT_EQ(stats.withdrawal_only, 2u);
 }
@@ -174,7 +177,7 @@ TEST(CommunityExploration, DetectsNcRunsInWithdrawPhase) {
   stream.add(record_at(at(2, 3), "20205 3356 174 12654", "3356:2004"));
   stream.add(record_at(at(2, 4), "", "", false));  // final withdraw
 
-  auto events = find_community_exploration(stream, schedule);
+  auto events = test::run_pass(analytics::ExplorationPass{schedule}, stream);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].nc_count, 3);
   EXPECT_GE(events[0].distinct_attributes, 3);
@@ -188,7 +191,7 @@ TEST(CommunityExploration, PathChangeBreaksRun) {
   stream.add(record_at(at(2, 1), "1 2 3", "3356:2"));
   stream.add(record_at(at(2, 2), "1 9 3", "3356:3"));  // path change
   stream.add(record_at(at(2, 3), "1 9 3", "3356:4"));
-  auto events = find_community_exploration(stream, schedule);
+  auto events = test::run_pass(analytics::ExplorationPass{schedule}, stream);
   // Two separate runs, each with one nc: below the >=2 threshold.
   EXPECT_TRUE(events.empty());
 }
@@ -198,7 +201,8 @@ TEST(CommunityExploration, SingleNcIsNotAnEvent) {
   UpdateStream stream;
   stream.add(record_at(at(2, 0), "1 2", "3356:1"));
   stream.add(record_at(at(2, 1), "1 2", "3356:2"));
-  EXPECT_TRUE(find_community_exploration(stream, schedule).empty());
+  EXPECT_TRUE(
+      test::run_pass(analytics::ExplorationPass{schedule}, stream).empty());
 }
 
 TEST(CommunityExploration, OutsidePhaseRunsIgnored) {
@@ -207,7 +211,8 @@ TEST(CommunityExploration, OutsidePhaseRunsIgnored) {
   stream.add(record_at(at(1, 0), "1 2", "3356:1"));
   stream.add(record_at(at(1, 1), "1 2", "3356:2"));
   stream.add(record_at(at(1, 2), "1 2", "3356:3"));
-  EXPECT_TRUE(find_community_exploration(stream, schedule).empty());
+  EXPECT_TRUE(
+      test::run_pass(analytics::ExplorationPass{schedule}, stream).empty());
 }
 
 // The sorted-flush pinned golden: still-active runs used to be flushed
@@ -239,7 +244,7 @@ TEST(CommunityExploration, EndOfStreamFlushIsSortedByBeginTime) {
     }
   }
   stream.sort_by_time();
-  auto events = find_community_exploration(stream, schedule);
+  auto events = test::run_pass(analytics::ExplorationPass{schedule}, stream);
   ASSERT_EQ(events.size(), 3u);
   // Sorted by begin: the ASN-300 run (2:01) first, then 200, then 100 —
   // the run-map order would have returned 100, 200, 300.

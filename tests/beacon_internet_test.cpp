@@ -5,6 +5,7 @@
 
 #include "core/beacon.h"
 #include "core/tomography.h"
+#include "run_pass.h"
 #include "synth/beacon_internet.h"
 
 namespace bgpcc::synth {
@@ -54,7 +55,8 @@ TEST_F(BeaconDay, AnnouncementsOutnumberWithdrawals) {
 
 TEST_F(BeaconDay, CommunityExplorationEmerges) {
   core::BeaconSchedule schedule;
-  auto events = core::find_community_exploration(*stream_, schedule);
+  auto events =
+      test::run_pass(analytics::ExplorationPass{schedule}, *stream_);
   ASSERT_FALSE(events.empty())
       << "staggered withdrawals through the multi-ingress transit must "
          "produce nc runs on unchanged AS paths";
@@ -72,7 +74,8 @@ TEST_F(BeaconDay, CommunityExplorationEmerges) {
 }
 
 TEST_F(BeaconDay, NcAnnouncementsComeFromPropagatingPeers) {
-  core::TypeCounts counts = core::classify_stream(*stream_);
+  core::TypeCounts counts =
+      test::run_pass(analytics::ClassifierPass{}, *stream_).counts;
   EXPECT_GT(counts.count(core::AnnouncementType::kPc), 0u);
   EXPECT_GT(counts.count(core::AnnouncementType::kNc), 0u);
   EXPECT_GT(counts.count(core::AnnouncementType::kNn), 0u);
@@ -98,7 +101,8 @@ TEST_F(BeaconDay, CleaningPeersEmitNoCommunities) {
 
 TEST_F(BeaconDay, WithdrawalPhasesRevealMostAttributes) {
   core::BeaconSchedule schedule;
-  core::RevealedStats stats = core::analyze_revealed(*stream_, schedule);
+  core::RevealedStats stats =
+      test::run_pass(analytics::RevealedPass{schedule}, *stream_);
   ASSERT_GT(stats.total_unique, 0u);
   // Paper: ~62% withdrawal-exclusive, 17% announce, <1% outside.
   EXPECT_GT(stats.withdrawal_ratio(), 0.35);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/classifier.h"
+#include "run_pass.h"
 
 namespace bgpcc::core {
 namespace {
@@ -153,14 +154,21 @@ TEST(ClassifyStream, CallbackSeesEverything) {
   stream.add(make_record("100 200", "100:1"));
   stream.add(make_record("100 200", "100:2", 1));
   stream.add(make_record("", "", 2, false));
+  // A plain Classifier loop sees every record, withdrawals included, and
+  // tallies exactly what ClassifierPass reports for the stream.
+  Classifier classifier;
   int calls = 0;
-  TypeCounts counts = classify_stream(
-      stream, [&](const UpdateRecord&, std::optional<AnnouncementType>) {
-        ++calls;
-      });
+  for (const UpdateRecord& record : stream.records()) {
+    (void)classifier.classify(record);
+    ++calls;
+  }
   EXPECT_EQ(calls, 3);
-  EXPECT_EQ(counts.count(AnnouncementType::kNc), 1u);
-  EXPECT_EQ(counts.withdrawals, 1u);
+  EXPECT_EQ(classifier.counts().count(AnnouncementType::kNc), 1u);
+  EXPECT_EQ(classifier.counts().withdrawals, 1u);
+  analytics::ClassifierPass::Report report =
+      test::run_pass(analytics::ClassifierPass{}, stream);
+  EXPECT_EQ(report.counts, classifier.counts());
+  EXPECT_EQ(report.streams, 1u);
 }
 
 TEST(PerSessionTypes, SortedByVolumeAndFilteredByPrefix) {
@@ -180,8 +188,9 @@ TEST(PerSessionTypes, SortedByVolumeAndFilteredByPrefix) {
   other.prefix = Prefix::from_string("10.0.0.0/8");
   stream.add(other);
 
-  auto per_session =
-      per_session_types(stream, Prefix::from_string("84.205.64.0/24"));
+  auto per_session = test::run_pass(
+      analytics::PerSessionTypesPass{Prefix::from_string("84.205.64.0/24")},
+      stream);
   ASSERT_EQ(per_session.size(), 2u);
   EXPECT_EQ(per_session[0].first.peer_asn, Asn(20205));
   EXPECT_EQ(per_session[0].second.count(AnnouncementType::kNc), 2u);
@@ -233,7 +242,8 @@ TEST(CommunityUsage, NamespaceProfilesAndEvidenceFloor) {
 
   UsageOptions options;
   options.min_occurrences = 3;
-  auto usage = classify_community_usage_stream(stream, options);
+  auto usage =
+      test::run_pass(analytics::UsageClassificationPass{options}, stream);
   ASSERT_EQ(usage.size(), 3u);
   // Sorted by occurrences descending.
   EXPECT_EQ(usage[0].asn16, 3356u);
@@ -253,7 +263,7 @@ TEST(CommunityUsage, MixedNamespaceNeedsNoDominantCategory) {
   for (int i = 0; i < 5; ++i) {
     stream.add(make_record("20205 3356", "3356:2001 3356:80", i));
   }
-  auto usage = classify_community_usage_stream(stream);
+  auto usage = test::run_pass(analytics::UsageClassificationPass{}, stream);
   ASSERT_EQ(usage.size(), 1u);
   EXPECT_EQ(usage[0].profile, UsageProfile::kMixed);
   EXPECT_EQ(usage[0].usage_values[static_cast<std::size_t>(

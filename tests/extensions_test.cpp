@@ -5,6 +5,7 @@
 #include "core/anomaly.h"
 #include "core/peering.h"
 #include "netbase/error.h"
+#include "run_pass.h"
 #include "synth/beacon_internet.h"
 #include "synth/macrogen.h"
 
@@ -119,7 +120,8 @@ TEST(Anomaly, FlagsDuplicateOutlierSession) {
   AnomalyOptions options;
   options.min_classified = 10;
   options.novelty_min_occurrences = 1000000;  // disable novelty detector
-  AnomalyReport report = detect_anomalies(stream, options);
+  AnomalyReport report =
+      test::run_pass(analytics::AnomalyPass{options}, stream);
   ASSERT_EQ(report.duplicate_outliers.size(), 1u);
   EXPECT_EQ(report.duplicate_outliers[0].session.peer_asn, Asn(29999));
   EXPECT_GT(report.duplicate_outliers[0].nn_share, 0.9);
@@ -138,7 +140,8 @@ TEST(Anomaly, QuietPopulationHasNoOutliers) {
   }
   AnomalyOptions options;
   options.min_classified = 10;
-  AnomalyReport report = detect_anomalies(stream, options);
+  AnomalyReport report =
+      test::run_pass(analytics::AnomalyPass{options}, stream);
   EXPECT_TRUE(report.duplicate_outliers.empty());
 }
 
@@ -156,7 +159,8 @@ TEST(Anomaly, DetectsNoveltyBurst) {
   AnomalyOptions options;
   options.novelty_min_occurrences = 100;
   options.min_classified = 1000000;  // disable outlier detector
-  AnomalyReport report = detect_anomalies(stream, options);
+  AnomalyReport report =
+      test::run_pass(analytics::AnomalyPass{options}, stream);
   ASSERT_EQ(report.novelty_bursts.size(), 1u);
   EXPECT_EQ(report.novelty_bursts[0].community, Community::of(666, 666));
   EXPECT_EQ(report.novelty_bursts[0].occurrences, 150u);
@@ -177,7 +181,8 @@ TEST(Anomaly, ReEmergentCommunityBurstIsFlagged) {
   AnomalyOptions options;
   options.novelty_min_occurrences = 100;
   options.min_classified = 1000000;  // disable outlier detector
-  AnomalyReport report = detect_anomalies(stream, options);
+  AnomalyReport report =
+      test::run_pass(analytics::AnomalyPass{options}, stream);
   ASSERT_EQ(report.novelty_bursts.size(), 1u);
   EXPECT_EQ(report.novelty_bursts[0].community, Community::of(666, 13));
   EXPECT_EQ(report.novelty_bursts[0].occurrences, 150u);
@@ -199,7 +204,8 @@ TEST(Anomaly, LargestBurstEpisodeIsReported) {
   AnomalyOptions options;
   options.novelty_min_occurrences = 100;
   options.min_classified = 1000000;
-  AnomalyReport report = detect_anomalies(stream, options);
+  AnomalyReport report =
+      test::run_pass(analytics::AnomalyPass{options}, stream);
   ASSERT_EQ(report.novelty_bursts.size(), 1u);
   EXPECT_EQ(report.novelty_bursts[0].occurrences, 140u);
   EXPECT_EQ(report.novelty_bursts[0].first_seen,
@@ -220,7 +226,8 @@ TEST(Anomaly, NoEligibleSessionsReportsZeroStats) {
   AnomalyOptions options;
   options.min_classified = 50;  // the 4 classified announcements miss it
   options.novelty_min_occurrences = 1000000;
-  AnomalyReport report = detect_anomalies(stream, options);
+  AnomalyReport report =
+      test::run_pass(analytics::AnomalyPass{options}, stream);
   EXPECT_TRUE(report.duplicate_outliers.empty());
   EXPECT_DOUBLE_EQ(report.population_mean_nn_share, 0.0);
   EXPECT_DOUBLE_EQ(report.population_stddev_nn_share, 0.0);
@@ -235,7 +242,8 @@ TEST(Anomaly, SingleEligibleSessionIsNeverAnOutlier) {
   AnomalyOptions options;
   options.min_classified = 10;
   options.novelty_min_occurrences = 1000000;
-  AnomalyReport report = detect_anomalies(stream, options);
+  AnomalyReport report =
+      test::run_pass(analytics::AnomalyPass{options}, stream);
   EXPECT_TRUE(report.duplicate_outliers.empty());
   EXPECT_DOUBLE_EQ(report.population_mean_nn_share, 1.0);
   EXPECT_DOUBLE_EQ(report.population_stddev_nn_share, 0.0);
@@ -257,7 +265,8 @@ TEST(Anomaly, TwoEligibleSessionsScoreAgainstEachOther) {
   AnomalyOptions options;
   options.min_classified = 10;
   options.novelty_min_occurrences = 1000000;
-  AnomalyReport report = detect_anomalies(stream, options);
+  AnomalyReport report =
+      test::run_pass(analytics::AnomalyPass{options}, stream);
   EXPECT_DOUBLE_EQ(report.population_mean_nn_share, 0.5);
   // The duplicate session exceeds its zero-stddev remainder: infinitely
   // surprising, reported as the 1e6 sentinel. The quiet one is below its
@@ -268,13 +277,10 @@ TEST(Anomaly, TwoEligibleSessionsScoreAgainstEachOther) {
 }
 
 TEST(Anomaly, NonPositiveNoveltyWindowThrows) {
-  UpdateStream stream;
   AnomalyOptions options;
   options.novelty_window = Duration::hours(0);
-  // Rejected up front, even with nothing to scan.
-  EXPECT_THROW((void)detect_anomalies(stream, options), ConfigError);
-  stream.add(make_record(Asn(20205), "1 2", "100:1", 0));
-  EXPECT_THROW((void)detect_anomalies(stream, options), ConfigError);
+  // Rejected at pass construction, before any record is observed.
+  EXPECT_THROW((void)analytics::AnomalyPass{options}, ConfigError);
 }
 
 TEST(Anomaly, MacroArtifactSessionIsCaught) {
@@ -292,7 +298,8 @@ TEST(Anomaly, MacroArtifactSessionIsCaught) {
   AnomalyOptions options;
   options.min_classified = 30;
   options.sigma_threshold = 2.5;
-  AnomalyReport report = detect_anomalies(stream, options);
+  AnomalyReport report =
+      test::run_pass(analytics::AnomalyPass{options}, stream);
   ASSERT_FALSE(report.duplicate_outliers.empty());
   // The artifact session (index 3) uses peer ASN 20003.
   EXPECT_EQ(report.duplicate_outliers[0].session.peer_asn, Asn(20003));

@@ -260,18 +260,14 @@ TEST(IngestDifferential, QueueDepthInvariance) {
       ingest_split("C1", split_archives(records, 3), reference_options);
 
   for (std::size_t depth : {std::size_t{1}, std::size_t{2}, std::size_t{64}}) {
-    for (unsigned framers : {1u, 3u}) {
-      SCOPED_TRACE("depth=" + std::to_string(depth) +
-                   " framers=" + std::to_string(framers));
-      IngestOptions options;
-      options.num_threads = 4;
-      options.chunk_records = 8;
-      options.queue_chunks = depth;
-      options.frame_threads = framers;
-      options.cleaning = &cleaning;
-      expect_identical(
-          reference, ingest_split("C1", split_archives(records, 3), options));
-    }
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    IngestOptions options;
+    options.num_threads = 4;  // three concurrent framers, one per archive
+    options.chunk_records = 8;
+    options.queue_chunks = depth;
+    options.cleaning = &cleaning;
+    expect_identical(reference,
+                     ingest_split("C1", split_archives(records, 3), options));
   }
 }
 

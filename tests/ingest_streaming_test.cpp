@@ -228,32 +228,27 @@ TEST(IngestStreaming, WindowThreadSpillEquivalence) {
          {std::size_t{16}, std::size_t{140}, std::size_t{1} << 40}) {
       for (unsigned threads : {1u, 4u}) {
         for (bool spill : {false, true}) {
-          for (bool pipeline : {false, true}) {
-            SCOPED_TRACE("window=" + std::to_string(window) +
-                         " threads=" + std::to_string(threads) +
-                         " spill=" + std::to_string(spill) +
-                         " pipeline=" + std::to_string(pipeline));
-            IngestOptions options = reference_options;
-            options.num_threads = threads;
-            options.window_records = window;
-            options.pipeline_windows = pipeline;
-            std::string spill_dir;
-            if (spill) {
-              spill_dir = ::testing::TempDir() + "/bgpcc_spill_" +
-                          std::to_string(seed) + "_" + std::to_string(window) +
-                          "_" + std::to_string(threads) + "_" +
-                          std::to_string(pipeline);
-              options.spill_dir = spill_dir;
-            }
-            IngestResult result = streaming_ingest(parts, options);
-            expect_identical(reference, result);
-            if (window == std::size_t{16}) {
-              EXPECT_GT(result.stats.windows, 1u);
-            }
-            if (spill) {
-              EXPECT_EQ(spill_files_in(spill_dir), 0u)
-                  << "spill runs must be removed after the merge";
-            }
+          SCOPED_TRACE("window=" + std::to_string(window) +
+                       " threads=" + std::to_string(threads) +
+                       " spill=" + std::to_string(spill));
+          IngestOptions options = reference_options;
+          options.num_threads = threads;
+          options.window_records = window;
+          std::string spill_dir;
+          if (spill) {
+            spill_dir = ::testing::TempDir() + "/bgpcc_spill_" +
+                        std::to_string(seed) + "_" + std::to_string(window) +
+                        "_" + std::to_string(threads);
+            options.spill_dir = spill_dir;
+          }
+          IngestResult result = streaming_ingest(parts, options);
+          expect_identical(reference, result);
+          if (window == std::size_t{16}) {
+            EXPECT_GT(result.stats.windows, 1u);
+          }
+          if (spill) {
+            EXPECT_EQ(spill_files_in(spill_dir), 0u)
+                << "spill runs must be removed after the merge";
           }
         }
       }
@@ -264,10 +259,11 @@ TEST(IngestStreaming, WindowThreadSpillEquivalence) {
 // The pipelining worst case: window_records=1 puts every chunk in its
 // own window, so the prefetch framer is re-armed on every poll and the
 // processed window / prefetched window hand-off happens hundreds of
-// times. Differential equality vs the sequential batch reference across
-// threads × pipelining; with chunk_records=1 this is also the TSan
-// stress target for the pool-based window machinery (many tiny decode
-// tasks racing the shard-clean/merge stages of the previous window).
+// times. Differential equality vs the sequential batch reference at one
+// thread (no pool) and four (pipelined); with chunk_records=1 this is
+// also the TSan stress target for the pool-based window machinery (many
+// tiny decode tasks racing the shard-clean/merge stages of the previous
+// window).
 TEST(IngestStreaming, TinyWindowsPipeliningMatrix) {
   ArchiveGenerator gen(47);
   std::vector<std::string> records = gen.generate(300);
@@ -283,17 +279,13 @@ TEST(IngestStreaming, TinyWindowsPipeliningMatrix) {
   ASSERT_GT(reference.stream.size(), 0u);
 
   for (unsigned threads : {1u, 4u}) {
-    for (bool pipeline : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " pipeline=" + std::to_string(pipeline));
-      IngestOptions options = reference_options;
-      options.num_threads = threads;
-      options.window_records = 1;
-      options.pipeline_windows = pipeline;
-      IngestResult result = streaming_ingest(parts, options);
-      expect_identical(reference, result);
-      EXPECT_GT(result.stats.windows, 100u);
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    IngestOptions options = reference_options;
+    options.num_threads = threads;
+    options.window_records = 1;
+    IngestResult result = streaming_ingest(parts, options);
+    expect_identical(reference, result);
+    EXPECT_GT(result.stats.windows, 100u);
   }
 }
 

@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "core/classifier.h"
+#include "run_pass.h"
 #include "synth/labtopo.h"
 
 namespace bgpcc {
@@ -22,13 +22,15 @@ TEST(Integration, MrtRoundTripPreservesClassification) {
   ASSERT_GT(collector.message_count(), 2u);
 
   core::UpdateStream direct = core::UpdateStream::from_collector(collector);
-  core::TypeCounts direct_counts = core::classify_stream(direct);
+  core::TypeCounts direct_counts =
+      test::run_pass(analytics::ClassifierPass{}, direct).counts;
 
   std::string path = ::testing::TempDir() + "/bgpcc_integration.mrt";
   collector.write_mrt(path);
   core::UpdateStream from_disk =
       core::UpdateStream::from_mrt_file("C1", path);
-  core::TypeCounts disk_counts = core::classify_stream(from_disk);
+  core::TypeCounts disk_counts =
+      test::run_pass(analytics::ClassifierPass{}, from_disk).counts;
   std::remove(path.c_str());
 
   ASSERT_EQ(from_disk.size(), direct.size());
@@ -89,7 +91,8 @@ TEST(Integration, LabExp2ClassifiesAsNcAtCollector) {
 
   core::UpdateStream stream = core::UpdateStream::from_collector(
       experiment.network().collector("C1"));
-  core::TypeCounts counts = core::classify_stream(stream);
+  core::TypeCounts counts =
+      test::run_pass(analytics::ClassifierPass{}, stream).counts;
   // Two flap transitions, each a community-only change at the collector.
   EXPECT_EQ(counts.count(core::AnnouncementType::kNc), 2u);
   EXPECT_EQ(counts.count(core::AnnouncementType::kPc), 0u);
@@ -106,7 +109,8 @@ TEST(Integration, LabExp3ClassifiesAsNnAtCollector) {
 
   core::UpdateStream stream = core::UpdateStream::from_collector(
       experiment.network().collector("C1"));
-  core::TypeCounts counts = core::classify_stream(stream);
+  core::TypeCounts counts =
+      test::run_pass(analytics::ClassifierPass{}, stream).counts;
   EXPECT_EQ(counts.count(core::AnnouncementType::kNn), 2u);
   EXPECT_EQ(counts.count(core::AnnouncementType::kNc), 0u);
 }

@@ -268,7 +268,7 @@ TEST(MrtRobustness, CorruptFirstRecordLongArchive) {
 
 TEST(MrtRobustness, MultiSourceErrors) {
   // Second of three sources is corrupt: the whole multi-archive run fails,
-  // at any thread count, with concurrent framers.
+  // at any thread count (4 threads frame the three sources concurrently).
   std::string good;
   for (int i = 0; i < 32; ++i) good += good_record();
   std::string bad = good + raw_record(999, 4, 0, {});
@@ -281,7 +281,6 @@ TEST(MrtRobustness, MultiSourceErrors) {
     core::IngestOptions options;
     options.num_threads = threads;
     options.chunk_records = 2;
-    options.frame_threads = 3;
     options.queue_chunks = 2;
     EXPECT_THROW((void)core::ingest_mrt_sources(
                      {core::MrtSource{"C1", &in_a},

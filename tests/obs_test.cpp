@@ -15,7 +15,7 @@
 //   - the differential contract: with all nine passes attached, a run
 //     with metrics enabled save_state()s — byte for byte — and reports
 //     the same as a run with metrics off, across threads {1,4} ×
-//     window {0,64} × pipelining {off,on};
+//     window {0,64};
 //   - IngestStats zero-initializes `files` and every engine path sets
 //     it from the real source count (the satellite regression).
 #include <gtest/gtest.h>
@@ -327,14 +327,12 @@ struct RunOutput {
 RunOutput run_pipeline(const std::string& archive_a,
                        const std::string& archive_b,
                        const core::CleaningOptions& cleaning, unsigned threads,
-                       std::size_t window, bool pipelining,
-                       bool metrics_enabled) {
+                       std::size_t window, bool metrics_enabled) {
   EnabledGuard guard(metrics_enabled);
   core::IngestOptions opt;
   opt.num_threads = threads;
   opt.chunk_records = 32;
   opt.window_records = window;
-  opt.pipeline_windows = pipelining;
   opt.cleaning = &cleaning;
 
   analytics::AnalysisDriver driver;
@@ -378,18 +376,15 @@ TEST(ObsDifferential, MetricsNeverPerturbReportsOrSerializedState) {
 
   for (unsigned threads : {1u, 4u}) {
     for (std::size_t window : {std::size_t{0}, std::size_t{64}}) {
-      for (bool pipelining : {false, true}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) + " window=" +
-                     std::to_string(window) + " pipelining=" +
-                     std::to_string(pipelining));
-        RunOutput off = run_pipeline(archive_a, archive_b, cleaning, threads,
-                                     window, pipelining, false);
-        RunOutput on = run_pipeline(archive_a, archive_b, cleaning, threads,
-                                    window, pipelining, true);
-        EXPECT_EQ(off, on);
-        EXPECT_EQ(off.files, 2u);  // the satellite: files counts sources
-        EXPECT_FALSE(off.state.empty());
-      }
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " window=" + std::to_string(window));
+      RunOutput off =
+          run_pipeline(archive_a, archive_b, cleaning, threads, window, false);
+      RunOutput on =
+          run_pipeline(archive_a, archive_b, cleaning, threads, window, true);
+      EXPECT_EQ(off, on);
+      EXPECT_EQ(off.files, 2u);  // the satellite: files counts sources
+      EXPECT_FALSE(off.state.empty());
     }
   }
 }

@@ -8,7 +8,7 @@
 //   - snapshotting never perturbs anything: a run that snapshots after
 //     every window reports — and save_state()s, byte for byte — the
 //     same as a run that never snapshots, across threads {1,4} ×
-//     window {0,64} × pipelining {off,on};
+//     window {0,64};
 //   - concurrent snapshot-while-ingesting (the TSan target): every
 //     snapshot taken from a second thread during a pipelined 4-thread
 //     run must equal one of the committed-boundary reference reports —
@@ -222,47 +222,43 @@ TEST(SnapshotReport, SnapshottingNeverPerturbsTheFinalReport) {
   Fixture fixture;
   for (unsigned threads : {1u, 4u}) {
     for (std::size_t window : {std::size_t{0}, std::size_t{64}}) {
-      for (bool pipelining : {false, true}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) + " window=" +
-                     std::to_string(window) + " pipelining=" +
-                     std::to_string(pipelining));
-        IngestOptions opt = fixture.options();
-        opt.num_threads = threads;
-        opt.window_records = window;
-        opt.pipeline_windows = pipelining;
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " window=" + std::to_string(window));
+      IngestOptions opt = fixture.options();
+      opt.num_threads = threads;
+      opt.window_records = window;
 
-        // Run A: snapshot at every boundary, twice at the first one.
-        auto snapshotted = fixture.start(opt);
-        std::uint64_t last_epoch = 0;
-        bool doubled = false;
-        while (snapshotted->engine->poll()) {
-          ReportSnapshot snap = snapshotted->driver.snapshot();
-          EXPECT_GT(snap.epoch(), last_epoch);
-          last_epoch = snap.epoch();
-          if (!doubled) {
-            // Back-to-back snapshots: new epoch, identical content.
-            ReportSnapshot again = snapshotted->driver.snapshot();
-            EXPECT_EQ(again.epoch(), snap.epoch() + 1);
-            EXPECT_EQ(collect(again, snapshotted->handles),
-                      collect(snap, snapshotted->handles));
-            doubled = true;
-          }
+      // Run A: snapshot at every boundary, twice at the first one.
+      auto snapshotted = fixture.start(opt);
+      std::uint64_t last_epoch = 0;
+      bool doubled = false;
+      while (snapshotted->engine->poll()) {
+        ReportSnapshot snap = snapshotted->driver.snapshot();
+        EXPECT_GT(snap.epoch(), last_epoch);
+        last_epoch = snap.epoch();
+        if (!doubled) {
+          // Back-to-back snapshots: new epoch, identical content.
+          ReportSnapshot again = snapshotted->driver.snapshot();
+          EXPECT_EQ(again.epoch(), snap.epoch() + 1);
+          EXPECT_EQ(collect(again, snapshotted->handles),
+                    collect(snap, snapshotted->handles));
+          doubled = true;
         }
-        (void)snapshotted->engine->finish();
-        AllReports with = collect(snapshotted->driver, snapshotted->handles);
-        std::ostringstream with_bytes;
-        snapshotted->driver.save_state(with_bytes);
-
-        // Run B: identical, but never snapshots.
-        auto plain = fixture.start(opt);
-        (void)plain->engine->finish();
-        AllReports without = collect(plain->driver, plain->handles);
-        std::ostringstream without_bytes;
-        plain->driver.save_state(without_bytes);
-
-        EXPECT_EQ(with, without);
-        EXPECT_EQ(with_bytes.str(), without_bytes.str());
       }
+      (void)snapshotted->engine->finish();
+      AllReports with = collect(snapshotted->driver, snapshotted->handles);
+      std::ostringstream with_bytes;
+      snapshotted->driver.save_state(with_bytes);
+
+      // Run B: identical, but never snapshots.
+      auto plain = fixture.start(opt);
+      (void)plain->engine->finish();
+      AllReports without = collect(plain->driver, plain->handles);
+      std::ostringstream without_bytes;
+      plain->driver.save_state(without_bytes);
+
+      EXPECT_EQ(with, without);
+      EXPECT_EQ(with_bytes.str(), without_bytes.str());
     }
   }
 }
@@ -270,8 +266,7 @@ TEST(SnapshotReport, SnapshottingNeverPerturbsTheFinalReport) {
 TEST(SnapshotReport, ConcurrentSnapshotWhileIngesting) {
   Fixture fixture;
   IngestOptions opt = fixture.options();
-  opt.num_threads = 4;
-  opt.pipeline_windows = true;
+  opt.num_threads = 4;  // pipelined: window N+1 decodes during window N
 
   // Reference: the committed-boundary report set from a sequential run
   // (boundary 0 = the empty state included).
@@ -346,7 +341,6 @@ TEST(SnapshotReport, EveryEntryPointNamesItselfAfterFinalize) {
     IngestOptions opt = fixture.options();
     d.attach(opt);
   });
-  expect_named("sink()", [&] { (void)d.sink(); });
   expect_named("observe()", [&] { d.observe(core::UpdateRecord{}); });
   expect_named("observe_stream()",
                [&] { d.observe_stream(core::UpdateStream{}); });
@@ -447,8 +441,9 @@ TEST(SnapshotReport, SnapshotOutlivesDriverAndValidatesHandles) {
 }
 
 TEST(SnapshotReport, SinkAndObserveModesSnapshotToo) {
-  // Epoch reporting is not attach()-only: the sink/observe paths take
-  // the same barrier per record, so mid-stream snapshots see a record-
+  // Epoch reporting is not attach()-only: observe() — also what a
+  // StreamingIngestor::finish() callback feeds — takes the same barrier
+  // per record, so mid-stream snapshots see a record-
   // exact prefix there as well. All comparisons stay within observe
   // mode (the snapshot contract is per execution mode).
   Fixture fixture;

@@ -5,6 +5,7 @@
 // edge cases on second-granularity collectors.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -129,6 +130,33 @@ IngestResult ingest(const std::string& archive, const IngestOptions& options) {
   return ingest_mrt_stream("C1", in, options);
 }
 
+// The engine-independent reference: a plain sequential decode in arrival
+// order (mrt::Reader + UpdateStream::add_message), no ingestion engine.
+UpdateStream decode_sequentially(const std::string& archive) {
+  std::istringstream in(archive);
+  mrt::Reader reader(in);
+  UpdateStream stream;
+  while (std::optional<mrt::Record> record = reader.next()) {
+    if (!record->is_bgp4mp() ||
+        (record->subtype !=
+             static_cast<std::uint16_t>(mrt::Bgp4mpSubtype::kMessage) &&
+         record->subtype !=
+             static_cast<std::uint16_t>(mrt::Bgp4mpSubtype::kMessageAs4))) {
+      continue;
+    }
+    bool four_byte = true;
+    mrt::Bgp4mpMessage message =
+        mrt::Reader::parse_message(*record, &four_byte);
+    if (peek_type(message.bgp_message) != MessageType::kUpdate) continue;
+    CodecOptions codec;
+    codec.four_byte_asn = four_byte;
+    stream.add_message("C1", message.peer_asn, message.peer_ip,
+                       record->timestamp,
+                       decode_update(message.bgp_message, codec));
+  }
+  return stream;
+}
+
 void expect_identical(const IngestResult& x, const IngestResult& y) {
   ASSERT_EQ(x.stream.size(), y.stream.size());
   EXPECT_TRUE(x.stream.records() == y.stream.records());
@@ -234,11 +262,8 @@ TEST(ParallelIngest, MatchesLegacySequentialPipeline) {
   Registry registry = allocated_registry();
   CleaningOptions cleaning = cleaning_options(registry);
 
-  // Legacy path: file-order builder, then in-place clean().
-  IngestOptions legacy_options;
-  legacy_options.num_threads = 1;
-  legacy_options.sort_by_time = false;
-  UpdateStream legacy = ingest(archive, legacy_options).stream;
+  // Legacy path: sequential arrival-order decode, then in-place clean().
+  UpdateStream legacy = decode_sequentially(archive);
   CleaningReport legacy_report = clean(legacy, cleaning);
 
   IngestOptions engine;
@@ -315,13 +340,19 @@ TEST(ParallelIngest, CollectorIngestMatchesLegacy) {
                                            {65001u + session, 65100}));
   }
 
-  UpdateStream legacy = UpdateStream::from_collector(collector);
+  // Legacy path: the recorded messages exploded in arrival order, then
+  // a stable time sort — no ingestion engine.
+  UpdateStream legacy;
+  for (const sim::RecordedMessage& message : collector.messages()) {
+    legacy.add_message(collector.name(), message.peer_asn,
+                       message.peer_address, message.time, message.update);
+  }
+  legacy.sort_by_time();
 
   for (unsigned threads : {1u, 4u}) {
     IngestOptions options;
     options.num_threads = threads;
     options.chunk_records = 16;
-    options.sort_by_time = false;
     IngestResult result = ingest_collector(collector, options);
     EXPECT_TRUE(legacy.records() == result.stream.records());
     EXPECT_EQ(result.stats.update_messages, 200u);
