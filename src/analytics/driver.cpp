@@ -297,7 +297,7 @@ void AnalysisDriver::load_state(std::istream& in) {
     }
     return;
   }
-  // kCheckpoint: fold every shard slot into the observe slot. Valid for
+  // kCheckpoint: fold every shard slot into slot 0. Valid for
   // combining disjoint runs; resuming needs restore() (shard fidelity).
   if (r.boolean()) {
     (void)serialize::read_ingest_checkpoint(r);  // cursor: skip

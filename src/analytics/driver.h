@@ -197,7 +197,7 @@ class AnalysisDriver {
 
   /// Reads a kPartialState (or kCheckpoint) block and MERGES its states
   /// into this driver, as if this driver had observed those records
-  /// itself. Checkpoint shard slots are folded into the observe slot, so
+  /// itself. Checkpoint shard slots are folded into shard slot 0, so
   /// load_state is valid only for combining DISJOINT runs (no session
   /// continues across the boundary) — resuming an interrupted run needs
   /// restore(), which keeps shard fidelity. Callable any number of
