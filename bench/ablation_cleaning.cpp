@@ -7,6 +7,7 @@
 
 #include "analytics/driver.h"
 #include "analytics/passes.h"
+#include "core/beacon.h"
 #include "core/tables.h"
 #include "synth/beacon_internet.h"
 

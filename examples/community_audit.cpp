@@ -9,6 +9,7 @@
 
 #include "analytics/driver.h"
 #include "analytics/passes.h"
+#include "core/anomaly.h"
 #include "core/peering.h"
 #include "core/tables.h"
 #include "core/tomography.h"

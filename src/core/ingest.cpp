@@ -1109,8 +1109,7 @@ struct StreamingIngestor::Impl {
       // Pool mode: framer tasks claim whole files and fan chunks out as
       // decode tasks on the same group — framing I/O overlaps decode,
       // multiple archives are framed in parallel, and the caller helps
-      // (wait executes queued tasks) instead of spawning threads. Up to
-      // four framers: min(#files, threads, 4).
+      // (wait executes queued tasks) instead of spawning threads.
       const std::size_t framers =
           std::min<std::size_t>({sources.size(), threads, std::size_t{4}});
 
@@ -1200,12 +1199,11 @@ struct StreamingIngestor::Impl {
       result.cleaning = cleaning_report;
       result.stats = stats;
       if (sink != nullptr) {
-        runs.merge([&](UpdateRecord&& record) { (*sink)(std::move(record)); });
+        runs.merge(*sink);
       } else {
         std::vector<UpdateRecord>& out = result.stream.records();
         out.reserve(runs.total_records());
-        runs.merge(
-            [&](UpdateRecord&& record) { out.push_back(std::move(record)); });
+        runs.merge([&out](UpdateRecord&& r) { out.push_back(std::move(r)); });
       }
     }
     result.stats.files = sources.size();

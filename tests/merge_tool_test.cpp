@@ -49,9 +49,10 @@ class MergeToolTest : public ::testing::Test {
   void SetUp() override {
     // One directory per test: CTest runs the cases as concurrent
     // processes, which must not share archive or state files.
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = std::filesystem::path(::testing::TempDir()) /
-           (std::string("bgpcc_merge_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+           (std::string("bgpcc_merge_") + test->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     ArchiveGenerator gen_a(424200);

@@ -376,8 +376,8 @@ TEST(ObsDifferential, MetricsNeverPerturbReportsOrSerializedState) {
 
   for (unsigned threads : {1u, 4u}) {
     for (std::size_t window : {std::size_t{0}, std::size_t{64}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " window=" + std::to_string(window));
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " window=" +
+                   std::to_string(window));
       RunOutput off =
           run_pipeline(archive_a, archive_b, cleaning, threads, window, false);
       RunOutput on =

@@ -222,8 +222,8 @@ TEST(SnapshotReport, SnapshottingNeverPerturbsTheFinalReport) {
   Fixture fixture;
   for (unsigned threads : {1u, 4u}) {
     for (std::size_t window : {std::size_t{0}, std::size_t{64}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " window=" + std::to_string(window));
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " window=" +
+                   std::to_string(window));
       IngestOptions opt = fixture.options();
       opt.num_threads = threads;
       opt.window_records = window;

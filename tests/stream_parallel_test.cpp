@@ -344,8 +344,8 @@ TEST(ParallelIngest, CollectorIngestMatchesLegacy) {
   // a stable time sort — no ingestion engine.
   UpdateStream legacy;
   for (const sim::RecordedMessage& message : collector.messages()) {
-    legacy.add_message(collector.name(), message.peer_asn,
-                       message.peer_address, message.time, message.update);
+    legacy.add_message(collector.name(), message.peer_asn, message.peer_address,
+                       message.time, message.update);
   }
   legacy.sort_by_time();
 
