@@ -104,8 +104,13 @@ std::vector<std::pair<SessionKey, TypeCounts>> rank_session_types(
   for (const auto& [key, classifier] : classifiers) {
     out.emplace_back(key, classifier.counts());
   }
+  // Ties break by session ascending: a total order, so the ranking never
+  // depends on the sort algorithm's internals.
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second.total() > b.second.total();
+    if (a.second.total() != b.second.total()) {
+      return a.second.total() > b.second.total();
+    }
+    return a.first < b.first;
   });
   return out;
 }

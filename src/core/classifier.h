@@ -114,8 +114,8 @@ class Classifier {
 };
 
 /// Projects per-session classifiers into the Figure-3 ranking (sorted by
-/// classified announcement count, descending): the report projection of
-/// analytics::PerSessionTypesPass.
+/// classified announcement count descending, then session ascending): the
+/// report projection of analytics::PerSessionTypesPass.
 [[nodiscard]] std::vector<std::pair<SessionKey, TypeCounts>>
 rank_session_types(const std::map<SessionKey, Classifier>& classifiers);
 

@@ -198,6 +198,36 @@ TEST(PerSessionTypes, SortedByVolumeAndFilteredByPrefix) {
   EXPECT_EQ(per_session[1].second.count(AnnouncementType::kNn), 1u);
 }
 
+// Sessions with equal classified totals rank by session ascending, however
+// they arrive: the Figure-3 ranking is a total order, not whatever the sort
+// algorithm leaves behind. Enough sessions that std::sort leaves its
+// insertion-sort regime.
+TEST(PerSessionTypes, TiedTotalsRankBySessionAscending) {
+  UpdateStream stream;
+  const int kSessions = 48;
+  for (int i = kSessions - 1; i >= 0; --i) {
+    // Totals 3, 2 or 1 by i % 3: sixteen sessions tie at each total.
+    int classified = 1 + i % 3;
+    for (int t = 0; t <= classified; ++t) {
+      UpdateRecord r = make_record("100 200", "100:" + std::to_string(t), t);
+      r.session.peer_asn = Asn(static_cast<std::uint32_t>(64512 + i));
+      stream.add(r);
+    }
+  }
+  auto ranking = test::run_pass(analytics::PerSessionTypesPass{}, stream);
+  ASSERT_EQ(ranking.size(), static_cast<std::size_t>(kSessions));
+  for (std::size_t i = 1; i < ranking.size(); ++i) {
+    std::uint64_t prev = ranking[i - 1].second.total();
+    std::uint64_t cur = ranking[i].second.total();
+    EXPECT_GE(prev, cur);
+    if (prev == cur) {
+      EXPECT_LT(ranking[i - 1].first, ranking[i].first);
+    }
+  }
+  EXPECT_EQ(ranking.front().second.total(), 3u);
+  EXPECT_EQ(ranking.front().first.peer_asn, Asn(64512 + 2));
+}
+
 TEST(Labels, AllDistinct) {
   std::set<std::string> labels;
   for (AnnouncementType t : kAllAnnouncementTypes) {
