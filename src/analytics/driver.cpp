@@ -39,7 +39,7 @@ void AnalysisDriver::throw_finalized(const char* call) const {
 void AnalysisDriver::ensure_can_add() const {
   std::lock_guard<std::mutex> lock(window_mutex_);
   if (finalized_) throw_finalized("add()");
-  if (!states_.empty()) {
+  if (!shards_.empty()) {
     throw ConfigError(
         "AnalysisDriver: add() after observation started — register every "
         "pass before attach()/observe()");
@@ -47,14 +47,22 @@ void AnalysisDriver::ensure_can_add() const {
 }
 
 void AnalysisDriver::ensure_states() {
-  if (!states_.empty()) return;
-  states_.resize(shard_slots_);
-  for (auto& shard : states_) {
-    shard.reserve(passes_.size());
+  if (!shards_.empty()) return;
+  shards_.resize(shard_slots_);
+  for (Shard& shard : shards_) {
+    if (classify_) shard.table.emplace();
+    shard.states.reserve(passes_.size());
     for (const auto& pass : passes_) {
-      shard.push_back(pass->make_state());
+      shard.states.push_back(pass->make_state());
     }
   }
+}
+
+void AnalysisDriver::observe_record(Shard& shard,
+                                    const core::UpdateRecord& record) {
+  const core::StreamEvent event =
+      shard.table ? shard.table->advance(record) : core::StreamEvent{};
+  for (const auto& state : shard.states) state->observe(record, event);
 }
 
 void AnalysisDriver::attach(core::IngestOptions& options) {
@@ -64,11 +72,11 @@ void AnalysisDriver::attach(core::IngestOptions& options) {
   // observe_shard would index out of range (or worse, silently fold two
   // engine shards into one slot and break session-order fidelity).
   const std::size_t resolved = core::resolve_shard_count(options);
-  if (!states_.empty() && states_.size() != resolved) {
+  if (!shards_.empty() && shards_.size() != resolved) {
     throw ConfigError(
         "AnalysisDriver: attach() resolves to " + std::to_string(resolved) +
         " shards but this driver already holds " +
-        std::to_string(states_.size()) +
+        std::to_string(shards_.size()) +
         " shard states — use matching IngestOptions across runs");
   }
   shard_slots_ = resolved;
@@ -89,19 +97,15 @@ void AnalysisDriver::observe(const core::UpdateRecord& record) {
   std::lock_guard<std::mutex> lock(window_mutex_);
   if (finalized_) throw_finalized("observe()");
   ensure_states();
-  for (const auto& state : states_[0]) state->observe(record);
+  observe_record(shards_[0], record);
 }
 
 void AnalysisDriver::observe_stream(const core::UpdateStream& stream) {
   std::lock_guard<std::mutex> lock(window_mutex_);
   if (finalized_) throw_finalized("observe_stream()");
   ensure_states();
-  // Pass-major iteration keeps each pass's state hot in cache across the
-  // whole stream instead of cycling every state per record.
-  for (const auto& state : states_[0]) {
-    for (const core::UpdateRecord& record : stream.records()) {
-      state->observe(record);
-    }
+  for (const core::UpdateRecord& record : stream.records()) {
+    observe_record(shards_[0], record);
   }
 }
 
@@ -125,12 +129,8 @@ void AnalysisDriver::observe_shard(
         "after report() — attach a fresh driver per run");
   }
   obs::pipeline_metrics().analysis_observe_records->inc(records.size());
-  std::vector<std::unique_ptr<detail::AnyState>>& slot = states_.at(shard);
-  for (const auto& state : slot) {
-    for (const core::SeqRecord& sr : records) {
-      state->observe(sr.record);
-    }
-  }
+  Shard& slot = shards_.at(shard);
+  for (const core::SeqRecord& sr : records) observe_record(slot, sr.record);
 }
 
 ReportSnapshot AnalysisDriver::snapshot() {
@@ -140,7 +140,8 @@ ReportSnapshot AnalysisDriver::snapshot() {
   // Phase 1, under the committed-window barrier: clone every per-shard
   // state. Clones are cheap deep copies (the Pass snapshot contract), so
   // the lock is held O(state size) — ingestion stalls at the next window
-  // boundary at most that long.
+  // boundary at most that long. The stream tables are not cloned: no
+  // report reads them.
   std::vector<std::vector<std::unique_ptr<detail::AnyState>>> clones;
   std::uint64_t epoch = 0;
   {
@@ -149,11 +150,11 @@ ReportSnapshot AnalysisDriver::snapshot() {
     if (finalized_) throw_finalized("snapshot()");
     ensure_states();  // snapshot before any observation: empty states
     epoch = ++epochs_;
-    clones.reserve(states_.size());
-    for (const auto& shard : states_) {
+    clones.reserve(shards_.size());
+    for (const Shard& shard : shards_) {
       std::vector<std::unique_ptr<detail::AnyState>> copies;
-      copies.reserve(shard.size());
-      for (const auto& state : shard) copies.push_back(state->clone());
+      copies.reserve(shard.states.size());
+      for (const auto& state : shard.states) copies.push_back(state->clone());
       clones.push_back(std::move(copies));
     }
   }
@@ -191,7 +192,7 @@ void AnalysisDriver::finalize() {
   ReportSnapshot last = snapshot();
   std::lock_guard<std::mutex> lock(window_mutex_);
   final_ = std::move(last);
-  states_.clear();
+  shards_.clear();
   finalized_ = true;
 }
 
@@ -293,21 +294,23 @@ void AnalysisDriver::load_state(std::istream& in) {
     for (std::size_t p = 0; p < passes_.size(); ++p) {
       std::unique_ptr<detail::AnyState> fresh = passes_[p]->make_state();
       read_state_blob(r, *fresh);
-      states_[0][p]->merge(std::move(*fresh));
+      shards_[0].states[p]->merge(std::move(*fresh));
     }
     return;
   }
-  // kCheckpoint: fold every shard slot into slot 0. Valid for
-  // combining disjoint runs; resuming needs restore() (shard fidelity).
+  // kCheckpoint: fold every shard slot into slot 0 and drop the stream
+  // tables. Valid for combining disjoint runs; resuming needs restore()
+  // (shard fidelity).
   if (r.boolean()) {
     (void)serialize::read_ingest_checkpoint(r);  // cursor: skip
   }
   std::uint16_t shard_count = r.u16();
   for (std::uint16_t s = 0; s < shard_count; ++s) {
+    (void)serialize::read_stream_table(r);
     for (std::size_t p = 0; p < passes_.size(); ++p) {
       std::unique_ptr<detail::AnyState> fresh = passes_[p]->make_state();
       read_state_blob(r, *fresh);
-      states_[0][p]->merge(std::move(*fresh));
+      shards_[0].states[p]->merge(std::move(*fresh));
     }
   }
 }
@@ -328,9 +331,9 @@ void AnalysisDriver::checkpoint_impl(std::ostream& out,
   // Checkpoints are taken between poll() calls (the StreamingIngestor
   // contract), but a snapshot thread may be live concurrently — holding
   // the barrier serializes against it. Note snapshot() never mutates
-  // states_ and the epoch counter is never serialized, so a checkpoint
-  // taken after any number of snapshots is byte-identical to one taken
-  // on a never-snapshotted run (pinned by snapshot_report_test).
+  // the shard slots and the epoch counter is never serialized, so a
+  // checkpoint taken after any number of snapshots is byte-identical to
+  // one taken on a never-snapshotted run (pinned by snapshot_report_test).
   std::lock_guard<std::mutex> lock(window_mutex_);
   if (finalized_) throw_finalized("checkpoint()");
   ensure_states();
@@ -341,9 +344,12 @@ void AnalysisDriver::checkpoint_impl(std::ostream& out,
   if (ingestor != nullptr) {
     serialize::write_ingest_checkpoint(w, ingestor->checkpoint_state());
   }
-  w.u16(static_cast<std::uint16_t>(states_.size()));
-  for (const auto& shard : states_) {
-    for (const auto& state : shard) write_state_blob(w, *state);
+  w.u16(static_cast<std::uint16_t>(shards_.size()));
+  const core::Classifier::StreamStates no_table;
+  for (const Shard& shard : shards_) {
+    serialize::write_stream_table(
+        w, shard.table ? shard.table->stream_states() : no_table);
+    for (const auto& state : shard.states) write_state_blob(w, *state);
   }
   out.flush();
   if (!out) throw DecodeError("checkpoint: output stream failed on flush");
@@ -402,11 +408,13 @@ void AnalysisDriver::restore_impl(std::istream& in,
   // every state's evidence anyway, so re-minting at the saved size keeps
   // resume byte-identical even across hosts whose num_threads = 0
   // resolved to different shard counts.
-  if (!states_.empty() && states_.size() != shard_count) states_.clear();
+  if (!shards_.empty() && shards_.size() != shard_count) shards_.clear();
   shard_slots_ = shard_count;
   ensure_states();
-  for (auto& shard : states_) {
-    for (auto& state : shard) read_state_blob(r, *state);
+  for (Shard& shard : shards_) {
+    auto streams = serialize::read_stream_table(r);  // tallies unread: zero
+    if (shard.table) shard.table->restore(std::move(streams), {});
+    for (auto& state : shard.states) read_state_blob(r, *state);
   }
 }
 

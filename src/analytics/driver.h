@@ -47,10 +47,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analytics/pass.h"
+#include "core/classifier.h"
 #include "core/ingest.h"
 
 namespace bgpcc::analytics {
@@ -125,6 +127,9 @@ class AnalysisDriver {
   template <Pass P>
   [[nodiscard]] PassHandle<P> add(P pass) {
     ensure_can_add();
+    if constexpr (ObservesStreamEvents<typename P::State>) {
+      classify_ = true;
+    }
     passes_.push_back(
         std::make_unique<detail::PassModel<P>>(std::move(pass)));
     return PassHandle<P>{passes_.size() - 1, this};
@@ -231,11 +236,19 @@ class AnalysisDriver {
   void restore(std::istream& in, core::StreamingIngestor& ingestor);
 
  private:
+  /// A shard slot: the stream table (when a pass reads events) + states.
+  struct Shard {
+    std::optional<core::Classifier> table;
+    std::vector<std::unique_ptr<detail::AnyState>> states;
+  };
+
   void ensure_can_add() const;
-  /// Mints the per-shard state matrix if absent. Caller must hold
+  /// Mints the shard slots if absent. Caller must hold
   /// window_mutex_ (or be in the single-threaded registration phase) and
   /// must have rejected the finalized case already.
   void ensure_states();
+  /// Classifies `record` once, then feeds it to every state of the slot.
+  static void observe_record(Shard& shard, const core::UpdateRecord& record);
   void observe_shard(std::size_t shard,
                      const std::vector<core::SeqRecord>& records);
   /// Uniform use-after-finalize error, naming the offending call.
@@ -251,20 +264,22 @@ class AnalysisDriver {
   void restore_impl(std::istream& in, core::StreamingIngestor* ingestor);
 
   std::vector<std::unique_ptr<detail::AnyPass>> passes_;
+  /// Set by add() when a State observes StreamEvents: slots get tables.
+  bool classify_ = false;
   /// How many shard slots ensure_states() mints: attach() pins it to the
   /// ingestion run's resolved shard count, restore_impl() to the
   /// checkpoint's. Defaults to core::kIngestShards for the observe
   /// mode, which only ever touches slot 0.
   std::size_t shard_slots_ = core::kIngestShards;
-  /// states_[shard][pass]; shard slot 0 doubles as the observe slot
-  /// (any partition of the observations merges to the same final state —
-  /// the Pass contract).
-  std::vector<std::vector<std::unique_ptr<detail::AnyState>>> states_;
+  /// shards_[shard]; slot 0 doubles as the observe slot (any partition
+  /// of the observations merges to the same final state — the Pass
+  /// contract).
+  std::vector<Shard> shards_;
   /// The committed-window barrier: held by the engine for the whole
   /// observer phase of each window (attach() wires window_begin /
   /// window_commit to lock/unlock), by snapshot() while cloning, and by
   /// the observe paths while folding records in. Everything the
-  /// barrier guards is the states_ matrix + the lifecycle flags.
+  /// barrier guards is the shard slots + the lifecycle flags.
   mutable std::mutex window_mutex_;
   /// Epochs handed out by snapshot(); process-local, never serialized.
   std::uint64_t epochs_ = 0;

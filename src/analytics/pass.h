@@ -4,7 +4,8 @@
 // or over an already-materialized UpdateStream. A pass supplies:
 //
 //   State make_state() const       — one state per shard
-//   State::observe(record)         — folds one cleaned record in
+//   State::observe(record)         — folds one cleaned record in, OR
+//   State::observe(record, event)  — the same, plus its §5 StreamEvent
 //   State::merge(State&&)          — associative combination of partial
 //                                    states (any grouping, any order)
 //   State::report() const          — projects the merged state into the
@@ -35,6 +36,7 @@
 #include <memory>
 #include <utility>
 
+#include "core/classifier.h"
 #include "core/stream.h"
 #include "netbase/error.h"
 
@@ -45,6 +47,15 @@ class Writer;
 class Reader;
 }  // namespace serialize
 
+/// A State that observes records with their §5 stream events, fed from
+/// the driver's stream table.
+template <typename S>
+concept ObservesStreamEvents =
+    requires(S& state, const core::UpdateRecord& record,
+             const core::StreamEvent& event) {
+      state.observe(record, event);
+    };
+
 /// The compile-time shape of an analysis pass (see the header comment
 /// for the semantic contract the types must honor). The State must be
 /// copy-constructible: AnalysisDriver::snapshot clones per-shard states
@@ -54,9 +65,10 @@ template <typename P>
 concept Pass = std::move_constructible<P> &&
     std::copy_constructible<typename P::State> &&
     requires(const P& pass, typename P::State& state, typename P::State&& tmp,
-             const core::UpdateRecord& record) {
+             const core::UpdateRecord& record, const core::StreamEvent& e) {
       { pass.make_state() } -> std::same_as<typename P::State>;
-      state.observe(record);
+      requires requires { state.observe(record); } ||
+                   requires { state.observe(record, e); };
       state.merge(std::move(tmp));
       { std::as_const(state).report() };
     };
@@ -90,7 +102,9 @@ namespace detail {
 class AnyState {
  public:
   virtual ~AnyState() = default;
-  virtual void observe(const core::UpdateRecord& record) = 0;
+  /// `event` is the stream table's verdict (default when no pass reads it).
+  virtual void observe(const core::UpdateRecord& record,
+                       const core::StreamEvent& event) = 0;
   /// `other` must wrap the same State type (guaranteed by construction:
   /// the driver only merges states minted by one pass slot).
   virtual void merge(AnyState&& other) = 0;
@@ -121,8 +135,13 @@ template <Pass P>
 class StateModel final : public AnyState {
  public:
   explicit StateModel(typename P::State&& state) : state_(std::move(state)) {}
-  void observe(const core::UpdateRecord& record) override {
-    state_.observe(record);
+  void observe(const core::UpdateRecord& record,
+               const core::StreamEvent& event) override {
+    if constexpr (ObservesStreamEvents<typename P::State>) {
+      state_.observe(record, event);
+    } else {
+      state_.observe(record);
+    }
   }
   void merge(AnyState&& other) override {
     state_.merge(std::move(static_cast<StateModel&>(other).state_));

@@ -11,16 +11,15 @@ namespace bgpcc::analytics {
 // ---------------------------------------------------------------------------
 // PerSessionTypesPass
 
-void PerSessionTypesPass::State::observe(const core::UpdateRecord& record) {
+void PerSessionTypesPass::State::observe(const core::UpdateRecord& record,
+                                         const core::StreamEvent& event) {
   if (only_prefix_ && record.prefix != *only_prefix_) return;
-  classifiers_[record.session].classify(record);
+  counts_[record.session].add(event);
 }
 
 void PerSessionTypesPass::State::merge(State&& other) {
-  for (auto& [session, classifier] : other.classifiers_) {
-    auto [it, inserted] =
-        classifiers_.try_emplace(session, std::move(classifier));
-    if (!inserted) it->second.merge(std::move(classifier));
+  for (const auto& [session, counts] : other.counts_) {
+    counts_[session] += counts;
   }
 }
 
@@ -96,39 +95,20 @@ CommunityStatsPass::Report CommunityStatsPass::State::report() const {
 // ---------------------------------------------------------------------------
 // DuplicateBurstPass
 
-void DuplicateBurstPass::State::observe(const core::UpdateRecord& record) {
-  // Withdrawals neither reset comparison state nor break a run — same
-  // convention as the classifier, whose nn definition this mirrors.
-  if (!record.announcement) return;
-  auto key = std::make_pair(record.session, record.prefix);
-  auto it = streams_.find(key);
-  if (it == streams_.end()) {
-    streams_.emplace(std::move(key),
-                     StreamState{record.attrs.as_path,
-                                 record.attrs.communities, 0});
-    return;
-  }
-  StreamState& stream = it->second;
+void DuplicateBurstPass::State::observe(const core::UpdateRecord& record,
+                                        const core::StreamEvent& event) {
+  // Withdrawals and first sightings have no predecessor to duplicate.
+  if (!event.type) return;
   Tally& tally = tallies_[record.session];
   ++tally.classified;
-  bool duplicate = stream.path == record.attrs.as_path &&
-                   stream.communities == record.attrs.communities;
-  if (duplicate) {
-    ++tally.nn;
-    ++stream.run;
-    if (stream.run == options_.min_run) ++tally.bursts;
-    tally.longest_run = std::max(tally.longest_run, stream.run);
-  } else {
-    stream.run = 0;
-    stream.path = record.attrs.as_path;
-    stream.communities = record.attrs.communities;
-  }
+  if (*event.type != core::AnnouncementType::kNn) return;
+  ++tally.nn;
+  if (event.nn_run == options_.min_run) ++tally.bursts;
+  tally.longest_run = std::max(tally.longest_run, event.nn_run);
 }
 
 void DuplicateBurstPass::State::merge(State&& other) {
-  // Streams and sessions are disjoint across shard states (each session
-  // lives in one shard); map::merge keeps ours on a contract violation.
-  streams_.merge(std::move(other.streams_));
+  // Sessions are disjoint across shard states (each lives in one shard).
   for (auto& [session, tally] : other.tallies_) {
     auto [it, inserted] = tallies_.try_emplace(session, tally);
     if (!inserted) {
@@ -169,23 +149,22 @@ void AnomalyPass::validate_options(const core::AnomalyOptions& options) {
   }
 }
 
-void AnomalyPass::State::observe(const core::UpdateRecord& record) {
-  classifiers_[record.session].classify(record);
+void AnomalyPass::State::observe(const core::UpdateRecord& record,
+                                 const core::StreamEvent& event) {
+  counts_[record.session].add(event);
   core::accumulate_novelty(record, options_.novelty_window, novelty_);
 }
 
 void AnomalyPass::State::merge(State&& other) {
-  for (auto& [session, classifier] : other.classifiers_) {
-    auto [it, inserted] =
-        classifiers_.try_emplace(session, std::move(classifier));
-    if (!inserted) it->second.merge(std::move(classifier));
+  for (const auto& [session, counts] : other.counts_) {
+    counts_[session] += counts;
   }
   core::merge_novelty(novelty_, std::move(other.novelty_));
 }
 
 AnomalyPass::Report AnomalyPass::State::report() const {
   core::AnomalyReport report;
-  core::score_duplicate_outliers(classifiers_, options_, report);
+  core::score_duplicate_outliers(counts_, options_, report);
   report.novelty_bursts = core::finalize_novelty_bursts(novelty_, options_);
   return report;
 }

@@ -32,9 +32,9 @@
 
 namespace bgpcc::analytics {
 
-/// §5 announcement-type classification (Table 2, Figure 2): wraps
-/// core::Classifier; shard states merge because every (session, prefix)
-/// stream lives in exactly one shard.
+/// §5 announcement-type classification (Table 2, Figure 2): tallies the
+/// stream table's events; shard states merge because every (session,
+/// prefix) stream lives in exactly one shard.
 class ClassifierPass {
  public:
   /// Wire tag (serialize::PassTag::kClassifier).
@@ -44,36 +44,33 @@ class ClassifierPass {
   struct Report {
     /// Per-announcement-type tallies (Table 2's rows).
     core::TypeCounts counts;
-    /// Distinct (session, prefix) streams seen.
+    /// Distinct (session, prefix) streams seen (counts.first_sightings).
     std::uint64_t streams = 0;
     /// Field-wise equality.
     friend bool operator==(const Report&, const Report&) = default;
   };
 
-  /// Per-shard classifier state (see the Pass contract in pass.h).
-  /// Copy cost (snapshot contract): O(streams) — one map entry per
-  /// (session, prefix) stream plus fixed counters.
+  /// Per-shard type tallies (see the Pass contract in pass.h).
+  /// Copy cost (snapshot contract): O(1) — fixed counters.
   class State {
    public:
-    /// Classifies one cleaned record into its announcement type.
-    void observe(const core::UpdateRecord& record) {
-      classifier_.classify(record);
+    /// Tallies one record's stream event.
+    void observe(const core::UpdateRecord&, const core::StreamEvent& event) {
+      counts_.add(event);
     }
-    /// Folds another shard's classifier into this one.
-    void merge(State&& other) {
-      classifier_.merge(std::move(other.classifier_));
-    }
+    /// Sums another shard's tallies into this one.
+    void merge(State&& other) { counts_ += other.counts_; }
     /// Projects the merged tallies.
     [[nodiscard]] Report report() const {
-      return Report{classifier_.counts(), classifier_.stream_count()};
+      return Report{counts_, counts_.first_sightings};
     }
-    /// Serializes the classifier evidence (analytics/serialize.h).
+    /// Serializes the tallies (analytics/serialize.h).
     void save(serialize::Writer& writer) const;
-    /// Restores saved classifier evidence (analytics/serialize.h).
+    /// Restores saved tallies (analytics/serialize.h).
     void load(serialize::Reader& reader);
 
    private:
-    core::Classifier classifier_;
+    core::TypeCounts counts_;
   };
 
   /// Mints one empty per-shard state.
@@ -97,21 +94,20 @@ class PerSessionTypesPass {
   /// Sessions ranked by core::rank_session_types.
   using Report = std::vector<std::pair<core::SessionKey, core::TypeCounts>>;
 
-  /// Per-shard map of session → classifier (see pass.h for the contract).
-  /// Copy cost (snapshot contract): O(sessions + streams) — one
-  /// classifier per session, each holding its streams' cursors.
+  /// Per-shard map of session → type tallies (see pass.h for the
+  /// contract). Copy cost (snapshot contract): O(sessions).
   class State {
    public:
     /// Binds the state to the pass's optional prefix filter.
     explicit State(std::optional<Prefix> only_prefix)
         : only_prefix_(only_prefix) {}
-    /// Classifies one record into its session's tally (filter applied).
-    void observe(const core::UpdateRecord& record);
-    /// Folds another shard's per-session classifiers into this one.
+    /// Tallies one record's stream event for its session (filtered).
+    void observe(const core::UpdateRecord&, const core::StreamEvent&);
+    /// Sums another shard's per-session tallies into this one.
     void merge(State&& other);
     /// Projects the ranked per-session tallies.
     [[nodiscard]] Report report() const {
-      return core::rank_session_types(classifiers_);
+      return core::rank_session_types(counts_);
     }
     /// Serializes the per-session evidence (analytics/serialize.h). The
     /// prefix filter is configuration, not evidence: the loading side
@@ -122,7 +118,7 @@ class PerSessionTypesPass {
 
    private:
     std::optional<Prefix> only_prefix_;
-    std::map<core::SessionKey, core::Classifier> classifiers_;
+    std::map<core::SessionKey, core::TypeCounts> counts_;
   };
 
   /// Mints one per-shard state carrying the prefix filter.
@@ -286,8 +282,8 @@ class CommunityStatsPass {
 struct DuplicateBurstOptions {
   /// Consecutive attribute-identical (nn) announcements on one
   /// (session, prefix) stream that constitute a burst. Withdrawals do not
-  /// break a run (matching the classifier: they don't reset comparison
-  /// state, and Figure 5's duplicates straddle withdrawal phases).
+  /// break a run (StreamEvent::nn_run: they don't reset comparison state,
+  /// and Figure 5's duplicates straddle withdrawal phases).
   std::uint64_t min_run = 3;
 };
 
@@ -344,33 +340,26 @@ class DuplicateBurstPass {
     friend bool operator==(const Report&, const Report&) = default;
   };
 
-  /// Per-shard run cursors + per-session tallies (see pass.h).
-  /// Copy cost (snapshot contract): O(streams + sessions) — per-stream
-  /// attribute cursors (AS path + communities) and per-session tallies.
+  /// Per-shard per-session tallies (see pass.h).
+  /// Copy cost (snapshot contract): O(sessions).
   class State {
    public:
     /// Binds the state to the pass's burst threshold.
     explicit State(const DuplicateBurstOptions& options)
         : options_(options) {}
-    /// Advances the record's stream cursor and session tally.
-    void observe(const core::UpdateRecord& record);
-    /// Folds another shard's cursors and tallies into this one.
+    /// Tallies one record's stream event for its session.
+    void observe(const core::UpdateRecord&, const core::StreamEvent&);
+    /// Folds another shard's tallies into this one.
     void merge(State&& other);
     /// Projects the totals and the per-session ranking.
     [[nodiscard]] Report report() const;
-    /// Serializes the evidence (analytics/serialize.h). min_run is
-    /// configuration; the per-stream run cursors and per-session tallies
-    /// are the serialized evidence.
+    /// Serializes the per-session tallies (analytics/serialize.h).
+    /// min_run is configuration.
     void save(serialize::Writer& writer) const;
-    /// Restores saved evidence (analytics/serialize.h).
+    /// Restores saved tallies (analytics/serialize.h).
     void load(serialize::Reader& reader);
 
    private:
-    struct StreamState {
-      AsPath path;
-      CommunitySet communities;
-      std::uint64_t run = 0;
-    };
     struct Tally {
       std::uint64_t classified = 0;
       std::uint64_t nn = 0;
@@ -378,7 +367,6 @@ class DuplicateBurstPass {
       std::uint64_t longest_run = 0;
     };
     DuplicateBurstOptions options_;
-    std::map<std::pair<core::SessionKey, Prefix>, StreamState> streams_;
     std::map<core::SessionKey, Tally> tallies_;
   };
 
@@ -389,7 +377,7 @@ class DuplicateBurstPass {
   DuplicateBurstOptions options_;
 };
 
-/// §7 anomaly detection (core/anomaly) as a Pass: per-session classifier
+/// §7 anomaly detection (core/anomaly) as a Pass: per-session type
 /// tallies plus the bucketed novelty evidence accumulate per shard;
 /// merge sums both; the leave-one-out sigma scoring and burst-episode
 /// scan run once in report(). Streaming-windowed by construction — the
@@ -412,15 +400,14 @@ class AnomalyPass {
   using Report = core::AnomalyReport;
 
   /// Per-shard anomaly evidence (see pass.h for the contract).
-  /// Copy cost (snapshot contract): O(sessions + streams + novelty
-  /// buckets) — per-session classifiers plus the bucketed novelty map.
+  /// Copy cost (snapshot contract): O(sessions + novelty buckets).
   class State {
    public:
     /// Binds the state to the pass's detection thresholds.
     explicit State(const core::AnomalyOptions& options) : options_(options) {}
-    /// Accumulates one record into the session tallies and novelty
+    /// Accumulates one record into its session's tally and the novelty
     /// buckets.
-    void observe(const core::UpdateRecord& record);
+    void observe(const core::UpdateRecord&, const core::StreamEvent&);
     /// Sums another shard's tallies and novelty evidence into this one.
     void merge(State&& other);
     /// Runs the sigma scoring and burst-episode scan over the merged
@@ -435,7 +422,7 @@ class AnomalyPass {
 
    private:
     core::AnomalyOptions options_;
-    std::map<core::SessionKey, core::Classifier> classifiers_;
+    std::map<core::SessionKey, core::TypeCounts> counts_;
     core::NoveltyEvidence novelty_;
   };
 

@@ -315,54 +315,21 @@ core::TypeCounts read_type_counts(Reader& r) {
   return out;
 }
 
-void write_classifier(Writer& w, const core::Classifier& classifier) {
-  write_type_counts(w, classifier.counts());
-  const core::Classifier::StreamStates& streams = classifier.stream_states();
-  w.u64(streams.size());
-  for (const auto& [key, state] : streams) {
-    write_session(w, key.first);
-    write_prefix(w, key.second);
-    write_aspath(w, state.as_path);
-    write_communities(w, state.communities);
-    write_opt_u32(w, state.med);
-  }
-}
-
-core::Classifier read_classifier(Reader& r) {
-  core::TypeCounts counts = read_type_counts(r);
-  std::uint64_t stream_count = r.u64();
-  core::Classifier::StreamStates streams;
-  for (std::uint64_t i = 0; i < stream_count; ++i) {
-    core::SessionKey session = read_session(r);
-    Prefix prefix = read_prefix(r);
-    core::Classifier::StreamState state;
-    state.as_path = read_aspath(r);
-    state.communities = read_communities(r);
-    state.med = read_opt_u32(r);
-    streams.emplace(std::make_pair(std::move(session), prefix),
-                    std::move(state));
-  }
-  core::Classifier out;
-  out.restore(std::move(streams), counts);
-  return out;
-}
-
-void write_session_classifiers(
-    Writer& w, const std::map<core::SessionKey, core::Classifier>& map) {
+void write_session_counts(
+    Writer& w, const std::map<core::SessionKey, core::TypeCounts>& map) {
   w.u64(map.size());
-  for (const auto& [session, classifier] : map) {
+  for (const auto& [session, counts] : map) {
     write_session(w, session);
-    write_classifier(w, classifier);
+    write_type_counts(w, counts);
   }
 }
 
-std::map<core::SessionKey, core::Classifier> read_session_classifiers(
-    Reader& r) {
+std::map<core::SessionKey, core::TypeCounts> read_session_counts(Reader& r) {
   std::uint64_t count = r.u64();
-  std::map<core::SessionKey, core::Classifier> out;
+  std::map<core::SessionKey, core::TypeCounts> out;
   for (std::uint64_t i = 0; i < count; ++i) {
     core::SessionKey session = read_session(r);
-    out.emplace(std::move(session), read_classifier(r));
+    out.emplace(std::move(session), read_type_counts(r));
   }
   return out;
 }
@@ -370,27 +337,27 @@ std::map<core::SessionKey, core::Classifier> read_session_classifiers(
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Per-pass State codecs. Every layout here is part of wire format
-// version 1 (docs/FORMATS.md documents them field by field; bump
+// Per-pass State codecs. Every layout here is part of the wire format
+// (docs/FORMATS.md documents them field by field; bump
 // serialize::kFormatVersion on any change). Only evidence travels —
 // configuration members (options, schedules, filters) stay with the pass
 // that minted the state, so load() requires an identically configured
 // pass on the reading side.
 
 void ClassifierPass::State::save(serialize::Writer& writer) const {
-  write_classifier(writer, classifier_);
+  write_type_counts(writer, counts_);
 }
 
 void ClassifierPass::State::load(serialize::Reader& reader) {
-  classifier_ = read_classifier(reader);
+  counts_ = read_type_counts(reader);
 }
 
 void PerSessionTypesPass::State::save(serialize::Writer& writer) const {
-  write_session_classifiers(writer, classifiers_);
+  write_session_counts(writer, counts_);
 }
 
 void PerSessionTypesPass::State::load(serialize::Reader& reader) {
-  classifiers_ = read_session_classifiers(reader);
+  counts_ = read_session_counts(reader);
 }
 
 void TomographyPass::State::save(serialize::Writer& writer) const {
@@ -459,14 +426,6 @@ void CommunityStatsPass::State::load(serialize::Reader& reader) {
 }
 
 void DuplicateBurstPass::State::save(serialize::Writer& writer) const {
-  writer.u64(streams_.size());
-  for (const auto& [key, stream] : streams_) {
-    write_session(writer, key.first);
-    write_prefix(writer, key.second);
-    write_aspath(writer, stream.path);
-    write_communities(writer, stream.communities);
-    writer.u64(stream.run);
-  }
   writer.u64(tallies_.size());
   for (const auto& [session, tally] : tallies_) {
     write_session(writer, session);
@@ -478,18 +437,6 @@ void DuplicateBurstPass::State::save(serialize::Writer& writer) const {
 }
 
 void DuplicateBurstPass::State::load(serialize::Reader& reader) {
-  std::uint64_t stream_count = reader.u64();
-  streams_.clear();
-  for (std::uint64_t i = 0; i < stream_count; ++i) {
-    core::SessionKey session = read_session(reader);
-    Prefix prefix = read_prefix(reader);
-    StreamState stream;
-    stream.path = read_aspath(reader);
-    stream.communities = read_communities(reader);
-    stream.run = reader.u64();
-    streams_.emplace(std::make_pair(std::move(session), prefix),
-                     std::move(stream));
-  }
   std::uint64_t tally_count = reader.u64();
   tallies_.clear();
   for (std::uint64_t i = 0; i < tally_count; ++i) {
@@ -504,7 +451,7 @@ void DuplicateBurstPass::State::load(serialize::Reader& reader) {
 }
 
 void AnomalyPass::State::save(serialize::Writer& writer) const {
-  write_session_classifiers(writer, classifiers_);
+  write_session_counts(writer, counts_);
   writer.u64(novelty_.size());
   for (const auto& [community, buckets] : novelty_) {
     writer.u32(community.raw());
@@ -518,7 +465,7 @@ void AnomalyPass::State::save(serialize::Writer& writer) const {
 }
 
 void AnomalyPass::State::load(serialize::Reader& reader) {
-  classifiers_ = read_session_classifiers(reader);
+  counts_ = read_session_counts(reader);
   std::uint64_t community_count = reader.u64();
   novelty_.clear();
   for (std::uint64_t i = 0; i < community_count; ++i) {
@@ -676,9 +623,39 @@ void UsageClassificationPass::State::load(serialize::Reader& reader) {
 }
 
 // ---------------------------------------------------------------------------
-// Ingest cursor codec.
+// Stream table and ingest cursor codecs.
 
 namespace serialize {
+
+void write_stream_table(Writer& w,
+                        const core::Classifier::StreamStates& streams) {
+  w.u64(streams.size());
+  for (const auto& [key, state] : streams) {
+    write_session(w, key.first);
+    write_prefix(w, key.second);
+    write_aspath(w, state.as_path);
+    write_communities(w, state.communities);
+    write_opt_u32(w, state.med);
+    w.u64(state.nn_run);
+  }
+}
+
+core::Classifier::StreamStates read_stream_table(Reader& r) {
+  std::uint64_t stream_count = r.u64();
+  core::Classifier::StreamStates streams;
+  for (std::uint64_t i = 0; i < stream_count; ++i) {
+    core::SessionKey session = read_session(r);
+    Prefix prefix = read_prefix(r);
+    core::Classifier::StreamState state;
+    state.as_path = read_aspath(r);
+    state.communities = read_communities(r);
+    state.med = read_opt_u32(r);
+    state.nn_run = r.u64();
+    streams.emplace(std::make_pair(std::move(session), prefix),
+                    std::move(state));
+  }
+  return streams;
+}
 
 void write_ingest_checkpoint(Writer& w, const core::IngestCheckpoint& state) {
   write_block_header(w, BlockKind::kIngestCursor);

@@ -10,8 +10,8 @@
 // Format (documented field-by-field in docs/FORMATS.md):
 //
 //   block   := magic u32 | version u16 | kind u8 | payload
-//   payload := pass-state list (kPartialState), per-shard state matrix
-//              (kCheckpoint), or framing cursor + cleaning carry
+//   payload := pass-state list (kPartialState), per-shard stream tables
+//              + states (kCheckpoint), or framing cursor + cleaning carry
 //              (kIngestCursor)
 //
 // All integers are big-endian (network order), matching the BGP/MRT/
@@ -27,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/classifier.h"
 #include "core/ingest.h"
 
 namespace bgpcc::analytics::serialize {
@@ -38,11 +39,10 @@ inline constexpr std::uint32_t kMagic = 0x42475043;
 /// version" checklist in docs/FORMATS.md); readers reject other versions
 /// with DecodeError instead of misparsing.
 ///
-/// v2: kIngestCursor gained an explicit resolved-shard-count field (the
-/// carry's shape used to be implicitly machine-dependent under
-/// num_threads = 0). v1 blocks are rejected — checkpoints are transient
-/// crash/resume state, not long-lived archives.
-inline constexpr std::uint16_t kFormatVersion = 2;
+/// v3: one §5 stream table per checkpoint shard replaced the cursors in
+/// pass tags 1, 2, 5 and 6. Older blocks are rejected — checkpoints are
+/// transient crash/resume state, not long-lived archives.
+inline constexpr std::uint16_t kFormatVersion = 3;
 
 /// What a serialized block contains (the byte after magic + version).
 enum class BlockKind : std::uint8_t {
@@ -153,6 +153,13 @@ void read_block_header(Reader& r, BlockKind expected);
 /// state payload. `bgpcc-merge` uses this to reconstruct a matching
 /// driver before re-reading the file for real.
 [[nodiscard]] std::vector<PassTag> read_state_tags(std::istream& in);
+
+/// Serializes one shard's stream table: the kCheckpoint table section.
+void write_stream_table(Writer& w,
+                        const core::Classifier::StreamStates& streams);
+
+/// Decodes a stream table section (DecodeError on corruption).
+[[nodiscard]] core::Classifier::StreamStates read_stream_table(Reader& r);
 
 /// Serializes a resumable ingestion snapshot as a kIngestCursor block.
 void write_ingest_checkpoint(Writer& w, const core::IngestCheckpoint& state);

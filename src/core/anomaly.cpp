@@ -92,12 +92,11 @@ std::vector<NoveltyBurst> finalize_novelty_bursts(
 }
 
 void score_duplicate_outliers(
-    const std::map<SessionKey, Classifier>& classifiers,
+    const std::map<SessionKey, TypeCounts>& tallies,
     const AnomalyOptions& options, AnomalyReport& report) {
   std::vector<DuplicateOutlier> sessions;
   double sum = 0.0;
-  for (const auto& [key, classifier] : classifiers) {
-    const TypeCounts& counts = classifier.counts();
+  for (const auto& [key, counts] : tallies) {
     if (counts.total() < options.min_classified) continue;
     DuplicateOutlier entry;
     entry.session = key;

@@ -122,7 +122,7 @@ void merge_novelty(NoveltyEvidence& into, NoveltyEvidence&& from);
 // Duplicate-outlier kernel.
 
 /// Applies eligibility (min_classified) and leave-one-out sigma scoring to
-/// per-session classifier tallies, filling `report`'s population stats and
+/// per-session type tallies, filling `report`'s population stats and
 /// duplicate_outliers (sigma descending, session ascending). Defined
 /// small-population behavior: n == 0 eligible sessions reports zero
 /// stats and no outliers; n == 1 reports that session's share as the
@@ -131,7 +131,7 @@ void merge_novelty(NoveltyEvidence& into, NoveltyEvidence&& from);
 /// other alone (a zero-stddev remainder makes any exceedance infinitely
 /// surprising, reported as sigma 1e6).
 void score_duplicate_outliers(
-    const std::map<SessionKey, Classifier>& classifiers,
+    const std::map<SessionKey, TypeCounts>& tallies,
     const AnomalyOptions& options, AnomalyReport& report);
 
 }  // namespace bgpcc::core

@@ -42,47 +42,49 @@ TypeCounts& TypeCounts::operator+=(const TypeCounts& other) {
   return *this;
 }
 
-std::optional<AnnouncementType> Classifier::classify(
-    const UpdateRecord& record) {
-  if (!record.announcement) {
-    ++counts_.withdrawals;
-    return std::nullopt;
-  }
-  auto key = std::make_pair(record.session, record.prefix);
-  auto it = last_.find(key);
-  if (it == last_.end()) {
-    ++counts_.first_sightings;
-    last_.emplace(std::move(key),
-                  StreamState{record.attrs.as_path, record.attrs.communities,
-                              record.attrs.med});
-    return std::nullopt;
-  }
-
-  StreamState& prev = it->second;
-  bool path_changed = prev.as_path != record.attrs.as_path;
-  bool comm_changed = prev.communities != record.attrs.communities;
-  bool prepend_only =
-      path_changed &&
-      record.attrs.as_path.prepending_only_change_from(prev.as_path);
-  bool med_changed = prev.med != record.attrs.med;
-
-  AnnouncementType type;
-  if (!path_changed) {
-    type = comm_changed ? AnnouncementType::kNc : AnnouncementType::kNn;
-    if (type == AnnouncementType::kNn && med_changed) {
-      ++counts_.nn_with_med_change;
-    }
-  } else if (prepend_only) {
-    type = comm_changed ? AnnouncementType::kXc : AnnouncementType::kXn;
+void TypeCounts::add(const StreamEvent& event) {
+  if (event.withdrawal) {
+    ++withdrawals;
+  } else if (!event.type) {
+    ++first_sightings;
   } else {
-    type = comm_changed ? AnnouncementType::kPc : AnnouncementType::kPn;
+    add(*event.type);
+    if (*event.type == AnnouncementType::kNn && event.med_changed) {
+      ++nn_with_med_change;
+    }
   }
-  counts_.add(type);
+}
 
-  prev.as_path = record.attrs.as_path;
-  prev.communities = record.attrs.communities;
+StreamEvent Classifier::advance(const UpdateRecord& record) {
+  StreamEvent event;
+  event.withdrawal = !record.announcement;
+  if (event.withdrawal) {
+    counts_.add(event);
+    return event;
+  }
+  auto [it, first] =
+      last_.try_emplace(std::make_pair(record.session, record.prefix));
+  StreamState& prev = it->second;
+  // A first sighting has no predecessor: untyped, cursor takes everything.
+  bool path_changed = first || prev.as_path != record.attrs.as_path;
+  bool comm_changed = first || prev.communities != record.attrs.communities;
+  if (!first) {
+    event.med_changed = prev.med != record.attrs.med;
+    if (!path_changed) {
+      event.type = comm_changed ? AnnouncementType::kNc : AnnouncementType::kNn;
+    } else if (record.attrs.as_path.prepending_only_change_from(prev.as_path)) {
+      event.type = comm_changed ? AnnouncementType::kXc : AnnouncementType::kXn;
+    } else {
+      event.type = comm_changed ? AnnouncementType::kPc : AnnouncementType::kPn;
+    }
+    prev.nn_run = event.type == AnnouncementType::kNn ? prev.nn_run + 1 : 0;
+    event.nn_run = prev.nn_run;
+  }
+  counts_.add(event);
+  if (path_changed) prev.as_path = record.attrs.as_path;
+  if (comm_changed) prev.communities = record.attrs.communities;
   prev.med = record.attrs.med;
-  return type;
+  return event;
 }
 
 void Classifier::restore(StreamStates streams, TypeCounts counts) {
@@ -90,20 +92,10 @@ void Classifier::restore(StreamStates streams, TypeCounts counts) {
   counts_ = counts;
 }
 
-void Classifier::merge(Classifier&& other) {
-  counts_ += other.counts_;
-  // std::map::merge keeps the existing element on key collision — the
-  // deterministic "this classifier wins" rule the header documents.
-  last_.merge(std::move(other.last_));
-}
-
 std::vector<std::pair<SessionKey, TypeCounts>> rank_session_types(
-    const std::map<SessionKey, Classifier>& classifiers) {
-  std::vector<std::pair<SessionKey, TypeCounts>> out;
-  out.reserve(classifiers.size());
-  for (const auto& [key, classifier] : classifiers) {
-    out.emplace_back(key, classifier.counts());
-  }
+    const std::map<SessionKey, TypeCounts>& sessions) {
+  std::vector<std::pair<SessionKey, TypeCounts>> out(sessions.begin(),
+                                                     sessions.end());
   // Ties break by session ascending: a total order, so the ranking never
   // depends on the sort algorithm's internals.
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {

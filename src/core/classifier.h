@@ -41,6 +41,19 @@ inline constexpr std::array<AnnouncementType, 6> kAllAnnouncementTypes = {
 /// Two-letter label as used in the paper ("pc", "nn", ...).
 [[nodiscard]] const char* label(AnnouncementType type);
 
+/// The §5 verdict on one record (Classifier::advance): what the driver's
+/// stream table hands to the passes that read it.
+struct StreamEvent {
+  /// nullopt for withdrawals and first sightings.
+  std::optional<AnnouncementType> type;
+  bool withdrawal = false;
+  /// Typed announcements: the MED differs from the predecessor's.
+  bool med_changed = false;
+  /// Consecutive nn announcements on the stream ending with this one (0
+  /// unless nn); withdrawals neither extend nor break a run.
+  std::uint64_t nn_run = 0;
+};
+
 /// Per-type tallies plus the bookkeeping categories the shares exclude.
 struct TypeCounts {
   std::array<std::uint64_t, 6> counts{};
@@ -55,6 +68,7 @@ struct TypeCounts {
   void add(AnnouncementType type) {
     ++counts[static_cast<std::size_t>(type)];
   }
+  void add(const StreamEvent& event);
   [[nodiscard]] std::uint64_t count(AnnouncementType type) const {
     return counts[static_cast<std::size_t>(type)];
   }
@@ -68,6 +82,7 @@ struct TypeCounts {
 };
 
 /// Streaming classifier; feed records in chronological order per session.
+/// analytics::AnalysisDriver keeps one per shard: the stream table.
 class Classifier {
  public:
   /// The per-stream comparison cursor: the attributes of the last
@@ -78,18 +93,23 @@ class Classifier {
     AsPath as_path;
     CommunitySet communities;
     std::optional<std::uint32_t> med;
+    /// Consecutive nn announcements ending with the last one.
+    std::uint64_t nn_run = 0;
   };
   /// Stream cursors keyed by (session, prefix).
   using StreamStates = std::map<std::pair<SessionKey, Prefix>, StreamState>;
 
-  /// Classifies an announcement against the stream's previous one.
-  /// Returns nullopt for withdrawals (tallied) and first sightings.
-  std::optional<AnnouncementType> classify(const UpdateRecord& record);
+  /// Classifies an announcement against the stream's previous one and
+  /// tallies the event; withdrawals are tallied, cursors untouched.
+  StreamEvent advance(const UpdateRecord& record);
+
+  /// advance() for plain loops: the type alone, nullopt for withdrawals
+  /// and first sightings.
+  std::optional<AnnouncementType> classify(const UpdateRecord& record) {
+    return advance(record).type;
+  }
 
   [[nodiscard]] const TypeCounts& counts() const { return counts_; }
-
-  /// Number of distinct (session, prefix) streams seen.
-  [[nodiscard]] std::size_t stream_count() const { return last_.size(); }
 
   /// The live per-stream comparison cursors (checkpoint serialization).
   [[nodiscard]] const StreamStates& stream_states() const { return last_; }
@@ -99,25 +119,16 @@ class Classifier {
   /// stopped: same tallies, same per-stream comparison cursors.
   void restore(StreamStates streams, TypeCounts counts);
 
-  /// Absorbs another classifier: tallies are summed and per-stream states
-  /// united — the associative merge of shard-parallel classification
-  /// (analytics/passes.h), where the SessionKey-hash sharding guarantees
-  /// each (session, prefix) stream was observed by exactly ONE
-  /// classifier. For streams present in both (a contract violation), this
-  /// classifier's state wins deterministically, but the summed tallies
-  /// have double-counted that stream's first sighting.
-  void merge(Classifier&& other);
-
  private:
   StreamStates last_;
   TypeCounts counts_;
 };
 
-/// Projects per-session classifiers into the Figure-3 ranking (sorted by
+/// Projects per-session tallies into the Figure-3 ranking (sorted by
 /// classified announcement count descending, then session ascending): the
 /// report projection of analytics::PerSessionTypesPass.
 [[nodiscard]] std::vector<std::pair<SessionKey, TypeCounts>>
-rank_session_types(const std::map<SessionKey, Classifier>& classifiers);
+rank_session_types(const std::map<SessionKey, TypeCounts>& sessions);
 
 // ---------------------------------------------------------------------------
 // Per-AS community usage classification, following Krenc et al.,

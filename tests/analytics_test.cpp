@@ -296,34 +296,29 @@ TEST(AnalyticsPasses, ManualMergeEqualsSingleState) {
   const std::vector<UpdateRecord>& records = result.stream.records();
   ASSERT_GT(records.size(), 10u);
 
-  CommunityStatsPass stats_pass;
-  DuplicateBurstPass dup_pass;
-  auto whole_stats = stats_pass.make_state();
-  auto whole_dup = dup_pass.make_state();
-  for (const UpdateRecord& record : records) {
-    whole_stats.observe(record);
-    whole_dup.observe(record);
-  }
+  // One driver sees the whole stream. Two more split it by SESSION (the
+  // sharding unit — splitting one session's stream mid-way is outside
+  // the Pass contract for order-sensitive passes); the second's saved
+  // partial state merges into the first.
+  AnalysisDriver whole;
+  auto whole_stats = whole.add(CommunityStatsPass{});
+  auto whole_dup = whole.add(DuplicateBurstPass{});
+  whole.observe_stream(result.stream);
 
-  // Split by SESSION (the sharding unit — splitting one session's stream
-  // mid-way is outside the Pass contract for order-sensitive passes).
-  auto part_a_stats = stats_pass.make_state();
-  auto part_b_stats = stats_pass.make_state();
-  auto part_a_dup = dup_pass.make_state();
-  auto part_b_dup = dup_pass.make_state();
+  AnalysisDriver part_a;
+  AnalysisDriver part_b;
+  auto part_stats = part_a.add(CommunityStatsPass{});
+  auto part_dup = part_a.add(DuplicateBurstPass{});
+  (void)part_b.add(CommunityStatsPass{});
+  (void)part_b.add(DuplicateBurstPass{});
   for (const UpdateRecord& record : records) {
-    if (record.session.hash() % 2 == 0) {
-      part_a_stats.observe(record);
-      part_a_dup.observe(record);
-    } else {
-      part_b_stats.observe(record);
-      part_b_dup.observe(record);
-    }
+    (record.session.hash() % 2 == 0 ? part_a : part_b).observe(record);
   }
-  part_a_stats.merge(std::move(part_b_stats));
-  part_a_dup.merge(std::move(part_b_dup));
-  EXPECT_TRUE(part_a_stats.report() == whole_stats.report());
-  EXPECT_TRUE(part_a_dup.report() == whole_dup.report());
+  std::stringstream partial;
+  part_b.save_state(partial);
+  part_a.load_state(partial);
+  EXPECT_TRUE(part_a.report(part_stats) == whole.report(whole_stats));
+  EXPECT_TRUE(part_a.report(part_dup) == whole.report(whole_dup));
 }
 
 // ---------------------------------------------------------------------------

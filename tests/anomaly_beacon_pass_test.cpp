@@ -172,34 +172,30 @@ TEST(AnomalyBeaconPasses, ManualMergeEqualsSingleState) {
   const std::vector<UpdateRecord>& records = result.stream.records();
   ASSERT_GT(records.size(), 10u);
 
-  AnomalyPass anomaly_pass{test_anomaly_options()};
-  ExplorationPass exploration_pass{test_schedule()};
-  auto whole_anomaly = anomaly_pass.make_state();
-  auto whole_exploration = exploration_pass.make_state();
-  for (const UpdateRecord& record : records) {
-    whole_anomaly.observe(record);
-    whole_exploration.observe(record);
-  }
+  // One driver sees the whole stream. Two more split it by SESSION (the
+  // sharding unit — splitting one session's stream mid-way is outside
+  // the Pass contract for order-sensitive passes); the second's saved
+  // partial state merges into the first.
+  AnalysisDriver whole;
+  auto whole_anomaly = whole.add(AnomalyPass{test_anomaly_options()});
+  auto whole_exploration = whole.add(ExplorationPass{test_schedule()});
+  whole.observe_stream(result.stream);
 
-  // Split by SESSION (the sharding unit — splitting one session's stream
-  // mid-way is outside the Pass contract for order-sensitive passes).
-  auto part_a_anomaly = anomaly_pass.make_state();
-  auto part_b_anomaly = anomaly_pass.make_state();
-  auto part_a_exploration = exploration_pass.make_state();
-  auto part_b_exploration = exploration_pass.make_state();
+  AnalysisDriver part_a;
+  AnalysisDriver part_b;
+  auto part_anomaly = part_a.add(AnomalyPass{test_anomaly_options()});
+  auto part_exploration = part_a.add(ExplorationPass{test_schedule()});
+  (void)part_b.add(AnomalyPass{test_anomaly_options()});
+  (void)part_b.add(ExplorationPass{test_schedule()});
   for (const UpdateRecord& record : records) {
-    if (record.session.hash() % 2 == 0) {
-      part_a_anomaly.observe(record);
-      part_a_exploration.observe(record);
-    } else {
-      part_b_anomaly.observe(record);
-      part_b_exploration.observe(record);
-    }
+    (record.session.hash() % 2 == 0 ? part_a : part_b).observe(record);
   }
-  part_a_anomaly.merge(std::move(part_b_anomaly));
-  part_a_exploration.merge(std::move(part_b_exploration));
-  EXPECT_TRUE(part_a_anomaly.report() == whole_anomaly.report());
-  EXPECT_TRUE(part_a_exploration.report() == whole_exploration.report());
+  std::stringstream partial;
+  part_b.save_state(partial);
+  part_a.load_state(partial);
+  EXPECT_TRUE(part_a.report(part_anomaly) == whole.report(whole_anomaly));
+  EXPECT_TRUE(part_a.report(part_exploration) ==
+              whole.report(whole_exploration));
 }
 
 // report() flushes still-active runs on a copy: it must be repeatable

@@ -107,7 +107,7 @@ TEST(Classifier, StreamsAreIndependentPerSessionAndPrefix) {
   EXPECT_EQ(c.classify(b), std::nullopt);
   EXPECT_EQ(c.classify(d), std::nullopt);
   EXPECT_EQ(c.counts().first_sightings, 3u);
-  EXPECT_EQ(c.stream_count(), 3u);
+  EXPECT_EQ(c.stream_states().size(), 3u);
 }
 
 TEST(Classifier, MedChangeTrackedWithinNn) {
