@@ -690,6 +690,7 @@ void write_ingest_checkpoint(Writer& w, const core::IngestCheckpoint& state) {
   w.u64(state.cleaning.dropped_unallocated_prefix);
   w.u64(state.cleaning.route_server_paths_repaired);
   w.u64(state.cleaning.timestamps_adjusted);
+  w.u64(state.cleaning.late_records);
   w.u64(state.stats.files);
   w.u64(state.stats.chunks);
   w.u64(state.stats.raw_records);
@@ -739,6 +740,7 @@ core::IngestCheckpoint read_ingest_checkpoint(Reader& r) {
   out.cleaning.route_server_paths_repaired =
       static_cast<std::size_t>(r.u64());
   out.cleaning.timestamps_adjusted = static_cast<std::size_t>(r.u64());
+  out.cleaning.late_records = static_cast<std::size_t>(r.u64());
   out.stats.files = static_cast<std::size_t>(r.u64());
   out.stats.chunks = static_cast<std::size_t>(r.u64());
   out.stats.raw_records = static_cast<std::size_t>(r.u64());

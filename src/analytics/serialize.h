@@ -40,8 +40,9 @@ inline constexpr std::uint32_t kMagic = 0x42475043;
 /// with DecodeError instead of misparsing.
 ///
 /// v3: one §5 stream table per checkpoint shard replaced the cursors in
-/// pass tags 1, 2, 5 and 6. Older blocks are rejected — checkpoints are
-/// transient crash/resume state, not long-lived archives.
+/// pass tags 1, 2, 5 and 6; the kIngestCursor cleaning counters gained
+/// late_records. Older blocks are rejected — checkpoints are transient
+/// crash/resume state, not long-lived archives.
 inline constexpr std::uint16_t kFormatVersion = 3;
 
 /// What a serialized block contains (the byte after magic + version).

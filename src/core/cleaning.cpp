@@ -52,7 +52,8 @@ void drop_unallocated(std::vector<SeqRecord>& records,
 }
 
 std::size_t fix_second_granularity(std::vector<SeqRecord>& records,
-                                   Duration step, SecondCarry* carry) {
+                                   Duration step, SecondCarry* carry,
+                                   std::size_t* late) {
   std::size_t adjusted = 0;
   // Keyed by the stable FNV hash map: this runs once per record on the
   // per-shard cleaning hot path, where ordered-map lookups dominated.
@@ -72,6 +73,9 @@ std::size_t fix_second_granularity(std::vector<SeqRecord>& records,
       record.time = record.time + Duration::micros(step.count_micros() * count);
       ++adjusted;
     } else {
+      if (!inserted && late != nullptr && record.time.unix_seconds() < second) {
+        ++*late;
+      }
       second = record.time.unix_seconds();
       count = 0;
     }
@@ -95,8 +99,8 @@ CleaningReport run(std::vector<SeqRecord>& records,
   }
   if (options.fix_second_granularity) {
     sort_seq_records(records);
-    report.timestamps_adjusted =
-        fix_second_granularity(records, options.sub_second_step, carry);
+    report.timestamps_adjusted = fix_second_granularity(
+        records, options.sub_second_step, carry, &report.late_records);
     sort_seq_records(records);
   }
   return report;

@@ -72,10 +72,12 @@ using SecondCarry =
 /// independent, so running this per SessionKey-shard equals running it
 /// over the whole stream. `carry`, when non-null, is read and updated in
 /// place (window-boundary continuation); null keeps the state local to
-/// this call.
+/// this call. `late`, when non-null, counts the records whose second is
+/// earlier than their session's carried one (CleaningReport::late_records).
 std::size_t fix_second_granularity(std::vector<SeqRecord>& records,
                                    Duration step,
-                                   SecondCarry* carry = nullptr);
+                                   SecondCarry* carry = nullptr,
+                                   std::size_t* late = nullptr);
 
 /// The full §4 pipeline over one shard (or the whole stream): route-server
 /// repair, unallocated filtering, then second-granularity timestamp repair

@@ -350,6 +350,7 @@ void gather_and_clean(std::vector<DecodedChunk>& decoded,
     report.dropped_unallocated_prefix += r.dropped_unallocated_prefix;
     report.route_server_paths_repaired += r.route_server_paths_repaired;
     report.timestamps_adjusted += r.timestamps_adjusted;
+    report.late_records += r.late_records;
   }
 }
 

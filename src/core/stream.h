@@ -128,6 +128,10 @@ struct CleaningReport {
   std::size_t dropped_unallocated_prefix = 0;
   std::size_t route_server_paths_repaired = 0;
   std::size_t timestamps_adjusted = 0;
+  /// Second-granularity records whose second is earlier than the one
+  /// carried for their session across a window cut: the carry restarts
+  /// at them, so they are not spaced against their predecessors.
+  std::size_t late_records = 0;
 };
 
 /// Applies the cleaning pipeline in place.

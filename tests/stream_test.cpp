@@ -1,6 +1,7 @@
 // Unit tests: update streams and the §4 cleaning pipeline.
 #include <gtest/gtest.h>
 
+#include "core/cleaning.h"
 #include "core/stream.h"
 
 namespace bgpcc::core {
@@ -172,6 +173,33 @@ TEST(Cleaning, SecondGranularityResetsAcrossSeconds) {
   CleaningOptions options;
   CleaningReport report = clean(stream, options);
   EXPECT_EQ(report.timestamps_adjusted, 0u);
+}
+
+// A session whose second goes backwards across a window cut (second 100
+// in one window, 99 in the next) restarts its carry: the late record is
+// counted, and neither record's timestamp moves.
+TEST(Cleaning, LateRecordAcrossWindowCutIsCounted) {
+  auto record_at = [](std::int64_t second, std::uint64_t seq) {
+    SeqRecord sr;
+    sr.seq = seq;
+    sr.record.session =
+        SessionKey{"rrc00", Asn(1), IpAddress::from_string("192.0.2.1")};
+    sr.record.time = Timestamp::from_unix_seconds(second);
+    return sr;
+  };
+  cleaning::SecondCarry carry;
+  std::size_t late = 0;
+  std::vector<SeqRecord> first{record_at(100, 0)};
+  std::vector<SeqRecord> second{record_at(99, 1)};
+  EXPECT_EQ(cleaning::fix_second_granularity(first, Duration::micros(10),
+                                             &carry, &late),
+            0u);
+  EXPECT_EQ(cleaning::fix_second_granularity(second, Duration::micros(10),
+                                             &carry, &late),
+            0u);
+  EXPECT_EQ(late, 1u);
+  EXPECT_EQ(first[0].record.time, Timestamp::from_unix_seconds(100));
+  EXPECT_EQ(second[0].record.time, Timestamp::from_unix_seconds(99));
 }
 
 TEST(SessionKey, ToStringAndOrdering) {
