@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -319,6 +320,61 @@ TEST(AnalyticsPasses, ManualMergeEqualsSingleState) {
   part_a.load_state(partial);
   EXPECT_TRUE(part_a.report(part_stats) == whole.report(whole_stats));
   EXPECT_TRUE(part_a.report(part_dup) == whole.report(whole_dup));
+}
+
+// ClassifierPass::Report::streams is counts.first_sightings. It still
+// counts every (session, prefix) stream exactly once when the records
+// are spread over several shards and the run resumes from a checkpoint
+// taken mid-way.
+TEST(AnalyticsPasses, StreamCountSurvivesShardsAndResume) {
+  ArchiveGenerator gen(20261017);
+  std::string archive = gen.generate(800);
+  Registry registry = allocated_registry();
+  CleaningOptions cleaning;
+  cleaning.registry = &registry;
+  IngestOptions options;
+  options.num_threads = 4;
+  options.chunk_records = 32;
+  options.window_records = 128;
+  options.cleaning = &cleaning;
+
+  std::ostringstream checkpoint;
+  {
+    AnalysisDriver driver;
+    (void)driver.add(ClassifierPass{});
+    IngestOptions opt = options;
+    driver.attach(opt);
+    StreamingIngestor engine(opt);
+    std::istringstream in(archive);
+    engine.add_stream("rrc00", in);
+    ASSERT_TRUE(engine.poll());
+    ASSERT_TRUE(engine.poll());
+    ASSERT_GT(engine.stats().shards, 1u);
+    driver.checkpoint(checkpoint, engine);
+  }
+  AnalysisDriver driver;
+  auto types = driver.add(ClassifierPass{});
+  IngestOptions opt = options;
+  driver.attach(opt);
+  StreamingIngestor engine(opt);
+  std::istringstream in(archive);
+  engine.add_stream("rrc00", in);
+  std::istringstream checkpoint_in(checkpoint.str());
+  driver.restore(checkpoint_in, engine);
+  IngestResult rest = engine.finish();
+  ASSERT_GT(rest.stream.size(), 0u) << "the checkpoint must land mid-run";
+
+  IngestOptions batch;
+  batch.num_threads = 1;
+  batch.cleaning = &cleaning;
+  std::istringstream all_in(archive);
+  IngestResult all = core::ingest_mrt_stream("rrc00", all_in, batch);
+  std::set<std::pair<core::SessionKey, Prefix>> announced;
+  for (const UpdateRecord& record : all.stream.records()) {
+    if (record.announcement) announced.emplace(record.session, record.prefix);
+  }
+  ASSERT_GT(announced.size(), 1u);
+  EXPECT_EQ(driver.report(types).streams, announced.size());
 }
 
 // ---------------------------------------------------------------------------

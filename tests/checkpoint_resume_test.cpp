@@ -369,6 +369,61 @@ TEST(CheckpointResume, TruncatedCheckpointThrowsDecodeError) {
     EXPECT_THROW(resumed->driver.restore(in, *resumed->engine), DecodeError)
         << "cut=" << cut;
   }
+
+  // A small state-only checkpoint whose shard 0 holds a stream table:
+  // every prefix must throw, and every bit flip inside the table section
+  // must either decode or throw DecodeError/ConfigError — nothing else.
+  IngestOptions batch;
+  batch.num_threads = 1;
+  std::istringstream archive(ArchiveGenerator(20261017).generate(12));
+  IngestResult small = core::ingest_mrt_stream("rrc00", archive, batch);
+  ASSERT_GT(small.stream.size(), 0u);
+  AnalysisDriver driver;
+  (void)driver.add(DuplicateBurstPass{});
+  driver.observe_stream(small.stream);  // all records land in slot 0
+  std::ostringstream small_out;
+  driver.checkpoint(small_out);
+  const std::string ckpt = small_out.str();
+
+  // The table section of shard 0 follows the header (7 bytes), the pass
+  // list (u16 count + one u16 tag), has_cursor (u8) and the shard count
+  // (u16); it must equal a plain Classifier's table over the same records.
+  core::Classifier table;
+  for (const core::UpdateRecord& record : small.stream.records()) {
+    (void)table.advance(record);
+  }
+  ASSERT_GT(table.stream_states().size(), 0u);
+  std::ostringstream section_out;
+  serialize::Writer section_writer(section_out);
+  serialize::write_stream_table(section_writer, table.stream_states());
+  const std::string section = section_out.str();
+  const std::size_t begin = 7 + 2 + 2 + 1 + 2;
+  ASSERT_EQ(ckpt.substr(begin, section.size()), section);
+
+  auto restore = [](const std::string& bytes) {
+    AnalysisDriver fresh;
+    (void)fresh.add(DuplicateBurstPass{});
+    std::istringstream in(bytes);
+    fresh.restore(in);
+  };
+  ASSERT_NO_THROW(restore(ckpt));
+  for (std::size_t cut = 0; cut < ckpt.size(); ++cut) {
+    EXPECT_THROW(restore(ckpt.substr(0, cut)), DecodeError) << "cut=" << cut;
+  }
+  std::size_t rejected = 0;
+  for (std::size_t bit = 0; bit < section.size() * 8; ++bit) {
+    std::string flipped = ckpt;
+    flipped[begin + bit / 8] = static_cast<char>(
+        flipped[begin + bit / 8] ^ static_cast<char>(1u << (bit % 8)));
+    try {
+      restore(flipped);
+    } catch (const DecodeError&) {
+      ++rejected;
+    } catch (const ConfigError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(CheckpointResume, SourceShorterThanCheckpointThrows) {

@@ -60,6 +60,69 @@ TEST(SerializePrimitives, BigEndianLayoutsArePinned) {
   EXPECT_EQ(w.bytes_written(), 15u);
 }
 
+// The v3 layouts, byte for byte: a ClassifierPass partial state (tag 1
+// carries its nine counters and nothing else) and a one-stream table
+// section of a checkpoint.
+TEST(SerializePrimitives, V3LayoutsArePinned) {
+  core::UpdateRecord record;
+  record.session =
+      core::SessionKey{"rrc00", Asn(65001), IpAddress::v4(10, 0, 0, 1)};
+  record.prefix = Prefix::from_string("10.0.0.0/8");
+  record.attrs.as_path = AsPath::sequence({Asn(65001), Asn(65002)});
+  record.attrs.communities.add(Community::of(65001, 1));
+
+  auto as_bytes = [](const std::string& s) {
+    return std::vector<unsigned char>(s.begin(), s.end());
+  };
+  auto u64 = [](std::uint64_t v) {
+    std::vector<unsigned char> out;
+    for (int i = 7; i >= 0; --i) out.push_back((v >> (8 * i)) & 0xFF);
+    return out;
+  };
+  auto cat = [](std::vector<std::vector<unsigned char>> parts) {
+    std::vector<unsigned char> out;
+    for (const auto& part : parts) {
+      out.insert(out.end(), part.begin(), part.end());
+    }
+    return out;
+  };
+
+  // Tag 1: first sighting, then an nc (communities change).
+  AnalysisDriver driver;
+  (void)driver.add(ClassifierPass{});
+  driver.observe(record);
+  core::UpdateRecord changed = record;
+  changed.attrs.communities.add(Community::of(65001, 2));
+  driver.observe(changed);
+  std::ostringstream partial;
+  driver.save_state(partial);
+  EXPECT_EQ(as_bytes(partial.str()),
+            cat({{0x42, 0x47, 0x50, 0x43, 0x00, 0x03, 0x01},  // header v3
+                 {0x00, 0x01, 0x00, 0x01},                     // tag 1 only
+                 u64(72),                                      // blob length
+                 u64(0), u64(0), u64(1), u64(0), u64(0), u64(0),  // pc..xn
+                 u64(1), u64(0), u64(0)}));  // first, withdrawals, nn+MED
+
+  // Table section: three identical announcements leave nn run 2.
+  core::Classifier table;
+  for (int i = 0; i < 3; ++i) (void)table.advance(record);
+  std::ostringstream section;
+  serialize::Writer w(section);
+  serialize::write_stream_table(w, table.stream_states());
+  EXPECT_EQ(as_bytes(section.str()),
+            cat({u64(1),                                       // one stream
+                 {0x00, 0x00, 0x00, 0x05, 'r', 'r', 'c', '0', '0'},
+                 {0x00, 0x00, 0xFD, 0xE9},                     // peer AS65001
+                 {0x04, 0x0A, 0x00, 0x00, 0x01},               // peer IP
+                 {0x04, 0x0A, 0x00, 0x00, 0x00, 0x08},         // 10.0.0.0/8
+                 {0x00, 0x00, 0x00, 0x01, 0x02,                // one sequence
+                  0x00, 0x00, 0x00, 0x02,                      // of two ASNs
+                  0x00, 0x00, 0xFD, 0xE9, 0x00, 0x00, 0xFD, 0xEA},
+                 {0x00, 0x00, 0x00, 0x01, 0xFD, 0xE9, 0x00, 0x01},  // comms
+                 {0x00},                                       // no MED
+                 u64(2)}));                                    // nn run
+}
+
 TEST(SerializePrimitives, RoundtripAllTypes) {
   std::ostringstream out;
   serialize::Writer w(out);
@@ -458,6 +521,7 @@ TEST(SerializeRobustness, IngestCheckpointRoundtrips) {
   cursor.carry[session.hash() % core::kIngestShards][session] = {1600000000,
                                                                  3};
   cursor.cleaning.dropped_unallocated_asn = 7;
+  cursor.cleaning.late_records = 5;
   cursor.stats.raw_records = 99;
 
   std::ostringstream out;
@@ -479,6 +543,7 @@ TEST(SerializeRobustness, IngestCheckpointRoundtrips) {
   ASSERT_EQ(shard.size(), 1u);
   EXPECT_EQ(shard.at(session), (std::pair<std::int64_t, int>{1600000000, 3}));
   EXPECT_EQ(back.cleaning.dropped_unallocated_asn, 7u);
+  EXPECT_EQ(back.cleaning.late_records, 5u);
   EXPECT_EQ(back.stats.raw_records, 99u);
 }
 

@@ -285,14 +285,19 @@ TEST(SnapshotReport, ConcurrentSnapshotWhileIngesting) {
   // every concurrent snapshot land exactly on a boundary.
   auto run = fixture.start(opt);
   std::atomic<bool> stop{false};
+  std::atomic<bool> live{false};
   std::vector<std::pair<std::uint64_t, AllReports>> observed;
   std::thread snapshotter([&] {
-    while (!stop.load(std::memory_order_relaxed) && observed.size() < 256) {
+    do {
       ReportSnapshot snap = run->driver.snapshot();
       observed.emplace_back(snap.epoch(), collect(snap, run->handles));
+      live.store(true, std::memory_order_release);
       std::this_thread::yield();
-    }
+    } while (!stop.load(std::memory_order_relaxed) && observed.size() < 256);
   });
+  // Poll only once the snapshotter is running: a fast ingest could
+  // otherwise finish before the thread is first scheduled.
+  while (!live.load(std::memory_order_acquire)) std::this_thread::yield();
   while (run->engine->poll()) {
   }
   stop.store(true, std::memory_order_relaxed);
