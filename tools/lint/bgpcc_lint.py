@@ -18,8 +18,10 @@ load-bearing invariants statically, before any test runs:
   P1  pass-contract conformance: every `*Pass` class with a nested
       State declares kStateTag (unique, and a serialize::PassTag value
       when the enum is in view), the full State interface
-      (observe/merge/report/save/load), make_state, and a
-      copy-constructible State (the snapshot contract).
+      (observe/merge/report/save/load), make_state, a
+      copy-constructible State (the snapshot contract), and no State
+      member holding a core::Classifier (the §5 comparison runs once, in
+      the driver's stream table; passes read its StreamEvent).
   S1  DecodeError-path completeness: decode functions never bypass the
       serialize::Reader primitives with raw stream reads, and never
       pre-size allocations from an unvalidated wire-read count.
@@ -156,7 +158,7 @@ CHECK_INVENTORY = {
     "H1": "lock, allocation, container growth, or throw in a lock-free "
           "hot path",
     "P1": "pass-contract conformance (kStateTag, State interface, "
-          "copyable State, make_state)",
+          "copyable State, make_state, no private Classifier)",
     "S1": "decode path bypasses the Reader primitives or pre-sizes from "
           "an unvalidated wire count",
     "SUP": "malformed suppression (missing reason string)",
@@ -895,6 +897,10 @@ def check_h1(project, model, findings):
                     f"forbids blocking and allocation here"))
 
 
+# P1: a State member holding its own §5 stream cursor duplicates the
+# driver's per-shard stream table.
+CLASSIFIER_MEMBER_RE = re.compile(r"\bClassifier\b")
+
 NONCOPYABLE_MEMBER_RE = re.compile(
     r"\b(std\s*::\s*)?(mutex|shared_mutex|recursive_mutex|atomic|thread|"
     r"unique_ptr|condition_variable)\b")
@@ -949,6 +955,16 @@ def check_p1(project, model, findings):
                 f"pass '{leaf}' State is missing {', '.join(missing)} — "
                 f"the Pass/SerializablePass contract requires observe/"
                 f"merge/report plus save/load for checkpointing"))
+        for mname, mtype in state.members.items():
+            if not mname.startswith("using ") and \
+                    CLASSIFIER_MEMBER_RE.search(mtype):
+                findings.append(Finding(
+                    model.path, state.decl_lines.get(
+                        mname, state.start_line), "P1",
+                    f"pass '{leaf}' State member '{mname}' holds a "
+                    f"core::Classifier ('{mtype}') — take the driver's "
+                    f"per-shard stream table's verdict instead: declare "
+                    f"observe(record, const core::StreamEvent&)"))
         if state.deleted_copy_ctor:
             findings.append(Finding(
                 model.path, state.start_line, "P1",
