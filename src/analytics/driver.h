@@ -13,7 +13,16 @@
 //       StreamingIngestor::finish().
 //
 // Both modes produce identical reports for every pass honoring the
-// Pass contract (pass.h). Typical use:
+// Pass contract (pass.h).
+//
+// Each shard slot holds one state per pass and, when a registered pass's
+// State observes core::StreamEvents (the second observe shape in
+// pass.h), one stream table: a core::Classifier. Records reach a slot
+// record-major: the table classifies the record once, then every state
+// observes it, with the event or without. The table lives as long as
+// the slot: checkpoint() writes it and restore() reads it back,
+// snapshot() never clones it and save_state() never writes it (no
+// report reads it), and finalization drops it. Typical use:
 //
 //   analytics::AnalysisDriver driver;
 //   auto types = driver.add(analytics::ClassifierPass{});
@@ -201,18 +210,21 @@ class AnalysisDriver {
   void save_state(std::ostream& out);
 
   /// Reads a kPartialState (or kCheckpoint) block and MERGES its states
-  /// into this driver, as if this driver had observed those records
-  /// itself. Checkpoint shard slots are folded into shard slot 0, so
-  /// load_state is valid only for combining DISJOINT runs (no session
-  /// continues across the boundary) — resuming an interrupted run needs
-  /// restore(), which keeps shard fidelity. Callable any number of
-  /// times before report().
+  /// into this driver, as if this driver had observed those records.
+  /// That holds for DISJOINT runs only (no session continues across the
+  /// boundary): checkpoint shard slots are folded into shard slot 0, and
+  /// a checkpoint's stream tables are decoded and discarded, so a stream
+  /// observed again afterwards would count as a new first sighting.
+  /// Resuming an interrupted run needs restore(), which keeps shard
+  /// fidelity and the tables. Callable any number of times before
+  /// report().
   void load_state(std::istream& in);
 
-  /// Writes a kCheckpoint block: every per-shard state, shard-faithful,
-  /// so a restore()d driver continues per-session streams in the shard
-  /// slots that own them. The driver keeps running — checkpointing is a
-  /// snapshot, not a finalization. Throws ConfigError once finalized.
+  /// Writes a kCheckpoint block: every shard slot's stream table and
+  /// states, shard-faithful, so a restore()d driver continues
+  /// per-session streams in the shard slots that own them. The driver
+  /// keeps running — checkpointing is a snapshot, not a finalization.
+  /// Throws ConfigError once finalized.
   void checkpoint(std::ostream& out);
 
   /// Same, additionally embedding `ingestor`'s resumable cursor
@@ -220,13 +232,13 @@ class AnalysisDriver {
   /// re-positions ingestion at the exact window boundary.
   void checkpoint(std::ostream& out, const core::StreamingIngestor& ingestor);
 
-  /// Restores a checkpoint into this driver: every shard state's
-  /// evidence is REPLACED by the saved snapshot (anything observed
-  /// before the call is discarded — restore first, then ingest). The
-  /// same passes must be registered; attach() may already have run (the
-  /// resume order is attach → construct ingestor → restore). Throws
-  /// ConfigError once finalized. On decode failure the driver is left
-  /// unspecified — build a new one.
+  /// Restores a checkpoint into this driver: every shard's stream table
+  /// and state evidence are REPLACED by the saved snapshot (anything
+  /// observed before the call is discarded — restore first, then
+  /// ingest). The same passes must be registered; attach() may already
+  /// have run (the resume order is attach → construct ingestor →
+  /// restore). Throws ConfigError once finalized. On decode failure the
+  /// driver is left unspecified — build a new one.
   void restore(std::istream& in);
 
   /// Same, additionally restoring the embedded ingest cursor into

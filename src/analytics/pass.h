@@ -21,6 +21,18 @@
 // materialized —
 // analytics_test asserts exactly that for every shipped pass.
 //
+// The two observe shapes: the §5 rule (compare each announcement with
+// the previous one on its (session, prefix) stream) runs once per
+// record, in the driver's stream table — one core::Classifier per shard
+// slot. A State that declares observe(record, event) receives the
+// table's core::StreamEvent (type, MED change, nn run length) and keeps
+// no cursor of its own; a State that declares observe(record) never sees
+// it. The driver reads the shape from the State type at add() and
+// builds tables only when some registered State takes the event. The
+// table is driver state: checkpoint()/restore() carry it once per
+// shard, snapshot() and save_state() never copy it, and no report
+// reads it.
+//
 // Snapshot contract: State must additionally be copy-constructible, and
 // the copy must be a faithful, independent deep copy — epoch reporting
 // (AnalysisDriver::snapshot) clones every per-shard state and merges the

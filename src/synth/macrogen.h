@@ -10,7 +10,7 @@
 //
 // Scale knobs: population_scale shrinks the prefix universe; volume_scale
 // shrinks the event volume. Session/peer/collector counts stay full-scale
-// (they are cheap). EXPERIMENTS.md documents the scaling.
+// (they are cheap). bench/e2e/README.md lists the scales its corpora use.
 #pragma once
 
 #include <cstdint>
