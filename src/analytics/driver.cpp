@@ -412,8 +412,8 @@ void AnalysisDriver::restore_impl(std::istream& in,
   shard_slots_ = shard_count;
   ensure_states();
   for (Shard& shard : shards_) {
-    auto streams = serialize::read_stream_table(r);  // tallies unread: zero
-    if (shard.table) shard.table->restore(std::move(streams), {});
+    auto streams = serialize::read_stream_table(r);
+    if (shard.table) shard.table->restore(std::move(streams));
     for (auto& state : shard.states) read_state_blob(r, *state);
   }
 }

@@ -87,9 +87,9 @@ StreamEvent Classifier::advance(const UpdateRecord& record) {
   return event;
 }
 
-void Classifier::restore(StreamStates streams, TypeCounts counts) {
+void Classifier::restore(StreamStates streams) {
   last_ = std::move(streams);
-  counts_ = counts;
+  counts_ = TypeCounts{};
 }
 
 std::vector<std::pair<SessionKey, TypeCounts>> rank_session_types(

@@ -114,10 +114,11 @@ class Classifier {
   /// The live per-stream comparison cursors (checkpoint serialization).
   [[nodiscard]] const StreamStates& stream_states() const { return last_; }
 
-  /// Replaces the whole classifier state — the checkpoint/restore hook.
-  /// The restored classifier continues exactly where the saved one
-  /// stopped: same tallies, same per-stream comparison cursors.
-  void restore(StreamStates streams, TypeCounts counts);
+  /// Replaces the per-stream comparison cursors — the checkpoint/restore
+  /// hook for the driver's stream table, whose tallies nothing reads.
+  /// The restored classifier classifies exactly as the saved one would;
+  /// its tallies restart at zero.
+  void restore(StreamStates streams);
 
  private:
   StreamStates last_;
