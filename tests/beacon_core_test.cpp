@@ -2,6 +2,8 @@
 // community-exploration analyses.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/beacon.h"
 #include "netbase/error.h"
 #include "run_pass.h"
@@ -257,6 +259,115 @@ TEST(CommunityExploration, EndOfStreamFlushIsSortedByBeginTime) {
   EXPECT_EQ(events[0].begin, at(2, 1) + Duration::seconds(20));
   EXPECT_EQ(events[0].nc_count, 2);
   EXPECT_EQ(events[0].distinct_attributes, 3);
+}
+
+// The exploration edge cases, one stream each. Times are seconds past
+// 02:00, inside the default schedule's withdraw phase until 02:15
+// (900 s); the next withdraw phase opens at 06:00 (14400 s).
+struct ExplorationStep {
+  int second;
+  const char* path;  // nullptr: a withdrawal
+  const char* comms;
+};
+
+struct ExpectedExploration {
+  int begin_second;
+  int end_second;
+  int nc_count;
+  int distinct_attributes;
+};
+
+struct ExplorationCase {
+  const char* name;
+  std::vector<ExplorationStep> steps;
+  std::vector<ExpectedExploration> events;
+};
+
+std::vector<ExplorationCase> exploration_cases() {
+  const char* path = "1 2 3";
+  return {
+      {"reannouncement_after_withdrawal_starts_no_run",
+       {{0, path, "3356:1"},
+        {60, nullptr, ""},
+        {120, path, "3356:2"},
+        {180, path, "3356:3"},
+        {240, path, "3356:4"}},
+       {{180, 240, 2, 3}}},
+      {"nn_inside_run_keeps_it_open",
+       {{0, path, "3356:1"},
+        {60, path, "3356:2"},
+        {120, path, "3356:2"},
+        {180, path, "3356:3"}},
+       {{60, 180, 2, 3}}},
+      {"xc_ends_run",
+       {{0, path, "3356:1"},
+        {60, path, "3356:2"},
+        {120, path, "3356:3"},
+        {180, "1 1 2 3", "3356:4"},
+        {240, "1 1 2 3", "3356:5"}},
+       {{60, 120, 2, 3}}},
+      {"withdrawal_ends_run",
+       {{0, path, "3356:1"},
+        {60, path, "3356:2"},
+        {120, path, "3356:3"},
+        {180, nullptr, ""},
+        {240, path, "3356:4"},
+        {300, path, "3356:5"}},
+       {{60, 120, 2, 3}}},
+      {"phase_end_closes_run",
+       {{720, path, "3356:1"},
+        {780, path, "3356:2"},
+        {840, path, "3356:3"},
+        {900, path, "3356:4"},
+        {960, path, "3356:5"}},
+       {{780, 840, 2, 3}}},
+      {"nn_outside_phase_closes_run",
+       {{780, path, "3356:1"},
+        {840, path, "3356:2"},
+        {870, path, "3356:3"},
+        {900, path, "3356:3"},
+        {14460, path, "3356:4"}},
+       {{840, 870, 2, 3}}},
+      {"withdrawal_on_never_announced_stream",
+       {{0, nullptr, ""},
+        {60, path, "3356:1"},
+        {120, path, "3356:2"},
+        {180, path, "3356:3"}},
+       {{120, 180, 2, 3}}},
+      {"alternating_sets_count_distinct_once",
+       {{0, path, "3356:1"},
+        {60, path, "3356:2"},
+        {120, path, "3356:1"},
+        {180, path, "3356:2"}},
+       {{60, 180, 3, 2}}},
+  };
+}
+
+UpdateStream exploration_stream(const ExplorationCase& c) {
+  UpdateStream stream;
+  for (const ExplorationStep& step : c.steps) {
+    Timestamp t = at(2) + Duration::seconds(step.second);
+    stream.add(step.path == nullptr ? record_at(t, "", "", false)
+                                    : record_at(t, step.path, step.comms));
+  }
+  return stream;
+}
+
+TEST(CommunityExploration, EdgeCasesArePinned) {
+  BeaconSchedule schedule;
+  for (const ExplorationCase& c : exploration_cases()) {
+    SCOPED_TRACE(c.name);
+    auto events = test::run_pass(analytics::ExplorationPass{schedule},
+                                 exploration_stream(c));
+    ASSERT_EQ(events.size(), c.events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const ExpectedExploration& want = c.events[i];
+      EXPECT_EQ(events[i].begin, at(2) + Duration::seconds(want.begin_second));
+      EXPECT_EQ(events[i].end, at(2) + Duration::seconds(want.end_second));
+      EXPECT_EQ(events[i].nc_count, want.nc_count);
+      EXPECT_EQ(events[i].distinct_attributes, want.distinct_attributes);
+    }
+  }
 }
 
 TEST(RouteSeries, FiltersByPathAndCollectsWithdrawals) {
