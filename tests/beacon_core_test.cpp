@@ -2,6 +2,8 @@
 // community-exploration analyses.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/beacon.h"
@@ -405,6 +407,37 @@ TEST(PhaseLabels, Strings) {
   EXPECT_STREQ(label(Phase::kAnnounce), "announce");
   EXPECT_STREQ(label(Phase::kWithdraw), "withdraw");
   EXPECT_STREQ(label(Phase::kOutside), "outside");
+}
+
+// The same battery interrupted at every record index: checkpoint after
+// the first `split` records, restore into a fresh driver, observe the
+// rest. Every split must report exactly what the uninterrupted run does,
+// so runs in flight and withdrawn streams survive the checkpoint.
+TEST(CommunityExploration, EverySplitResumesExactly) {
+  BeaconSchedule schedule;
+  for (const ExplorationCase& c : exploration_cases()) {
+    SCOPED_TRACE(c.name);
+    UpdateStream stream = exploration_stream(c);
+    const auto whole =
+        test::run_pass(analytics::ExplorationPass{schedule}, stream);
+    const std::vector<UpdateRecord>& records = stream.records();
+    for (std::size_t split = 0; split <= records.size(); ++split) {
+      SCOPED_TRACE("split=" + std::to_string(split));
+      analytics::AnalysisDriver first;
+      (void)first.add(analytics::ExplorationPass{schedule});
+      for (std::size_t i = 0; i < split; ++i) first.observe(records[i]);
+      std::stringstream checkpoint;
+      first.checkpoint(checkpoint);
+
+      analytics::AnalysisDriver resumed;
+      auto handle = resumed.add(analytics::ExplorationPass{schedule});
+      resumed.restore(checkpoint);
+      for (std::size_t i = split; i < records.size(); ++i) {
+        resumed.observe(records[i]);
+      }
+      EXPECT_TRUE(resumed.report(handle) == whole);
+    }
+  }
 }
 
 }  // namespace
