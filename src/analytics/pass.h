@@ -25,9 +25,10 @@
 // the previous one on its (session, prefix) stream) runs once per
 // record, in the driver's stream table — one core::Classifier per shard
 // slot. A State that declares observe(record, event) receives the
-// table's core::StreamEvent (type, MED change, nn run length) and keeps
-// no cursor of its own; a State that declares observe(record) never sees
-// it. The driver reads the shape from the State type at add() and
+// table's core::StreamEvent (type, MED change, nn run length, withdrawal
+// since the last announcement, the replaced community set) and keeps no
+// cursor for every stream; a State that declares observe(record) never
+// sees it. The driver reads the shape from the State type at add() and
 // builds tables only when some registered State takes the event. The
 // table is driver state: checkpoint()/restore() carry it once per
 // shard, snapshot() and save_state() never copy it, and no report

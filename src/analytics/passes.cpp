@@ -172,6 +172,42 @@ AnomalyPass::Report AnomalyPass::State::report() const {
 // ---------------------------------------------------------------------------
 // ExplorationPass
 
+void ExplorationPass::State::observe(const core::UpdateRecord& record,
+                                     const core::StreamEvent& event) {
+  using core::AnnouncementType;
+  // Only same-path announcements (nc or nn) inside a withdraw phase, with
+  // no withdrawal since the last one, continue the stream's run.
+  const bool same_path = event.type && !event.after_withdrawal &&
+                         (*event.type == AnnouncementType::kNc ||
+                          *event.type == AnnouncementType::kNn);
+  if (!same_path || schedule_.label(record.time) !=
+                        core::BeaconSchedule::Phase::kWithdraw) {
+    if (runs_.empty()) return;
+    auto it = runs_.find(std::make_pair(record.session, record.prefix));
+    if (it == runs_.end()) return;
+    if (it->second.event.nc_count >= kMinNc) {
+      events_.push_back(std::move(it->second.event));
+    }
+    runs_.erase(it);
+    return;
+  }
+  if (*event.type == AnnouncementType::kNn) return;
+  auto [it, opened] =
+      runs_.try_emplace(std::make_pair(record.session, record.prefix));
+  Run& run = it->second;
+  if (opened) {
+    run.event.session = record.session;
+    run.event.prefix = record.prefix;
+    run.event.as_path = record.attrs.as_path;
+    run.event.begin = record.time;
+    run.attributes.insert(*event.replaced_communities);
+  }
+  ++run.event.nc_count;
+  run.event.end = record.time;
+  run.attributes.insert(record.attrs.communities);
+  run.event.distinct_attributes = static_cast<int>(run.attributes.size());
+}
+
 void ExplorationPass::State::merge(State&& other) {
   // Streams are disjoint across shard states; map::merge keeps ours on a
   // contract violation.
@@ -183,9 +219,10 @@ void ExplorationPass::State::merge(State&& other) {
 
 ExplorationPass::Report ExplorationPass::State::report() const {
   Report events = events_;
-  // Flush still-active runs on copies: report() is const and repeatable.
-  core::ExplorationRuns active = runs_;
-  core::flush_exploration(active, events);
+  // Runs in flight close on copies: report() is const and repeatable.
+  for (const auto& [stream, run] : runs_) {
+    if (run.event.nc_count >= kMinNc) events.push_back(run.event);
+  }
   core::sort_exploration_events(events);
   return events;
 }

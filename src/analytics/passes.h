@@ -4,10 +4,12 @@
 // attribution the §5 "manual check" calls for. Every pass honors the
 // Pass contract (pass.h): state depends only on the record multiset and
 // per-session order, so inline-parallel and materialized execution
-// report identically.
+// report identically. Five passes read the driver's stream table
+// (observe(record, event)): the classifier, per-session types, duplicate
+// burst, anomaly and exploration passes.
 //
 // All nine States also honor the snapshot contract (pass.h): every
-// member is value-semantic (std::map / unordered_set / vector /
+// member is value-semantic (std::map / set / unordered_set / vector /
 // optional over core evidence structs that are themselves plain value
 // containers), so the implicit copy constructor is a faithful deep copy
 // with no shared mutable structure, and its cost is linear in the
@@ -19,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -493,12 +496,13 @@ class RevealedPass {
   core::BeaconSchedule schedule_;
 };
 
-/// §6 community exploration (Figure 4) as a Pass: per-(session, prefix)
-/// run state that legally carries across window cuts — each stream lives
-/// wholly inside one shard and the engine preserves per-session order,
-/// exactly the invariant cleaning::SecondCarry relies on for §4.
-/// report() flushes still-active runs and sorts all events by
-/// (begin, session, prefix) (core::sort_exploration_events).
+/// §6 community exploration (Figure 4) as a Pass: a run is a streak of
+/// stream-table nc events inside a withdraw phase. nn keeps it open; any
+/// other event, or leaving the phase, closes it, and the first
+/// announcement after a withdrawal opens none. Runs in flight are kept
+/// per stream and, like the streams, carry across window cuts. report()
+/// closes them and sorts all events by (begin, session, prefix)
+/// (core::sort_exploration_events).
 class ExplorationPass {
  public:
   /// Default beacon schedule (core::BeaconSchedule), validated.
@@ -515,31 +519,38 @@ class ExplorationPass {
   /// Exploration events sorted by (begin, session, prefix).
   using Report = std::vector<core::ExplorationEvent>;
 
-  /// Per-shard run cursors + completed events (see pass.h).
-  /// Copy cost (snapshot contract): O(active runs + completed events).
+  /// Per-shard runs in flight + completed events (see pass.h).
+  /// Copy cost (snapshot contract): O(runs in flight + completed events).
   class State {
    public:
     /// Binds the state to the pass's beacon schedule.
     explicit State(const core::BeaconSchedule& schedule)
         : schedule_(schedule) {}
-    /// Advances the record's (session, prefix) exploration run.
-    void observe(const core::UpdateRecord& record) {
-      core::observe_exploration(record, schedule_, runs_, events_);
-    }
+    /// Opens, extends or closes the record's stream's run.
+    void observe(const core::UpdateRecord& record,
+                 const core::StreamEvent& event);
     /// Folds another shard's runs and events into this one.
     void merge(State&& other);
-    /// Flushes still-active runs and projects the sorted events.
+    /// Closes runs in flight (on copies) and projects the sorted events.
     [[nodiscard]] Report report() const;
-    /// Serializes the evidence (analytics/serialize.h): both the
-    /// completed events and the still-active per-stream run cursors
-    /// travel, so a restored state continues runs mid-flight.
+    /// Serializes the evidence (analytics/serialize.h): the completed
+    /// events and the runs in flight travel, so a restored state
+    /// continues runs mid-flight.
     void save(serialize::Writer& writer) const;
     /// Restores saved runs and events (analytics/serialize.h).
     void load(serialize::Reader& reader);
 
    private:
+    /// A run in flight: its event so far and the distinct community
+    /// attributes it has seen, the replaced one included.
+    struct Run {
+      core::ExplorationEvent event;
+      std::set<CommunitySet> attributes;
+    };
+    /// A run is reported once it holds at least this many nc.
+    static constexpr int kMinNc = 2;
     core::BeaconSchedule schedule_;
-    core::ExplorationRuns runs_;
+    std::map<std::pair<core::SessionKey, Prefix>, Run> runs_;
     std::vector<core::ExplorationEvent> events_;
   };
 

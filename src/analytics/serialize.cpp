@@ -540,21 +540,14 @@ core::ExplorationEvent read_exploration_event(Reader& r) {
 }  // namespace
 
 void ExplorationPass::State::save(serialize::Writer& writer) const {
+  // A run's key is its event's (session, prefix): it does not travel.
   writer.u64(runs_.size());
-  for (const auto& [key, run] : runs_) {
-    write_session(writer, key.first);
-    write_prefix(writer, key.second);
-    writer.boolean(run.path.has_value());
-    if (run.path) write_aspath(writer, *run.path);
-    writer.boolean(run.communities.has_value());
-    if (run.communities) write_communities(writer, *run.communities);
-    write_exploration_event(writer, run.current);
-    writer.u64(run.attrs_seen.size());
-    for (const auto& [attrs, seen] : run.attrs_seen) {
+  for (const auto& [stream, run] : runs_) {
+    write_exploration_event(writer, run.event);
+    writer.u64(run.attributes.size());
+    for (const CommunitySet& attrs : run.attributes) {
       write_communities(writer, attrs);
-      writer.i64(seen);
     }
-    writer.boolean(run.active);
   }
   writer.u64(events_.size());
   for (const core::ExplorationEvent& event : events_) {
@@ -566,20 +559,14 @@ void ExplorationPass::State::load(serialize::Reader& reader) {
   std::uint64_t run_count = reader.u64();
   runs_.clear();
   for (std::uint64_t i = 0; i < run_count; ++i) {
-    core::SessionKey session = read_session(reader);
-    Prefix prefix = read_prefix(reader);
-    core::ExplorationRun run;
-    if (reader.boolean()) run.path = read_aspath(reader);
-    if (reader.boolean()) run.communities = read_communities(reader);
-    run.current = read_exploration_event(reader);
+    Run run;
+    run.event = read_exploration_event(reader);
     std::uint64_t attr_count = reader.u64();
     for (std::uint64_t a = 0; a < attr_count; ++a) {
-      CommunitySet attrs = read_communities(reader);
-      run.attrs_seen.emplace(std::move(attrs),
-                             static_cast<int>(reader.i64()));
+      run.attributes.insert(read_communities(reader));
     }
-    run.active = reader.boolean();
-    runs_.emplace(std::make_pair(std::move(session), prefix), std::move(run));
+    auto key = std::make_pair(run.event.session, run.event.prefix);
+    runs_.emplace(std::move(key), std::move(run));
   }
   std::uint64_t event_count = reader.u64();
   events_.clear();
@@ -637,6 +624,7 @@ void write_stream_table(Writer& w,
     write_communities(w, state.communities);
     write_opt_u32(w, state.med);
     w.u64(state.nn_run);
+    w.boolean(state.withdrawn);
   }
 }
 
@@ -651,6 +639,7 @@ core::Classifier::StreamStates read_stream_table(Reader& r) {
     state.communities = read_communities(r);
     state.med = read_opt_u32(r);
     state.nn_run = r.u64();
+    state.withdrawn = r.boolean();
     streams.emplace(std::make_pair(std::move(session), prefix),
                     std::move(state));
   }

@@ -39,11 +39,11 @@ inline constexpr std::uint32_t kMagic = 0x42475043;
 /// version" checklist in docs/FORMATS.md); readers reject other versions
 /// with DecodeError instead of misparsing.
 ///
-/// v3: one §5 stream table per checkpoint shard replaced the cursors in
-/// pass tags 1, 2, 5 and 6; the kIngestCursor cleaning counters gained
-/// late_records. Older blocks are rejected — checkpoints are transient
-/// crash/resume state, not long-lived archives.
-inline constexpr std::uint16_t kFormatVersion = 3;
+/// v4: the stream table section gained the withdrawn bit and pass tag 8
+/// carries only the exploration runs in flight. Older blocks are
+/// rejected — checkpoints are transient crash/resume state, not
+/// long-lived archives.
+inline constexpr std::uint16_t kFormatVersion = 4;
 
 /// What a serialized block contains (the byte after magic + version).
 enum class BlockKind : std::uint8_t {

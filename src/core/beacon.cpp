@@ -129,63 +129,6 @@ RevealedStats finalize_revealed(const RevealedEvidence& evidence) {
 // ---------------------------------------------------------------------------
 // Community exploration (Figure 4).
 
-namespace {
-
-void finish_run(ExplorationRun& run, std::vector<ExplorationEvent>& events) {
-  if (run.active && run.current.nc_count >= 2) {
-    run.current.distinct_attributes =
-        static_cast<int>(run.attrs_seen.size());
-    events.push_back(run.current);
-  }
-  run.active = false;
-  run.attrs_seen.clear();
-}
-
-}  // namespace
-
-void observe_exploration(const UpdateRecord& record,
-                         const BeaconSchedule& schedule, ExplorationRuns& runs,
-                         std::vector<ExplorationEvent>& events) {
-  auto key = std::make_pair(record.session, record.prefix);
-  ExplorationRun& run = runs[key];
-  if (!record.announcement) {
-    finish_run(run, events);
-    run.path.reset();
-    run.communities.reset();
-    return;
-  }
-  bool in_withdraw_phase =
-      schedule.label(record.time) == BeaconSchedule::Phase::kWithdraw;
-  bool same_path = run.path && *run.path == record.attrs.as_path;
-  bool comm_changed =
-      run.communities && *run.communities != record.attrs.communities;
-
-  if (same_path && comm_changed && in_withdraw_phase) {
-    if (!run.active) {
-      run.active = true;
-      run.current = ExplorationEvent{};
-      run.current.session = record.session;
-      run.current.prefix = record.prefix;
-      run.current.as_path = record.attrs.as_path;
-      run.current.begin = record.time;
-      run.current.nc_count = 0;
-      if (run.communities) run.attrs_seen[*run.communities] = 1;
-    }
-    ++run.current.nc_count;
-    run.current.end = record.time;
-    ++run.attrs_seen[record.attrs.communities];
-  } else if (!same_path || !in_withdraw_phase) {
-    finish_run(run, events);
-  }
-  run.path = record.attrs.as_path;
-  run.communities = record.attrs.communities;
-}
-
-void flush_exploration(ExplorationRuns& runs,
-                       std::vector<ExplorationEvent>& events) {
-  for (auto& [key, run] : runs) finish_run(run, events);
-}
-
 void sort_exploration_events(std::vector<ExplorationEvent>& events) {
   std::sort(events.begin(), events.end(),
             [](const ExplorationEvent& a, const ExplorationEvent& b) {

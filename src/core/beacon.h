@@ -2,19 +2,17 @@
 // schedule, the revealed-community-attribute statistic (Figure 6), and the
 // community-exploration detector (Figure 4's nc bursts).
 //
-// The revealed and exploration detectors are split into accumulate /
-// merge / finalize kernels (mirroring core/tomography) so the analytics
-// passes (analytics/passes.h) can run them per-shard on the ingestion
-// worker threads: phase buckets OR together, and per-(session, prefix)
-// run state lives wholly inside one shard, so it legally carries across
-// window cuts exactly like cleaning::SecondCarry threads the §4 state.
+// The revealed detector is split into accumulate / merge / finalize
+// kernels (mirroring core/tomography) so analytics::RevealedPass can run
+// it per-shard on the ingestion worker threads: phase buckets OR
+// together. The exploration detector is analytics::ExplorationPass,
+// which reads the driver's stream table; its event type and output
+// order live here.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "core/classifier.h"
@@ -108,31 +106,6 @@ struct ExplorationEvent {
   friend bool operator==(const ExplorationEvent&,
                          const ExplorationEvent&) = default;
 };
-
-/// The current run of same-path nc announcements on one (session, prefix)
-/// stream: the per-stream cursor of the exploration detector.
-struct ExplorationRun {
-  std::optional<AsPath> path;
-  std::optional<CommunitySet> communities;
-  ExplorationEvent current;
-  std::map<CommunitySet, int> attrs_seen;
-  bool active = false;
-};
-
-/// Per-stream run states. Each (session, prefix) evolves independently,
-/// so a SessionKey-sharded partition of these maps merges losslessly.
-using ExplorationRuns = std::map<std::pair<SessionKey, Prefix>, ExplorationRun>;
-
-/// Advances one stream's run state by one record (records must arrive in
-/// per-session chronological order); completed events are appended to
-/// `events` as their runs end.
-void observe_exploration(const UpdateRecord& record,
-                         const BeaconSchedule& schedule, ExplorationRuns& runs,
-                         std::vector<ExplorationEvent>& events);
-
-/// Flushes still-active runs at end of stream into `events`.
-void flush_exploration(ExplorationRuns& runs,
-                       std::vector<ExplorationEvent>& events);
 
 /// The deterministic output order: (begin, session, prefix), with end /
 /// nc_count tie-breaks for pathological equal-timestamp streams. Mid- and

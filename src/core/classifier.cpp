@@ -1,6 +1,7 @@
 #include "core/classifier.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace bgpcc::core {
 
@@ -59,6 +60,8 @@ StreamEvent Classifier::advance(const UpdateRecord& record) {
   StreamEvent event;
   event.withdrawal = !record.announcement;
   if (event.withdrawal) {
+    auto it = last_.find(std::make_pair(record.session, record.prefix));
+    if (it != last_.end()) it->second.withdrawn = true;
     counts_.add(event);
     return event;
   }
@@ -69,6 +72,7 @@ StreamEvent Classifier::advance(const UpdateRecord& record) {
   bool path_changed = first || prev.as_path != record.attrs.as_path;
   bool comm_changed = first || prev.communities != record.attrs.communities;
   if (!first) {
+    event.after_withdrawal = prev.withdrawn;
     event.med_changed = prev.med != record.attrs.med;
     if (!path_changed) {
       event.type = comm_changed ? AnnouncementType::kNc : AnnouncementType::kNn;
@@ -82,8 +86,15 @@ StreamEvent Classifier::advance(const UpdateRecord& record) {
   }
   counts_.add(event);
   if (path_changed) prev.as_path = record.attrs.as_path;
-  if (comm_changed) prev.communities = record.attrs.communities;
+  if (comm_changed) {
+    // Swap before assign: the replaced set moves into the slot the event
+    // points at, with no allocation of its own.
+    std::swap(replaced_, prev.communities);
+    prev.communities = record.attrs.communities;
+    event.replaced_communities = &replaced_;
+  }
   prev.med = record.attrs.med;
+  prev.withdrawn = false;
   return event;
 }
 

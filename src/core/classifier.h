@@ -52,6 +52,13 @@ struct StreamEvent {
   /// Consecutive nn announcements on the stream ending with this one (0
   /// unless nn); withdrawals neither extend nor break a run.
   std::uint64_t nn_run = 0;
+  /// Typed announcements: a withdrawal arrived on the stream since its
+  /// previous announcement (§6 exploration runs restart there).
+  bool after_withdrawal = false;
+  /// Announcements whose communities changed: the set they replaced
+  /// (empty for a first sighting), nullptr otherwise. Points into the
+  /// Classifier and stays valid until its next advance().
+  const CommunitySet* replaced_communities = nullptr;
 };
 
 /// Per-type tallies plus the bookkeeping categories the shares exclude.
@@ -95,12 +102,15 @@ class Classifier {
     std::optional<std::uint32_t> med;
     /// Consecutive nn announcements ending with the last one.
     std::uint64_t nn_run = 0;
+    /// A withdrawal arrived after the last announcement.
+    bool withdrawn = false;
   };
   /// Stream cursors keyed by (session, prefix).
   using StreamStates = std::map<std::pair<SessionKey, Prefix>, StreamState>;
 
   /// Classifies an announcement against the stream's previous one and
-  /// tallies the event; withdrawals are tallied, cursors untouched.
+  /// tallies the event; withdrawals are tallied and mark the stream's
+  /// cursor withdrawn, its attributes untouched.
   StreamEvent advance(const UpdateRecord& record);
 
   /// advance() for plain loops: the type alone, nullopt for withdrawals
@@ -123,6 +133,8 @@ class Classifier {
  private:
   StreamStates last_;
   TypeCounts counts_;
+  /// The set the last community change replaced (the event points here).
+  CommunitySet replaced_;
 };
 
 /// Projects per-session tallies into the Figure-3 ranking (sorted by

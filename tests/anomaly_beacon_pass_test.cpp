@@ -198,29 +198,33 @@ TEST(AnomalyBeaconPasses, ManualMergeEqualsSingleState) {
               whole.report(whole_exploration));
 }
 
-// report() flushes still-active runs on a copy: it must be repeatable
-// and must not perturb the underlying state.
+// report() closes runs in flight on copies: it must be repeatable and
+// must not perturb the underlying state, through snapshots and the final
+// report alike.
 TEST(AnomalyBeaconPasses, ExplorationReportIsRepeatable) {
-  BeaconSchedule schedule = test_schedule();
-  ExplorationPass pass{schedule};
-  auto state = pass.make_state();
+  AnalysisDriver driver;
+  auto exploration = driver.add(ExplorationPass{test_schedule()});
   UpdateRecord record;
   record.session = core::SessionKey{"rrc00", Asn(65001),
                                     IpAddress::from_string("10.0.0.1")};
   record.prefix = Prefix::from_string("10.0.0.0/16");
   record.attrs.as_path = AsPath::sequence({Asn(65001), Asn(65200)});
-  // Three same-path nc announcements inside the withdraw phase: an
-  // active run that only a flush reports.
+  // Three same-path announcements inside the withdraw phase: two nc, an
+  // active run that only closing it reports.
   for (int i = 0; i < 3; ++i) {
     record.time = Timestamp::from_unix_seconds(1600000000 + 120 + i);
     record.attrs.communities.clear();
     record.attrs.communities.add(Community::of(65100, 100 + i));
-    state.observe(record);
+    driver.observe(record);
   }
-  auto first = state.report();
+  ReportSnapshot snapshot = driver.snapshot();
+  auto first = snapshot.report(exploration);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].nc_count, 2);
-  EXPECT_TRUE(state.report() == first);
+  EXPECT_TRUE(snapshot.report(exploration) == first);
+  EXPECT_TRUE(driver.snapshot().report(exploration) == first);
+  EXPECT_TRUE(driver.report(exploration) == first);
+  EXPECT_TRUE(driver.report(exploration) == first);
 }
 
 // ---------------------------------------------------------------------------

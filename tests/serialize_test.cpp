@@ -60,16 +60,19 @@ TEST(SerializePrimitives, BigEndianLayoutsArePinned) {
   EXPECT_EQ(w.bytes_written(), 15u);
 }
 
-// The v3 layouts, byte for byte: a ClassifierPass partial state (tag 1
-// carries its nine counters and nothing else) and a one-stream table
-// section of a checkpoint.
-TEST(SerializePrimitives, V3LayoutsArePinned) {
+// The v4 layouts, byte for byte: a ClassifierPass partial state (tag 1
+// carries its nine counters and nothing else), a one-stream table section
+// of a checkpoint (v4: the withdrawn bit) and an ExplorationPass partial
+// state holding one run in flight (v4: no per-stream cursors).
+TEST(SerializePrimitives, V4LayoutsArePinned) {
   core::UpdateRecord record;
   record.session =
       core::SessionKey{"rrc00", Asn(65001), IpAddress::v4(10, 0, 0, 1)};
   record.prefix = Prefix::from_string("10.0.0.0/8");
   record.attrs.as_path = AsPath::sequence({Asn(65001), Asn(65002)});
   record.attrs.communities.add(Community::of(65001, 1));
+  core::UpdateRecord changed = record;
+  changed.attrs.communities.add(Community::of(65001, 2));
 
   auto as_bytes = [](const std::string& s) {
     return std::vector<unsigned char>(s.begin(), s.end());
@@ -86,41 +89,76 @@ TEST(SerializePrimitives, V3LayoutsArePinned) {
     }
     return out;
   };
+  const std::vector<unsigned char> session = {
+      0x00, 0x00, 0x00, 0x05, 'r', 'r', 'c', '0', '0',  // collector
+      0x00, 0x00, 0xFD, 0xE9,                           // peer AS65001
+      0x04, 0x0A, 0x00, 0x00, 0x01};                    // peer IP
+  const std::vector<unsigned char> prefix = {0x04, 0x0A, 0x00,
+                                             0x00, 0x00, 0x08};  // 10/8
+  const std::vector<unsigned char> path = {
+      0x00, 0x00, 0x00, 0x01, 0x02,  // one sequence
+      0x00, 0x00, 0x00, 0x02,        // of two ASNs
+      0x00, 0x00, 0xFD, 0xE9, 0x00, 0x00, 0xFD, 0xEA};
+  const std::vector<unsigned char> comms = {0x00, 0x00, 0x00, 0x01,
+                                            0xFD, 0xE9, 0x00, 0x01};
+  const std::vector<unsigned char> changed_comms = {
+      0x00, 0x00, 0x00, 0x02, 0xFD, 0xE9, 0x00, 0x01, 0xFD, 0xE9, 0x00, 0x02};
 
   // Tag 1: first sighting, then an nc (communities change).
   AnalysisDriver driver;
   (void)driver.add(ClassifierPass{});
   driver.observe(record);
-  core::UpdateRecord changed = record;
-  changed.attrs.communities.add(Community::of(65001, 2));
   driver.observe(changed);
   std::ostringstream partial;
   driver.save_state(partial);
   EXPECT_EQ(as_bytes(partial.str()),
-            cat({{0x42, 0x47, 0x50, 0x43, 0x00, 0x03, 0x01},  // header v3
+            cat({{0x42, 0x47, 0x50, 0x43, 0x00, 0x04, 0x01},  // header v4
                  {0x00, 0x01, 0x00, 0x01},                     // tag 1 only
                  u64(72),                                      // blob length
                  u64(0), u64(0), u64(1), u64(0), u64(0), u64(0),  // pc..xn
                  u64(1), u64(0), u64(0)}));  // first, withdrawals, nn+MED
 
-  // Table section: three identical announcements leave nn run 2.
+  // Table section: three identical announcements leave nn run 2; the
+  // withdrawal after them sets the withdrawn bit.
   core::Classifier table;
   for (int i = 0; i < 3; ++i) (void)table.advance(record);
+  core::UpdateRecord withdrawal = record;
+  withdrawal.announcement = false;
+  (void)table.advance(withdrawal);
   std::ostringstream section;
   serialize::Writer w(section);
   serialize::write_stream_table(w, table.stream_states());
   EXPECT_EQ(as_bytes(section.str()),
-            cat({u64(1),                                       // one stream
-                 {0x00, 0x00, 0x00, 0x05, 'r', 'r', 'c', '0', '0'},
-                 {0x00, 0x00, 0xFD, 0xE9},                     // peer AS65001
-                 {0x04, 0x0A, 0x00, 0x00, 0x01},               // peer IP
-                 {0x04, 0x0A, 0x00, 0x00, 0x00, 0x08},         // 10.0.0.0/8
-                 {0x00, 0x00, 0x00, 0x01, 0x02,                // one sequence
-                  0x00, 0x00, 0x00, 0x02,                      // of two ASNs
-                  0x00, 0x00, 0xFD, 0xE9, 0x00, 0x00, 0xFD, 0xEA},
-                 {0x00, 0x00, 0x00, 0x01, 0xFD, 0xE9, 0x00, 0x01},  // comms
-                 {0x00},                                       // no MED
-                 u64(2)}));                                    // nn run
+            cat({u64(1),  // one stream
+                 session, prefix, path, comms,
+                 {0x00},    // no MED
+                 u64(2),    // nn run
+                 {0x01}}));  // withdrawn
+
+  // Tag 8: the nc inside the default withdraw phase (02:00 UTC) opens a
+  // run that is still in flight at save time.
+  const Timestamp phase = Timestamp::from_unix_seconds(1584237600);
+  record.time = phase;
+  changed.time = phase + Duration::seconds(1);
+  AnalysisDriver explorer;
+  (void)explorer.add(ExplorationPass{});
+  explorer.observe(record);
+  explorer.observe(changed);
+  std::ostringstream runs;
+  explorer.save_state(runs);
+  auto micros = [&](Timestamp t) {
+    return u64(static_cast<std::uint64_t>(t.unix_micros()));
+  };
+  EXPECT_EQ(as_bytes(runs.str()),
+            cat({{0x42, 0x47, 0x50, 0x43, 0x00, 0x04, 0x01},  // header v4
+                 {0x00, 0x01, 0x00, 0x08},                     // tag 8 only
+                 u64(117),                                     // blob length
+                 u64(1),                                       // one run
+                 session, prefix, path,                        // its event
+                 micros(changed.time), micros(changed.time),   // begin, end
+                 u64(1), u64(2),              // nc count, distinct
+                 u64(2), comms, changed_comms,  // attributes seen
+                 u64(0)}));                     // no completed events
 }
 
 TEST(SerializePrimitives, RoundtripAllTypes) {
@@ -187,6 +225,16 @@ TEST(SerializeHeader, BadMagicAndVersionThrow) {
     w.u32(serialize::kMagic);
     w.u16(1);  // the retired v1 layout (no cursor shard count): rejected
     w.u8(1);
+    std::istringstream in(out.str());
+    serialize::Reader r(in);
+    EXPECT_THROW((void)serialize::read_block_header(r), DecodeError);
+  }
+  {
+    std::ostringstream out;
+    serialize::Writer w(out);
+    w.u32(serialize::kMagic);
+    w.u16(3);  // the retired v3 layout (no withdrawn bit): rejected
+    w.u8(2);
     std::istringstream in(out.str());
     serialize::Reader r(in);
     EXPECT_THROW((void)serialize::read_block_header(r), DecodeError);
