@@ -413,7 +413,11 @@ void AnalysisDriver::restore_impl(std::istream& in,
   ensure_states();
   for (Shard& shard : shards_) {
     auto streams = serialize::read_stream_table(r);
-    if (shard.table) shard.table->restore(std::move(streams));
+    if (shard.table) {
+      shard.table->restore(std::move(streams));
+    } else if (!streams.empty()) {
+      throw DecodeError("restore: a stream table no registered pass reads");
+    }
     for (auto& state : shard.states) read_state_blob(r, *state);
   }
 }

@@ -426,6 +426,42 @@ TEST(CheckpointResume, TruncatedCheckpointThrowsDecodeError) {
   EXPECT_GT(rejected, 0u);
 }
 
+// A checkpoint whose table section holds streams, restored into a driver
+// whose passes read no stream events: no table owns those cursors, so
+// restore() refuses the file instead of dropping them silently. The same
+// bytes with an empty table section restore.
+TEST(CheckpointResume, OrphanStreamTableThrowsDecodeError) {
+  core::UpdateRecord record;
+  record.session =
+      core::SessionKey{"rrc00", Asn(65001), IpAddress::v4(10, 0, 0, 1)};
+  record.prefix = Prefix::from_string("10.0.0.0/8");
+  record.attrs.as_path = AsPath::sequence({Asn(65001), Asn(65002)});
+  core::Classifier table;
+  (void)table.advance(record);
+
+  auto checkpoint_with = [](const core::Classifier::StreamStates& streams) {
+    std::ostringstream out;
+    serialize::Writer w(out);
+    serialize::write_block_header(w, serialize::BlockKind::kCheckpoint);
+    w.u16(1);                         // one pass,
+    w.u16(TomographyPass::kStateTag);  // which reads no stream events
+    w.boolean(false);                 // no ingest cursor
+    w.u16(1);                         // one shard slot
+    serialize::write_stream_table(w, streams);
+    w.u64(8);  // the tomography blob: an empty AS list
+    w.u64(0);
+    return out.str();
+  };
+  auto restore = [](const std::string& bytes) {
+    AnalysisDriver driver;
+    (void)driver.add(TomographyPass{});
+    std::istringstream in(bytes);
+    driver.restore(in);
+  };
+  EXPECT_NO_THROW(restore(checkpoint_with({})));
+  EXPECT_THROW(restore(checkpoint_with(table.stream_states())), DecodeError);
+}
+
 TEST(CheckpointResume, SourceShorterThanCheckpointThrows) {
   Fixture fixture;
   auto run = fixture.start();
