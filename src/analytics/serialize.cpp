@@ -675,11 +675,7 @@ void write_ingest_checkpoint(Writer& w, const core::IngestCheckpoint& state) {
       w.i64(carry.second);
     }
   }
-  w.u64(state.cleaning.dropped_unallocated_asn);
-  w.u64(state.cleaning.dropped_unallocated_prefix);
-  w.u64(state.cleaning.route_server_paths_repaired);
-  w.u64(state.cleaning.timestamps_adjusted);
-  w.u64(state.cleaning.late_records);
+  for (auto counter : core::kCleaningCounters) w.u64(state.cleaning.*counter);
   w.u64(state.stats.files);
   w.u64(state.stats.chunks);
   w.u64(state.stats.raw_records);
@@ -724,12 +720,9 @@ core::IngestCheckpoint read_ingest_checkpoint(Reader& r) {
       shard.emplace(std::move(session), std::make_pair(second, spaced));
     }
   }
-  out.cleaning.dropped_unallocated_asn = static_cast<std::size_t>(r.u64());
-  out.cleaning.dropped_unallocated_prefix = static_cast<std::size_t>(r.u64());
-  out.cleaning.route_server_paths_repaired =
-      static_cast<std::size_t>(r.u64());
-  out.cleaning.timestamps_adjusted = static_cast<std::size_t>(r.u64());
-  out.cleaning.late_records = static_cast<std::size_t>(r.u64());
+  for (auto counter : core::kCleaningCounters) {
+    out.cleaning.*counter = static_cast<std::size_t>(r.u64());
+  }
   out.stats.files = static_cast<std::size_t>(r.u64());
   out.stats.chunks = static_cast<std::size_t>(r.u64());
   out.stats.raw_records = static_cast<std::size_t>(r.u64());

@@ -345,12 +345,13 @@ void gather_and_clean(std::vector<DecodedChunk>& decoded,
       options.shard_observer(s, shards[s]);
     }
   });
-  for (const CleaningReport& r : reports) {
-    report.dropped_unallocated_asn += r.dropped_unallocated_asn;
-    report.dropped_unallocated_prefix += r.dropped_unallocated_prefix;
-    report.route_server_paths_repaired += r.route_server_paths_repaired;
-    report.timestamps_adjusted += r.timestamps_adjusted;
-    report.late_records += r.late_records;
+  static_assert(std::size(kCleaningCounters) ==
+                obs::PipelineMetrics::kCleaningFields);
+  for (std::size_t f = 0; f < std::size(kCleaningCounters); ++f) {
+    std::size_t window = 0;
+    for (const CleaningReport& r : reports) window += r.*kCleaningCounters[f];
+    report.*kCleaningCounters[f] += window;
+    metrics.cleaning_records[f]->inc(window);
   }
 }
 

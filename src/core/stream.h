@@ -134,6 +134,14 @@ struct CleaningReport {
   std::size_t late_records = 0;
 };
 
+/// Every CleaningReport counter in declaration order: the order of the
+/// kIngestCursor cleaning counters and of the obs cleaning_records series.
+inline constexpr std::size_t CleaningReport::*kCleaningCounters[] = {
+    &CleaningReport::dropped_unallocated_asn,
+    &CleaningReport::dropped_unallocated_prefix,
+    &CleaningReport::route_server_paths_repaired,
+    &CleaningReport::timestamps_adjusted, &CleaningReport::late_records};
+
 /// Applies the cleaning pipeline in place.
 CleaningReport clean(UpdateStream& stream, const CleaningOptions& options);
 

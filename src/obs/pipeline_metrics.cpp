@@ -9,6 +9,10 @@ namespace {
 constexpr const char* kCodecNames[PipelineMetrics::kCodecs] = {"none", "gzip",
                                                                "bzip2"};
 
+constexpr const char* kCleaningFieldNames[PipelineMetrics::kCleaningFields] =
+    {"dropped_unallocated_asn", "dropped_unallocated_prefix",
+     "route_server_paths_repaired", "timestamps_adjusted", "late_records"};
+
 constexpr const char* kIngestStageHelp =
     "Wall time per ingest pipeline stage, seconds";
 constexpr const char* kAnalysisStageHelp =
@@ -64,6 +68,12 @@ PipelineMetrics build() {
   m.ingest_decode_in_flight =
       &r.gauge("bgpcc_ingest_decode_in_flight",
                "Decode chunk groups currently queued or running");
+  for (std::size_t f = 0; f < PipelineMetrics::kCleaningFields; ++f) {
+    m.cleaning_records[f] = &r.counter(
+        "bgpcc_cleaning_records_total",
+        "Records the §4 cleaning dropped, repaired, re-timed or found late",
+        {{"field", kCleaningFieldNames[f]}});
+  }
 
   m.pool_tasks =
       &r.counter("bgpcc_pool_tasks_total", "Worker pool tasks executed");

@@ -82,6 +82,12 @@ struct PipelineMetrics {
   /// bgpcc_ingest_decode_in_flight: decode chunk groups currently
   /// queued or running (bounded queue occupancy).
   Gauge* ingest_decode_in_flight;
+  /// Number of core::CleaningReport counters.
+  static constexpr std::size_t kCleaningFields = 5;
+  /// bgpcc_cleaning_records_total{field}: the §4 CleaningReport counters
+  /// in core::kCleaningCounters order (field = the member's name), added
+  /// once per window.
+  Counter* cleaning_records[kCleaningFields];
 
   /// bgpcc_pool_tasks_total: tasks executed by the worker pool
   /// (workers and helping waiters combined).

@@ -283,6 +283,55 @@ TEST(ObsPipelineMetrics, EveryInstrumentIsRegisteredEagerly) {
   }
 }
 
+// The cleaning family adds each CleaningReport field once per window, so
+// over a run it moves by exactly IngestResult::cleaning. The input has
+// one late record: a second-granularity session whose second goes back
+// across a window cut (every record is its own window here).
+TEST(ObsPipelineMetrics, CleaningCountersMatchTheCleaningReport) {
+  std::ostringstream archive;
+  mrt::Writer writer(archive);
+  const IpAddress peer = IpAddress::from_string("10.0.0.1");
+  const UpdateMessage update =
+      core::goldenfix::announce({"10.1.0.0/16"}, {65001, 65100});
+  // Second 100 twice (the second is spaced: adjusted), then second 99.
+  for (std::int64_t second : {1600000100, 1600000100, 1600000099}) {
+    core::goldenfix::write_update(writer, Timestamp::from_unix_seconds(second),
+                                  Asn(65001), peer, update,
+                                  /*extended_time=*/false);
+  }
+
+  const PipelineMetrics& m = pipeline_metrics();
+  std::uint64_t before[PipelineMetrics::kCleaningFields];
+  for (std::size_t f = 0; f < PipelineMetrics::kCleaningFields; ++f) {
+    before[f] = m.cleaning_records[f]->value();
+  }
+  core::CleaningOptions cleaning;
+  core::IngestOptions opt;
+  opt.num_threads = 1;
+  opt.chunk_records = 1;
+  opt.window_records = 1;
+  opt.cleaning = &cleaning;
+  core::StreamingIngestor engine(opt);
+  std::istringstream in(archive.str());
+  engine.add_stream("rrc00", in);
+  const core::CleaningReport report = engine.finish().cleaning;
+  ASSERT_EQ(report.late_records, 1u);
+  ASSERT_EQ(report.timestamps_adjusted, 1u);
+
+  const std::size_t expected[] = {
+      report.dropped_unallocated_asn, report.dropped_unallocated_prefix,
+      report.route_server_paths_repaired, report.timestamps_adjusted,
+      report.late_records};
+  for (std::size_t f = 0; f < PipelineMetrics::kCleaningFields; ++f) {
+    EXPECT_EQ(m.cleaning_records[f]->value() - before[f], expected[f]) << f;
+  }
+  std::ostringstream text;
+  render_prometheus(text);
+  EXPECT_NE(
+      text.str().find("bgpcc_cleaning_records_total{field=\"late_records\"}"),
+      std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // The differential contract: metrics never perturb analysis output.
 
