@@ -175,15 +175,16 @@ AnomalyPass::Report AnomalyPass::State::report() const {
 void ExplorationPass::State::observe(const core::UpdateRecord& record,
                                      const core::StreamEvent& event) {
   using core::AnnouncementType;
-  // Only same-path announcements (nc or nn) inside a withdraw phase, with
-  // no withdrawal since the last one, continue the stream's run.
-  const bool same_path = event.type && !event.after_withdrawal &&
-                         (*event.type == AnnouncementType::kNc ||
-                          *event.type == AnnouncementType::kNn);
+  // A first sighting or the first announcement after a withdrawal has no
+  // run on its stream (the withdrawal closed it) and opens none.
+  if (!event.withdrawal && (!event.type || event.after_withdrawal)) return;
+  // Same-path announcements (nc or nn) inside a withdraw phase continue
+  // the stream's run; anything else closes it.
+  const bool same_path = event.type == AnnouncementType::kNc ||
+                         event.type == AnnouncementType::kNn;
   if (!same_path || schedule_.label(record.time) !=
                         core::BeaconSchedule::Phase::kWithdraw) {
-    if (runs_.empty()) return;
-    auto it = runs_.find(std::make_pair(record.session, record.prefix));
+    auto it = runs_.find(std::make_pair(record.prefix, record.session));
     if (it == runs_.end()) return;
     if (it->second.event.nc_count >= kMinNc) {
       events_.push_back(std::move(it->second.event));
@@ -193,7 +194,7 @@ void ExplorationPass::State::observe(const core::UpdateRecord& record,
   }
   if (*event.type == AnnouncementType::kNn) return;
   auto [it, opened] =
-      runs_.try_emplace(std::make_pair(record.session, record.prefix));
+      runs_.try_emplace(std::make_pair(record.prefix, record.session));
   Run& run = it->second;
   if (opened) {
     run.event.session = record.session;

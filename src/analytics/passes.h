@@ -4,9 +4,7 @@
 // attribution the §5 "manual check" calls for. Every pass honors the
 // Pass contract (pass.h): state depends only on the record multiset and
 // per-session order, so inline-parallel and materialized execution
-// report identically. Five passes read the driver's stream table
-// (observe(record, event)): the classifier, per-session types, duplicate
-// burst, anomaly and exploration passes.
+// report identically. Five of them take the stream table's §5 events.
 //
 // All nine States also honor the snapshot contract (pass.h): every
 // member is value-semantic (std::map / set / unordered_set / vector /
@@ -550,7 +548,8 @@ class ExplorationPass {
     /// A run is reported once it holds at least this many nc.
     static constexpr int kMinNc = 2;
     core::BeaconSchedule schedule_;
-    std::map<std::pair<core::SessionKey, Prefix>, Run> runs_;
+    /// Prefix first: lookups mostly miss, and prefixes compare cheaply.
+    std::map<std::pair<Prefix, core::SessionKey>, Run> runs_;
     std::vector<core::ExplorationEvent> events_;
   };
 

@@ -565,7 +565,7 @@ void ExplorationPass::State::load(serialize::Reader& reader) {
     for (std::uint64_t a = 0; a < attr_count; ++a) {
       run.attributes.insert(read_communities(reader));
     }
-    auto key = std::make_pair(run.event.session, run.event.prefix);
+    auto key = std::make_pair(run.event.prefix, run.event.session);
     runs_.emplace(std::move(key), std::move(run));
   }
   std::uint64_t event_count = reader.u64();

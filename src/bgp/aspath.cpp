@@ -157,8 +157,8 @@ std::vector<Asn> AsPath::dedup_sequence() const {
 }
 
 bool AsPath::prepending_only_change_from(const AsPath& other) const {
-  if (*this == other) return false;
-  return same_as_set(other) && dedup_sequence() == other.dedup_sequence();
+  // Equal de-duplicated sequences already mean equal AS sets.
+  return *this != other && dedup_sequence() == other.dedup_sequence();
 }
 
 std::string AsPath::to_string() const {
