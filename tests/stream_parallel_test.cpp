@@ -7,6 +7,7 @@
 
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bgp/codec.h"
@@ -14,9 +15,12 @@
 #include "core/ingest.h"
 #include "core/registry.h"
 #include "core/stream.h"
+#include "log_reference.h"
 #include "mrt/mrt.h"
 #include "netbase/error.h"
 #include "sim/collector.h"
+#include "synth/beacon_internet.h"
+#include "synth/labtopo.h"
 
 namespace bgpcc::core {
 namespace {
@@ -326,6 +330,58 @@ TEST(ParallelIngest, SubSecondReorderEdgeCases) {
   }
 }
 
+// Each collector's log written as in-memory BGP4MP_ET bytes and ingested
+// as one multi-source MRT run, in collector order.
+IngestResult ingest_as_mrt(
+    const std::vector<const sim::RouteCollector*>& collectors,
+    const IngestOptions& options) {
+  std::vector<std::istringstream> archives;
+  archives.reserve(collectors.size());
+  std::vector<MrtSource> sources;
+  for (const sim::RouteCollector* collector : collectors) {
+    std::ostringstream out;
+    collector->write_mrt(out);
+    archives.emplace_back(out.str());
+    sources.push_back(MrtSource{collector->name(), &archives.back()});
+  }
+  return ingest_mrt_sources(sources, options);
+}
+
+// Simulated logs reach the passes record for record as the reference
+// explodes them, with one raw record and one UPDATE per recorded message,
+// at 1 and 4 threads.
+void expect_logs_match_reference(
+    const std::vector<const sim::RouteCollector*>& collectors,
+    std::size_t chunk_records) {
+  UpdateStream reference = test::explode_logs(collectors);
+  std::size_t messages = 0;
+  for (const sim::RouteCollector* collector : collectors) {
+    messages += collector->message_count();
+  }
+  ASSERT_GT(messages, 0u);
+  auto expect_equal = [&](const IngestResult& result) {
+    ASSERT_EQ(result.stream.size(), reference.size());
+    EXPECT_TRUE(result.stream.records() == reference.records());
+    EXPECT_EQ(result.stats.raw_records, messages);
+    EXPECT_EQ(result.stats.update_messages, messages);
+    EXPECT_EQ(result.stats.files, collectors.size());
+  };
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    IngestOptions options;
+    options.num_threads = threads;
+    options.chunk_records = chunk_records;
+    {
+      SCOPED_TRACE("ingest_collectors");
+      expect_equal(ingest_collectors(collectors, options));
+    }
+    {
+      SCOPED_TRACE("MRT bytes");
+      expect_equal(ingest_as_mrt(collectors, options));
+    }
+  }
+}
+
 TEST(ParallelIngest, CollectorIngestMatchesLegacy) {
   sim::RouteCollector collector("rrc00", Asn(64512),
                                 IpAddress::from_string("203.0.113.1"));
@@ -339,25 +395,68 @@ TEST(ParallelIngest, CollectorIngestMatchesLegacy) {
                                 : announce({"10.1.0.0/16", "10.2.0.0/16"},
                                            {65001u + session, 65100}));
   }
+  expect_logs_match_reference({&collector}, 16);
+}
 
-  // Legacy path: the recorded messages exploded in arrival order, then
-  // a stable time sort — no ingestion engine.
-  UpdateStream legacy;
-  for (const sim::RecordedMessage& message : collector.messages()) {
-    legacy.add_message(collector.name(), message.peer_asn, message.peer_address,
-                       message.time, message.update);
-  }
-  legacy.sort_by_time();
-
-  for (unsigned threads : {1u, 4u}) {
-    IngestOptions options;
-    options.num_threads = threads;
-    options.chunk_records = 16;
-    IngestResult result = ingest_collector(collector, options);
-    EXPECT_TRUE(legacy.records() == result.stream.records());
-    EXPECT_EQ(result.stats.update_messages, 200u);
+// The collector C1 of every lab experiment (§3), per routing software.
+TEST(ParallelIngest, LabCollectorsMatchLegacy) {
+  for (synth::LabScenario scenario :
+       {synth::LabScenario::kExp1NoCommunities,
+        synth::LabScenario::kExp2GeoTagging,
+        synth::LabScenario::kExp3EgressCleaning,
+        synth::LabScenario::kExp4IngressCleaning}) {
+    for (const VendorProfile& vendor :
+         {VendorProfile::cisco_ios(), VendorProfile::junos(),
+          VendorProfile::bird()}) {
+      SCOPED_TRACE(std::string(synth::label(scenario)) + "/" + vendor.name);
+      synth::LabConfig config;
+      config.scenario = scenario;
+      config.vendor = vendor;
+      config.restore_link = true;
+      synth::LabExperiment experiment(config);
+      (void)experiment.run();
+      expect_logs_match_reference({&experiment.network().collector("C1")},
+                                  4);
+    }
   }
 }
+
+// The beacon days the figure drivers and examples simulate.
+struct BeaconDayShape {
+  const char* name;
+  int peers_per_collector;
+  int collector_count;
+  int beacon_count;
+};
+
+class BeaconLogIngest : public ::testing::TestWithParam<BeaconDayShape> {};
+
+TEST_P(BeaconLogIngest, MatchesLegacy) {
+  const BeaconDayShape& shape = GetParam();
+  synth::BeaconOptions options;
+  options.transit_ingresses = 6;
+  options.peers_per_collector = shape.peers_per_collector;
+  options.collector_count = shape.collector_count;
+  options.beacon_count = shape.beacon_count;
+  synth::BeaconInternet internet(options);
+  internet.run_day();
+  std::vector<const sim::RouteCollector*> collectors;
+  for (const std::string& name : internet.collector_names()) {
+    collectors.push_back(&internet.network().collector(name));
+  }
+  expect_logs_match_reference(collectors, 1024);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Days, BeaconLogIngest,
+    ::testing::Values(BeaconDayShape{"fig3_sessions", 18, 1, 3},
+                      BeaconDayShape{"fig4_community_exploration", 15, 1, 3},
+                      BeaconDayShape{"table2_types", 15, 3, 5},
+                      BeaconDayShape{"beacon_study", 12, 2, 3},
+                      BeaconDayShape{"community_audit", 15, 2, 4}),
+    [](const ::testing::TestParamInfo<BeaconDayShape>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(ParallelIngest, StatsAreDeterministic) {
   std::string archive = synthetic_archive(10);
