@@ -12,6 +12,7 @@
 #include "analytics/passes.h"
 #include "core/tables.h"
 #include "synth/beacon_internet.h"
+#include "synth/ingest.h"
 
 using namespace bgpcc;
 
@@ -31,8 +32,7 @@ int main() {
   core::IngestOptions ingest;
   ingest.num_threads = 0;  // hardware concurrency
   driver.attach(ingest);
-  (void)core::ingest_collector(internet.network().collector("rrc00"),
-                               ingest);
+  (void)synth::ingest({&internet.network().collector("rrc00")}, ingest);
   auto per_session = driver.report(handle);
 
   std::printf("beacon prefix %s, %zu sessions\n\n",

@@ -2,19 +2,20 @@
 //   *d_mar20  (macro generator, one scaled day)
 //   d_beacon  (event-driven beacon internet, one simulated day)
 //
-// The d_beacon column runs on the analytics engine: ClassifierPass
-// observes inline on the ingestion shard threads (analyze_collectors),
-// one traversal, no materialized intermediate stream walks.
+// The d_beacon column runs on the analytics engine: the collectors' logs
+// go through the MRT engine (synth::ingest) and ClassifierPass observes
+// inline on the ingestion shard threads, one traversal, no materialized
+// intermediate stream walks.
 //
 // Usage: table2_types [volume_scale_denom]
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 #include "analytics/driver.h"
 #include "analytics/passes.h"
 #include "core/tables.h"
 #include "synth/beacon_internet.h"
+#include "synth/ingest.h"
 #include "synth/macrogen.h"
 
 using namespace bgpcc;
@@ -47,13 +48,10 @@ int main(int argc, char** argv) {
 
   analytics::AnalysisDriver driver;
   auto types = driver.add(analytics::ClassifierPass{});
-  std::vector<const sim::RouteCollector*> collectors;
-  for (const std::string& name : internet.collector_names()) {
-    collectors.push_back(&internet.network().collector(name));
-  }
   core::IngestOptions ingest;
   ingest.num_threads = 0;  // hardware concurrency
-  (void)analytics::analyze_collectors(driver, collectors, ingest);
+  driver.attach(ingest);
+  (void)synth::ingest(internet.collectors(), ingest);
   core::TypeCounts beacon = driver.report(types).counts;
 
   core::TextTable table({"type", "observed changes", "*d_mar20 paper",

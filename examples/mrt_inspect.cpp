@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/classifier.h"
+#include "core/ingest.h"
 #include "core/tables.h"
 #include "netbase/error.h"
 
@@ -24,7 +25,7 @@ int main(int argc, char** argv) {
 
   core::UpdateStream stream;
   try {
-    stream = core::UpdateStream::from_mrt_file("mrt", argv[1]);
+    stream = core::ingest_mrt_file("mrt", argv[1]).stream;
   } catch (const DecodeError& e) {
     std::fprintf(stderr, "decode error: %s\n", e.what());
     return 1;

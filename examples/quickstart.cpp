@@ -10,6 +10,7 @@
 
 #include "core/classifier.h"
 #include "sim/network.h"
+#include "synth/ingest.h"
 
 using namespace bgpcc;
 
@@ -45,8 +46,7 @@ int main() {
   net.run();
 
   // Analyze the collector's view.
-  core::UpdateStream stream =
-      core::UpdateStream::from_collector(net.collector("rrc00"));
+  core::UpdateStream stream = synth::ingest({&net.collector("rrc00")}).stream;
   std::printf("collector heard %zu update records\n", stream.size());
   core::Classifier classifier;
   for (const core::UpdateRecord& record : stream.records()) {

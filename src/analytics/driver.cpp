@@ -422,20 +422,4 @@ void AnalysisDriver::restore_impl(std::istream& in,
   }
 }
 
-core::IngestResult analyze_mrt_files(
-    AnalysisDriver& driver,
-    const std::map<std::string, std::vector<std::string>>& archives,
-    core::IngestOptions options) {
-  driver.attach(options);
-  return core::ingest_mrt_files(archives, options);
-}
-
-core::IngestResult analyze_collectors(
-    AnalysisDriver& driver,
-    const std::vector<const sim::RouteCollector*>& collectors,
-    core::IngestOptions options) {
-  driver.attach(options);
-  return core::ingest_collectors(collectors, options);
-}
-
 }  // namespace bgpcc::analytics

@@ -300,20 +300,4 @@ class AnalysisDriver {
   bool finalized_ = false;
 };
 
-/// One-call inline analysis over archive files: attaches `driver` to a
-/// copy of `options`, ingests every archive through the parallel engine
-/// (passes observe on the shard threads), and returns the IngestResult —
-/// stream included, so callers needing both the records and the reports
-/// still traverse the input once.
-[[nodiscard]] core::IngestResult analyze_mrt_files(
-    AnalysisDriver& driver,
-    const std::map<std::string, std::vector<std::string>>& archives,
-    core::IngestOptions options = {});
-
-/// Same, over simulated collectors (the in-simulator workload).
-[[nodiscard]] core::IngestResult analyze_collectors(
-    AnalysisDriver& driver,
-    const std::vector<const sim::RouteCollector*>& collectors,
-    core::IngestOptions options = {});
-
 }  // namespace bgpcc::analytics

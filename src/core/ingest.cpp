@@ -1491,82 +1491,4 @@ IngestResult ingest_mrt_files(const std::string& collector,
   return ingest_mrt_files({{collector, paths}}, options);
 }
 
-IngestResult ingest_collectors(
-    const std::vector<const sim::RouteCollector*>& collectors,
-    const IngestOptions& options) {
-  if (collectors.size() >= kMaxFilesPerRun) {
-    throw ConfigError("ingest_collectors: more than 2^16 collectors");
-  }
-  unsigned threads = resolve_threads(options.num_threads);
-  std::size_t chunk_records = resolve_chunk_records(options);
-  std::size_t shard_count = resolve_shard_count(options);
-  // One pool for decode + clean + merge (instead of three spawn/join
-  // rounds); the caller participates, so threads-1 workers.
-  std::optional<WorkerPool> pool_storage;
-  if (threads > 1) pool_storage.emplace(threads - 1);
-  WorkerPool* pool = pool_storage ? &*pool_storage : nullptr;
-
-  IngestResult result;
-  result.stats.files = collectors.size();
-
-  // Recorded messages are already in memory, so the job list is known
-  // upfront: one (collector, chunk) pair per batch, dispatched straight to
-  // the pool — no framer stage, no queue, and no windowing (there is no
-  // archive to bound memory against).
-  struct Job {
-    std::uint32_t file;
-    std::uint32_t chunk;
-    std::size_t begin;
-    std::size_t end;
-  };
-  std::vector<Job> jobs;
-  for (std::size_t c = 0; c < collectors.size(); ++c) {
-    if (collectors[c] == nullptr) {
-      throw ConfigError("ingest_collectors: null collector");
-    }
-    std::size_t count = collectors[c]->messages().size();
-    result.stats.raw_records += count;
-    std::size_t chunks = (count + chunk_records - 1) / chunk_records;
-    if (chunks >= kMaxChunksPerFile) {
-      throw ConfigError("ingest_collectors: collector log frames past 2^24 "
-                        "chunks (raise IngestOptions::chunk_records)");
-    }
-    for (std::size_t k = 0; k < chunks; ++k) {
-      jobs.push_back(Job{static_cast<std::uint32_t>(c),
-                         static_cast<std::uint32_t>(k), k * chunk_records,
-                         std::min(count, (k + 1) * chunk_records)});
-    }
-  }
-
-  std::vector<DecodedChunk> decoded(jobs.size());
-  run_parallel(pool, jobs.size(), [&](std::size_t j) {
-    const Job& job = jobs[j];
-    const sim::RouteCollector& collector = *collectors[job.file];
-    const std::vector<sim::RecordedMessage>& messages = collector.messages();
-    DecodedChunk out(shard_count);
-    out.file = job.file;
-    out.chunk = job.chunk;
-    std::uint64_t base = seq_base(job.file, job.chunk);
-    std::uint64_t local = 0;
-    std::vector<UpdateRecord> scratch;
-    for (std::size_t m = job.begin; m < job.end; ++m) {
-      const sim::RecordedMessage& rec = messages[m];
-      ++out.update_messages;
-      append_update_records(collector.name(), rec.peer_asn, rec.peer_address,
-                            rec.time, rec.update, scratch);
-      bucket_records(scratch, base, local, out);
-    }
-    decoded[j] = std::move(out);
-  });
-
-  sort_decoded(decoded);
-  finish_engine(decoded, options, pool, threads, shard_count, result);
-  return result;
-}
-
-IngestResult ingest_collector(const sim::RouteCollector& collector,
-                              const IngestOptions& options) {
-  return ingest_collectors({&collector}, options);
-}
-
 }  // namespace bgpcc::core

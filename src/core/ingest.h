@@ -1,7 +1,8 @@
 // Pipelined, parallel, sharded ingestion: the hot path that turns raw
-// collector output (MRT archive directories or simulated collectors) into
-// the cleaned, chronologically ordered UpdateStream every analysis layer
-// consumes.
+// collector output (MRT archives, on disk or in memory) into the cleaned,
+// chronologically ordered UpdateStream every analysis layer consumes.
+// Simulated collectors arrive the same way: synth::ingest (synth/ingest.h)
+// writes their logs as MRT bytes, so core never sees a simulator type.
 //
 // Pipeline (every stage runs on one persistent core::WorkerPool, created
 // with the engine and reused across windows and poll()/finish() calls —
@@ -59,7 +60,6 @@
 
 #include "core/cleaning.h"
 #include "core/stream.h"
-#include "sim/collector.h"
 
 namespace bgpcc::core {
 
@@ -348,18 +348,6 @@ struct MrtSource {
 /// Convenience: one collector, many files.
 [[nodiscard]] IngestResult ingest_mrt_files(
     const std::string& collector, const std::vector<std::string>& paths,
-    const IngestOptions& options = {});
-
-/// Ingests everything a simulated collector recorded.
-[[nodiscard]] IngestResult ingest_collector(
-    const sim::RouteCollector& collector, const IngestOptions& options = {});
-
-/// Ingests several simulated collectors into one shared shard set — the
-/// in-simulator equivalent of multi-collector archive ingestion. Collector
-/// order defines the arrival-sequence bases (and so the deterministic
-/// interleaving of equal timestamps).
-[[nodiscard]] IngestResult ingest_collectors(
-    const std::vector<const sim::RouteCollector*>& collectors,
     const IngestOptions& options = {});
 
 }  // namespace bgpcc::core

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/cleaning.h"
-#include "core/ingest.h"
 
 namespace bgpcc::core {
 
@@ -61,17 +60,6 @@ void UpdateStream::add_message(const std::string& collector, Asn peer_asn,
                                const UpdateMessage& update) {
   append_update_records(collector, peer_asn, peer_address, time, update,
                         records_);
-}
-
-// One thread, no cleaning: the engine's default configuration.
-UpdateStream UpdateStream::from_collector(
-    const sim::RouteCollector& collector) {
-  return ingest_collector(collector).stream;
-}
-
-UpdateStream UpdateStream::from_mrt_file(const std::string& collector,
-                                         const std::string& path) {
-  return ingest_mrt_file(collector, path).stream;
 }
 
 void UpdateStream::merge(const UpdateStream& other) {

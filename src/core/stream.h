@@ -1,5 +1,5 @@
 // Normalized update streams: the unit of the paper's measurement study.
-// Raw collector output (simulated or MRT files) is exploded into
+// Raw collector output (MRT archives) is exploded into
 // per-prefix records, grouped by BGP session, then cleaned exactly as
 // §4 describes: unallocated-resource filtering, route-server AS-path
 // repair, and sub-second ordering for second-granularity collectors.
@@ -15,7 +15,6 @@
 
 #include "bgp/message.h"
 #include "core/registry.h"
-#include "sim/collector.h"
 
 namespace bgpcc::core {
 
@@ -55,8 +54,9 @@ struct UpdateRecord {
   friend auto operator<=>(const UpdateRecord&, const UpdateRecord&) = default;
 };
 
-/// A chronologically ordered collection of UpdateRecords, with builders
-/// from simulator collectors and from MRT files.
+/// A chronologically ordered collection of UpdateRecords. The ingestion
+/// engine (core/ingest.h) builds one from MRT archives; add_message
+/// explodes single UPDATEs without it.
 class UpdateStream {
  public:
   UpdateStream() = default;
@@ -67,17 +67,6 @@ class UpdateStream {
   void add_message(const std::string& collector, Asn peer_asn,
                    const IpAddress& peer_address, Timestamp time,
                    const UpdateMessage& update);
-
-  /// Ingests everything a simulated collector recorded, uncleaned and
-  /// sorted by (timestamp, arrival order).
-  [[nodiscard]] static UpdateStream from_collector(
-      const sim::RouteCollector& collector);
-
-  /// Parses an MRT file (BGP4MP messages) into a stream, uncleaned and
-  /// sorted by (timestamp, arrival order). `collector` names the file's
-  /// origin for the session keys.
-  [[nodiscard]] static UpdateStream from_mrt_file(const std::string& collector,
-                                                  const std::string& path);
 
   /// Appends all records of another stream (e.g. merging collectors).
   void merge(const UpdateStream& other);

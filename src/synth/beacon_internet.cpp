@@ -2,6 +2,8 @@
 
 #include <random>
 
+#include "synth/ingest.h"
+
 namespace bgpcc::synth {
 namespace {
 
@@ -240,18 +242,21 @@ void BeaconInternet::run_day(const core::BeaconSchedule& schedule) {
 }
 
 core::UpdateStream BeaconInternet::stream() const {
-  core::UpdateStream merged;
-  for (const std::string& name : collector_names()) {
-    merged.merge(collector_stream(name));
-  }
-  merged.sort_by_time();
-  return merged;
+  return ingest(collectors()).stream;
 }
 
 core::UpdateStream BeaconInternet::collector_stream(
     const std::string& name) const {
-  return core::UpdateStream::from_collector(
-      const_cast<BeaconInternet*>(this)->network_.collector(name));
+  return ingest({&const_cast<BeaconInternet*>(this)->network_.collector(name)})
+      .stream;
+}
+
+std::vector<const sim::RouteCollector*> BeaconInternet::collectors() const {
+  std::vector<const sim::RouteCollector*> out;
+  for (const std::string& name : collector_names()) {
+    out.push_back(&const_cast<BeaconInternet*>(this)->network_.collector(name));
+  }
+  return out;
 }
 
 std::vector<std::string> BeaconInternet::collector_names() const {

@@ -91,11 +91,15 @@ class BeaconInternet {
   /// Runs one day on the given schedule (events beyond day end drain).
   void run_day(const core::BeaconSchedule& schedule = {});
 
-  /// Merged, time-sorted stream of every collector.
+  /// Every collector's log, uncleaned, through one multi-source ingest
+  /// (synth::ingest) in collector_names() order: time-sorted, equal
+  /// timestamps in collector then arrival order.
   [[nodiscard]] core::UpdateStream stream() const;
-  /// Stream of a single collector.
+  /// Stream of a single collector, the same way.
   [[nodiscard]] core::UpdateStream collector_stream(
       const std::string& name) const;
+  /// The collectors in collector_names() order, ready for synth::ingest.
+  [[nodiscard]] std::vector<const sim::RouteCollector*> collectors() const;
 
   [[nodiscard]] const std::vector<Prefix>& beacons() const { return beacons_; }
   [[nodiscard]] const std::vector<PeerInfo>& peers() const { return peers_; }

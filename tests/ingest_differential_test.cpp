@@ -373,55 +373,5 @@ TEST(IngestDifferential, RotatedFilesMatchSingleArchive) {
   }
 }
 
-// The in-simulator multi-collector path: ingest_collectors over several
-// RouteCollectors equals ingesting their merged archives.
-TEST(IngestDifferential, CollectorsMatchArchives) {
-  std::vector<sim::RouteCollector> collectors;
-  collectors.emplace_back("rrc00", Asn(64512),
-                          IpAddress::from_string("203.0.113.1"));
-  collectors.emplace_back("rrc01", Asn(64513),
-                          IpAddress::from_string("203.0.113.2"));
-  Timestamp base = Timestamp::from_unix_seconds(1600000000);
-  for (int i = 0; i < 120; ++i) {
-    UpdateMessage update;
-    update.announced.push_back(
-        Prefix(IpAddress::v4(0x0a000000u +
-                             (static_cast<std::uint32_t>(i % 64) << 12)),
-               20));
-    PathAttributes attrs;
-    attrs.as_path = AsPath::sequence(
-        {65001u + static_cast<std::uint32_t>(i % 3), 65100});
-    attrs.next_hop = IpAddress::from_string("192.0.2.1");
-    update.attrs = std::move(attrs);
-    collectors[static_cast<std::size_t>(i % 2)].record(
-        base + Duration::millis(i * 5), static_cast<std::uint32_t>(i % 3),
-        Asn(65001u + static_cast<std::uint32_t>(i % 3)),
-        IpAddress::v4(0x0a000001u + static_cast<std::uint32_t>(i % 3)), update);
-  }
-
-  std::ostringstream archive_a;
-  std::ostringstream archive_b;
-  collectors[0].write_mrt(archive_a);
-  collectors[1].write_mrt(archive_b);
-
-  IngestOptions options;
-  options.num_threads = 1;
-  options.chunk_records = 16;
-  std::istringstream in_a(archive_a.str());
-  std::istringstream in_b(archive_b.str());
-  IngestResult from_archives = ingest_mrt_sources(
-      {MrtSource{"rrc00", &in_a}, MrtSource{"rrc01", &in_b}}, options);
-
-  for (unsigned threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    IngestOptions parallel = options;
-    parallel.num_threads = threads;
-    IngestResult direct =
-        ingest_collectors({&collectors[0], &collectors[1]}, parallel);
-    expect_identical(from_archives, direct);
-    EXPECT_EQ(direct.stats.files, 2u);
-  }
-}
-
 }  // namespace
 }  // namespace bgpcc::core

@@ -9,6 +9,7 @@
 #include "core/ingest.h"
 #include "log_reference.h"
 #include "run_pass.h"
+#include "synth/ingest.h"
 #include "synth/labtopo.h"
 
 namespace bgpcc {
@@ -58,7 +59,7 @@ TEST(Integration, SecondGranularityMrtNeedsCleaning) {
   sim::RouteCollector& collector = experiment.network().collector("C1");
   std::string path = ::testing::TempDir() + "/bgpcc_integration_1s.mrt";
   collector.write_mrt(path, /*extended_time=*/false);
-  core::UpdateStream stream = core::UpdateStream::from_mrt_file("C1", path);
+  core::UpdateStream stream = core::ingest_mrt_file("C1", path).stream;
   std::remove(path.c_str());
 
   // All records collapse onto whole seconds...
@@ -88,8 +89,8 @@ TEST(Integration, LabExp2ClassifiesAsNcAtCollector) {
   synth::LabExperiment experiment(config);
   (void)experiment.run();
 
-  core::UpdateStream stream = core::UpdateStream::from_collector(
-      experiment.network().collector("C1"));
+  core::UpdateStream stream =
+      synth::ingest({&experiment.network().collector("C1")}).stream;
   core::TypeCounts counts =
       test::run_pass(analytics::ClassifierPass{}, stream).counts;
   // Two flap transitions, each a community-only change at the collector.
@@ -106,8 +107,8 @@ TEST(Integration, LabExp3ClassifiesAsNnAtCollector) {
   synth::LabExperiment experiment(config);
   (void)experiment.run();
 
-  core::UpdateStream stream = core::UpdateStream::from_collector(
-      experiment.network().collector("C1"));
+  core::UpdateStream stream =
+      synth::ingest({&experiment.network().collector("C1")}).stream;
   core::TypeCounts counts =
       test::run_pass(analytics::ClassifierPass{}, stream).counts;
   EXPECT_EQ(counts.count(core::AnnouncementType::kNn), 2u);

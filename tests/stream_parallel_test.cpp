@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "netbase/error.h"
 #include "sim/collector.h"
 #include "synth/beacon_internet.h"
+#include "synth/ingest.h"
 #include "synth/labtopo.h"
 
 namespace bgpcc::core {
@@ -330,24 +332,8 @@ TEST(ParallelIngest, SubSecondReorderEdgeCases) {
   }
 }
 
-// Each collector's log written as in-memory BGP4MP_ET bytes and ingested
-// as one multi-source MRT run, in collector order.
-IngestResult ingest_as_mrt(
-    const std::vector<const sim::RouteCollector*>& collectors,
-    const IngestOptions& options) {
-  std::vector<std::istringstream> archives;
-  archives.reserve(collectors.size());
-  std::vector<MrtSource> sources;
-  for (const sim::RouteCollector* collector : collectors) {
-    std::ostringstream out;
-    collector->write_mrt(out);
-    archives.emplace_back(out.str());
-    sources.push_back(MrtSource{collector->name(), &archives.back()});
-  }
-  return ingest_mrt_sources(sources, options);
-}
-
-// Simulated logs reach the passes record for record as the reference
+// Simulated logs, written as MRT bytes and ingested by the engine
+// (synth::ingest), reach the passes record for record as the reference
 // explodes them, with one raw record and one UPDATE per recorded message,
 // at 1 and 4 threads.
 void expect_logs_match_reference(
@@ -371,14 +357,7 @@ void expect_logs_match_reference(
     IngestOptions options;
     options.num_threads = threads;
     options.chunk_records = chunk_records;
-    {
-      SCOPED_TRACE("ingest_collectors");
-      expect_equal(ingest_collectors(collectors, options));
-    }
-    {
-      SCOPED_TRACE("MRT bytes");
-      expect_equal(ingest_as_mrt(collectors, options));
-    }
+    expect_equal(synth::ingest(collectors, options));
   }
 }
 
@@ -429,6 +408,10 @@ struct BeaconDayShape {
   int beacon_count;
 };
 
+void PrintTo(const BeaconDayShape& shape, std::ostream* os) {
+  *os << shape.name;
+}
+
 class BeaconLogIngest : public ::testing::TestWithParam<BeaconDayShape> {};
 
 TEST_P(BeaconLogIngest, MatchesLegacy) {
@@ -440,11 +423,7 @@ TEST_P(BeaconLogIngest, MatchesLegacy) {
   options.beacon_count = shape.beacon_count;
   synth::BeaconInternet internet(options);
   internet.run_day();
-  std::vector<const sim::RouteCollector*> collectors;
-  for (const std::string& name : internet.collector_names()) {
-    collectors.push_back(&internet.network().collector(name));
-  }
-  expect_logs_match_reference(collectors, 1024);
+  expect_logs_match_reference(internet.collectors(), 1024);
 }
 
 INSTANTIATE_TEST_SUITE_P(
