@@ -26,8 +26,13 @@ int main() {
   synth::BeaconInternet internet(options);
   internet.run_day();
 
+  // One traversal feeds the tomography and the anomaly scan.
   core::UpdateStream stream = internet.stream();
-  auto evidence = core::infer_community_behavior(stream);
+  analytics::AnalysisDriver driver;
+  auto tomography = driver.add(analytics::TomographyPass{});
+  auto anomalies = driver.add(analytics::AnomalyPass{});
+  driver.observe_stream(stream);
+  auto evidence = driver.report(tomography);
 
   core::TextTable table(
       {"AS", "on-path", "own-ns tags", "peer anns", "w/ comms", "inferred",
@@ -100,9 +105,6 @@ int main() {
   std::printf("%s\n", peering.to_string().c_str());
 
   // Anomaly scan: a healthy simulated day should be quiet.
-  analytics::AnalysisDriver driver;
-  auto anomalies = driver.add(analytics::AnomalyPass{});
-  driver.observe_stream(stream);
   core::AnomalyReport report = driver.report(anomalies);
   std::printf("== anomaly scan ==\n\n");
   std::printf("population nn share: mean %s, stddev %s\n",

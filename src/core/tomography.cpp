@@ -1,7 +1,6 @@
 #include "core/tomography.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace bgpcc::core {
 
@@ -115,15 +114,6 @@ std::vector<AsEvidence> finalize_community_behavior(
               return a.on_path > b.on_path;
             });
   return out;
-}
-
-std::vector<AsEvidence> infer_community_behavior(
-    const UpdateStream& stream, const TomographyOptions& options) {
-  std::map<Asn, AsEvidence> evidence;
-  for (const UpdateRecord& record : stream.records()) {
-    accumulate_community_evidence(record, evidence);
-  }
-  return finalize_community_behavior(std::move(evidence), options);
 }
 
 }  // namespace bgpcc::core

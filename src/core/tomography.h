@@ -62,21 +62,16 @@ struct TomographyOptions {
   double propagator_min_fraction = 0.50;
 };
 
-/// Scans the stream and classifies every AS with enough evidence.
-/// Only 16-bit ASNs can be matched to community namespaces; larger ASNs
-/// are classified from peer-level evidence alone.
-[[nodiscard]] std::vector<AsEvidence> infer_community_behavior(
-    const UpdateStream& stream, const TomographyOptions& options = {});
-
 /// Folds one announcement's evidence into `evidence` (withdrawals are
-/// ignored). The order-independent accumulation kernel shared by
-/// infer_community_behavior and analytics::TomographyPass.
+/// ignored). The order-independent accumulation kernel of
+/// analytics::TomographyPass. Only 16-bit ASNs can be matched to
+/// community namespaces; larger ASNs are classified from peer-level
+/// evidence alone.
 void accumulate_community_evidence(const UpdateRecord& record,
                                    std::map<Asn, AsEvidence>& evidence);
 
 /// Applies the thresholds and sorts by on-path volume, descending — the
-/// projection step of infer_community_behavior, shared with the
-/// analytics pass so both paths classify identically.
+/// projection step of analytics::TomographyPass.
 [[nodiscard]] std::vector<AsEvidence> finalize_community_behavior(
     std::map<Asn, AsEvidence> evidence, const TomographyOptions& options);
 

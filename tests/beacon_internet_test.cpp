@@ -129,7 +129,7 @@ TEST_F(BeaconDay, RegistryCoversEverything) {
 }
 
 TEST_F(BeaconDay, TomographyRecoversGroundTruth) {
-  auto evidence = core::infer_community_behavior(*stream_);
+  auto evidence = test::run_pass(analytics::TomographyPass{}, *stream_);
   // The big transit must be classified as a tagger.
   const core::AsEvidence* transit = nullptr;
   for (const auto& e : evidence) {

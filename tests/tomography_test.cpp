@@ -1,7 +1,9 @@
-// Unit tests: per-AS community behavior inference.
+// Unit tests: per-AS community behavior inference, through
+// analytics::TomographyPass.
 #include <gtest/gtest.h>
 
 #include "core/tomography.h"
+#include "run_pass.h"
 
 namespace bgpcc::core {
 namespace {
@@ -44,7 +46,7 @@ TEST(Tomography, ClassifiesTaggerCleanerPropagator) {
                            "3356:" + std::to_string(2000 + i % 5), i));
     stream.add(make_record(Asn(20811), "20811 3356 12654", "", 100 + i));
   }
-  auto evidence = infer_community_behavior(stream);
+  auto evidence = test::run_pass(analytics::TomographyPass{}, stream);
 
   const AsEvidence* transit = find_as(evidence, Asn(3356));
   ASSERT_NE(transit, nullptr);
@@ -68,7 +70,7 @@ TEST(Tomography, ClassifiesTaggerCleanerPropagator) {
 TEST(Tomography, InsufficientEvidenceIsUnknown) {
   UpdateStream stream;
   stream.add(make_record(Asn(20205), "20205 3356 12654", "3356:1", 0));
-  auto evidence = infer_community_behavior(stream);
+  auto evidence = test::run_pass(analytics::TomographyPass{}, stream);
   const AsEvidence* peer = find_as(evidence, Asn(20205));
   ASSERT_NE(peer, nullptr);
   EXPECT_EQ(peer->classification, CommunityBehavior::kUnknown);
@@ -80,7 +82,7 @@ TEST(Tomography, PeerTaggingItsOwnNamespace) {
     stream.add(
         make_record(Asn(20205), "20205 3356 12654", "20205:100", i));
   }
-  auto evidence = infer_community_behavior(stream);
+  auto evidence = test::run_pass(analytics::TomographyPass{}, stream);
   const AsEvidence* peer = find_as(evidence, Asn(20205));
   ASSERT_NE(peer, nullptr);
   EXPECT_EQ(peer->classification, CommunityBehavior::kTagger);
@@ -94,7 +96,7 @@ TEST(Tomography, SortedByOnPathVolume) {
   for (int i = 0; i < 5; ++i) {
     stream.add(make_record(Asn(20811), "20811 174 48", "", 50 + i));
   }
-  auto evidence = infer_community_behavior(stream);
+  auto evidence = test::run_pass(analytics::TomographyPass{}, stream);
   ASSERT_GE(evidence.size(), 2u);
   EXPECT_GE(evidence[0].on_path, evidence[1].on_path);
 }
@@ -107,7 +109,7 @@ TEST(Tomography, WithdrawalsIgnored) {
   w.prefix = Prefix::from_string("84.205.64.0/24");
   w.announcement = false;
   stream.add(w);
-  EXPECT_TRUE(infer_community_behavior(stream).empty());
+  EXPECT_TRUE(test::run_pass(analytics::TomographyPass{}, stream).empty());
 }
 
 TEST(Tomography, LabelsDistinct) {
