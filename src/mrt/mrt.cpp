@@ -188,7 +188,14 @@ std::optional<Record> Reader::next() {
   if (record.type == static_cast<std::uint16_t>(RecordType::kBgp4mpEt)) {
     if (length < 4) throw DecodeError("BGP4MP_ET record too short");
     ByteReader er({payload.data(), 4});
-    micros += er.u32();
+    // A sub-second part of a second or more would silently move the
+    // record into a later second, ahead of records it followed.
+    std::uint32_t sub_second = er.u32();
+    if (sub_second >= 1000000) {
+      throw DecodeError("BGP4MP_ET microsecond field " +
+                        std::to_string(sub_second) + " is not below 1000000");
+    }
+    micros += sub_second;
     record.body.assign(payload.begin() + 4, payload.end());
   } else {
     record.body = std::move(payload);

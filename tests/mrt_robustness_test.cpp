@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -62,6 +63,16 @@ std::string good_record(std::uint32_t peer_asn = 65001) {
   Writer writer(out);
   writer.write_message(Timestamp::from_unix_seconds(1600000000), message);
   return out.str();
+}
+
+/// good_record() with its BGP4MP_ET microsecond field (the first four
+/// body bytes, after the 12-byte header) set to `micros`.
+std::string record_with_micros(std::uint32_t micros) {
+  std::string record = good_record();
+  for (int i = 0; i < 4; ++i) {
+    record[12 + i] = static_cast<char>((micros >> (24 - 8 * i)) & 0xff);
+  }
+  return record;
 }
 
 /// A structurally valid record whose inner BGP message is garbage: frames
@@ -289,6 +300,35 @@ TEST(MrtRobustness, MultiSourceErrors) {
                      options),
                  DecodeError);
   }
+}
+
+// BGP4MP_ET carries the sub-second part in microseconds, so 999,999 is
+// the largest valid value. A larger one must raise DecodeError rather than
+// roll the record into a later second, ahead of records it followed.
+TEST(MrtRobustness, EtMicrosecondFieldBounded) {
+  const Timestamp last_micro =
+      Timestamp::from_unix_micros(1600000000LL * 1000000 + 999999);
+  std::string valid = good_record() + record_with_micros(999999) +
+                      good_record();
+  {
+    std::istringstream in(valid);
+    Reader reader(in);
+    ASSERT_TRUE(reader.next().has_value());
+    std::optional<Record> record = reader.next();
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->timestamp, last_micro);
+  }
+  {
+    core::IngestOptions options;
+    options.num_threads = 4;
+    options.chunk_records = 2;
+    std::istringstream in(valid);
+    core::IngestResult result = core::ingest_mrt_stream("C1", in, options);
+    ASSERT_EQ(result.stream.size(), 3u);
+    EXPECT_EQ(result.stream.records().back().time, last_micro);
+  }
+  expect_all_throw(good_record() + record_with_micros(1000000) +
+                   good_record());
 }
 
 TEST(MrtRobustness, MissingFileAndNullStream) {
