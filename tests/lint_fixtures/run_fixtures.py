@@ -11,7 +11,10 @@ fixture corpus and asserts three things.
     ``run_fixtures.py --update`` after an intentional change.
 
 Each fixture is linted in its own invocation so fixtures cannot leak
-symbols (class names, aliases) into each other's analysis.
+symbols (class names, aliases) into each other's analysis. Fixtures of
+path-dependent checks sit in a subdirectory named like the source
+directory they stand for (``core/l1_bad.cc``: L1 reads the layer from
+the directory).
 
 Exits 0 on success, 1 with a diff/report on any mismatch.
 """
@@ -38,8 +41,10 @@ def main():
                     help="rewrite expected.txt from current output")
     args = ap.parse_args()
 
-    fixtures = sorted(f for f in os.listdir(args.fixtures)
-                      if f.endswith(".cc"))
+    fixtures = sorted(
+        os.path.relpath(os.path.join(root, f), args.fixtures)
+        for root, _, names in os.walk(args.fixtures)
+        for f in names if f.endswith(".cc"))
     if not fixtures:
         print("run_fixtures: no .cc fixtures found", file=sys.stderr)
         return 1
@@ -66,7 +71,7 @@ def main():
                 continue
             fired.add(m.group(3))
 
-        stem = name[:-3]
+        stem = os.path.basename(name)[:-3]
         if stem.endswith("_bad"):
             want = {stem[:-4].split("_")[-1].upper()}
             if want == {"SUP"}:

@@ -25,6 +25,10 @@ load-bearing invariants statically, before any test runs:
   S1  DecodeError-path completeness: decode functions never bypass the
       serialize::Reader primitives with raw stream reads, and never
       pre-size allocations from an unvalidated wire-read count.
+  L1  layering: a file in the measurement layers (netbase, bgp, mrt,
+      obs, core, analytics) never includes a simulator header (sim/,
+      router/, synth/) — simulated collectors reach the engine as MRT
+      bytes through synth::ingest.
   SUP suppression hygiene: every inline suppression must carry a
       reason string (SUP findings are themselves unsuppressible).
 
@@ -90,6 +94,15 @@ HOT_PATH_SUFFIXES = (
     "StageTimer::~StageTimer",
     "StageTimer::stop",
 )
+
+# Layering (L1): files directly under these directories are the
+# measurement pipeline and may not include headers from the simulator
+# layers. The layer of a file is the name of the directory holding it
+# (src/<layer>/<file>).
+MEASUREMENT_LAYERS = ("netbase", "bgp", "mrt", "obs", "core", "analytics")
+SIMULATOR_LAYERS = ("sim", "router", "synth")
+INCLUDE_DIRECTIVE_RE = re.compile(r"^\s*#\s*include\b")
+INCLUDE_TARGET_RE = re.compile(r'#\s*include\s*[<"]([^>"]+)[>"]')
 
 UNORDERED_TYPE_RE = re.compile(
     r"\b(unordered_map|unordered_set|unordered_multimap|unordered_multiset|"
@@ -161,6 +174,8 @@ CHECK_INVENTORY = {
           "copyable State, make_state, no private Classifier)",
     "S1": "decode path bypasses the Reader primitives or pre-sizes from "
           "an unvalidated wire count",
+    "L1": "measurement layer (netbase/bgp/mrt/obs/core/analytics) "
+          "includes a sim/, router/ or synth/ header",
     "SUP": "malformed suppression (missing reason string)",
 }
 
@@ -1039,12 +1054,32 @@ def check_s1(project, model, findings):
                 f"allocation"))
 
 
+def check_l1(project, model, findings):
+    layer = os.path.basename(os.path.dirname(os.path.abspath(model.path)))
+    if layer not in MEASUREMENT_LAYERS:
+        return
+    for index, code_line in enumerate(model.lines):
+        # The directive must survive comment stripping; the target is
+        # read from the raw line because string bodies are blanked.
+        if not INCLUDE_DIRECTIVE_RE.match(code_line):
+            continue
+        m = INCLUDE_TARGET_RE.search(model.raw_lines[index])
+        if not m or m.group(1).split("/", 1)[0] not in SIMULATOR_LAYERS:
+            continue
+        findings.append(Finding(
+            model.path, index + 1, "L1",
+            f"layer '{layer}' includes '{m.group(1)}' — the measurement "
+            f"layers must not depend on the simulator; hand simulated "
+            f"collectors to the engine as MRT bytes (synth::ingest)"))
+
+
 CHECK_FUNCS = {
     "D1": check_d1,
     "D2": check_d2,
     "H1": check_h1,
     "P1": check_p1,
     "S1": check_s1,
+    "L1": check_l1,
 }
 
 
