@@ -62,11 +62,6 @@ void UpdateStream::add_message(const std::string& collector, Asn peer_asn,
                         records_);
 }
 
-void UpdateStream::merge(const UpdateStream& other) {
-  records_.insert(records_.end(), other.records_.begin(),
-                  other.records_.end());
-}
-
 void UpdateStream::sort_by_time() {
   std::stable_sort(
       records_.begin(), records_.end(),

@@ -68,9 +68,6 @@ class UpdateStream {
                    const IpAddress& peer_address, Timestamp time,
                    const UpdateMessage& update);
 
-  /// Appends all records of another stream (e.g. merging collectors).
-  void merge(const UpdateStream& other);
-
   /// Stable time sort (preserves arrival order within equal timestamps —
   /// a guarantee the second-granularity repair depends on).
   void sort_by_time();

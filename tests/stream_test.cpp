@@ -30,18 +30,23 @@ TEST(UpdateStream, ExplodesMultiPrefixMessages) {
   EXPECT_EQ(stream.sessions().size(), 1u);
 }
 
-TEST(UpdateStream, SortAndMergeAreStable) {
-  UpdateStream a;
-  a.add_message("rrc00", Asn(1), IpAddress::from_string("192.0.2.1"),
-                Timestamp::from_unix_seconds(5), announce("10.0.0.0/8", "1"));
-  UpdateStream b;
-  b.add_message("rrc01", Asn(2), IpAddress::from_string("192.0.2.2"),
-                Timestamp::from_unix_seconds(3), announce("10.0.0.0/8", "2"));
-  a.merge(b);
-  a.sort_by_time();
-  ASSERT_EQ(a.size(), 2u);
-  EXPECT_EQ(a.records()[0].session.collector, "rrc01");
-  EXPECT_EQ(a.records()[1].session.collector, "rrc00");
+TEST(UpdateStream, SortByTimeIsStable) {
+  UpdateStream stream;
+  stream.add_message("rrc00", Asn(1), IpAddress::from_string("192.0.2.1"),
+                     Timestamp::from_unix_seconds(5),
+                     announce("10.0.0.0/8", "1"));
+  stream.add_message("rrc01", Asn(2), IpAddress::from_string("192.0.2.2"),
+                     Timestamp::from_unix_seconds(3),
+                     announce("10.0.0.0/8", "2"));
+  stream.add_message("rrc02", Asn(3), IpAddress::from_string("192.0.2.3"),
+                     Timestamp::from_unix_seconds(5),
+                     announce("10.0.0.0/8", "3"));
+  stream.sort_by_time();
+  ASSERT_EQ(stream.size(), 3u);
+  EXPECT_EQ(stream.records()[0].session.collector, "rrc01");
+  // Equal timestamps keep arrival order.
+  EXPECT_EQ(stream.records()[1].session.collector, "rrc00");
+  EXPECT_EQ(stream.records()[2].session.collector, "rrc02");
 }
 
 TEST(Registry, AsnAllocationEpochs) {
