@@ -26,7 +26,7 @@ int main() {
   synth::BeaconInternet internet(options);
   internet.run_day();
 
-  // One traversal feeds the tomography and the anomaly scan.
+  // One observe_stream feeds both the tomography and the anomaly scan.
   core::UpdateStream stream = internet.stream();
   analytics::AnalysisDriver driver;
   auto tomography = driver.add(analytics::TomographyPass{});
