@@ -4,12 +4,16 @@
 // for full-archive runs.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "analytics/driver.h"
 #include "analytics/passes.h"
 #include "bgp/codec.h"
 #include "core/classifier.h"
+#include "core/cleaning.h"
 #include "core/ingest.h"
 #include "core/registry.h"
 #include "mrt/mrt.h"
@@ -17,6 +21,8 @@
 #include "obs/metrics.h"
 #include "rib/decision.h"
 #include "rib/trie.h"
+
+#include "archive_gen.h"
 
 namespace bgpcc {
 namespace {
@@ -109,6 +115,76 @@ void BM_TrieInsertLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_TrieInsertLookup)->Arg(100)->Arg(1000)->Arg(10000);
+
+// §4 unallocated-prefix lookup against a registry listing the looked-up
+// prefixes exactly — the worst case for a covering lookup, which must
+// reach the prefix's own length: arg 0 = v4 /24s, arg 1 = v6 /48s.
+void BM_RegistryPrefixAllocated(benchmark::State& state) {
+  constexpr std::uint32_t kBlocks = 1024;
+  const bool v6 = state.range(0) != 0;
+  std::vector<Prefix> prefixes;
+  core::Registry registry;
+  for (std::uint32_t i = 0; i < kBlocks; ++i) {
+    std::array<std::uint8_t, 16> bytes{0x20, 0x01, 0x0d, 0xb8,
+                                       static_cast<std::uint8_t>(i >> 8),
+                                       static_cast<std::uint8_t>(i)};
+    prefixes.push_back(
+        v6 ? Prefix(IpAddress::v6(bytes), 48)
+           : Prefix(IpAddress::v4(0x0a000000u + i * 256), 24));
+    registry.allocate_prefix(prefixes.back());
+  }
+  const Timestamp at = Timestamp::from_unix_seconds(1600000000);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(registry.prefix_allocated(prefixes[next], at));
+    next = (next + 1) % kBlocks;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RegistryPrefixAllocated)->Arg(0)->Arg(1);
+
+// One shard-window through the §4 kernels (cleaning::run: registry drop,
+// second-granularity spacing and its sorts): 16384 records of the seeded
+// test-archive shape, in arrival order (not yet time-sorted), as the
+// engine gathers a shard. items/sec = records cleaned.
+void BM_CleanShard(benchmark::State& state) {
+  constexpr int kRecords = 16384;
+  static const std::vector<core::SeqRecord> window = [] {
+    std::istringstream in(
+        core::archgen::ArchiveGenerator(7).generate(kRecords));
+    mrt::Reader reader(in);
+    std::vector<core::UpdateRecord> records;
+    while (std::optional<mrt::Record> record = reader.next()) {
+      bool four_byte = true;
+      mrt::Bgp4mpMessage message =
+          mrt::Reader::parse_message(*record, &four_byte);
+      CodecOptions codec;
+      codec.four_byte_asn = four_byte;
+      core::append_update_records("bench", message.peer_asn, message.peer_ip,
+                                  record->timestamp,
+                                  decode_update(message.bgp_message, codec),
+                                  records);
+    }
+    std::vector<core::SeqRecord> out;
+    std::uint64_t seq = 0;
+    for (core::UpdateRecord& record : records) {
+      out.push_back(core::SeqRecord{seq++, std::move(record)});
+    }
+    return out;
+  }();
+  const core::Registry registry = core::archgen::allocated_registry();
+  core::CleaningOptions cleaning;
+  cleaning.registry = &registry;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<core::SeqRecord> records = window;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(core::cleaning::run(records, cleaning));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(window.size()));
+}
+BENCHMARK(BM_CleanShard);
 
 // Ingestion throughput (records/sec) of the chunked parallel engine over
 // a synthetic multi-session archive, swept over worker counts: the 1-vs-N

@@ -36,10 +36,12 @@ void drop_unallocated(std::vector<SeqRecord>& records,
   std::erase_if(records, [&](const SeqRecord& sr) {
     const UpdateRecord& record = sr.record;
     if (record.announcement) {
-      for (Asn asn : record.attrs.as_path.flatten()) {
-        if (!registry.asn_allocated(asn, record.time)) {
-          ++*dropped_asn;
-          return true;
+      for (const AsPathSegment& segment : record.attrs.as_path.segments()) {
+        for (Asn asn : segment.asns) {
+          if (!registry.asn_allocated(asn, record.time)) {
+            ++*dropped_asn;
+            return true;
+          }
         }
       }
     }

@@ -330,15 +330,18 @@ void gather_and_clean(std::vector<DecodedChunk>& decoded,
         std::move(bucket.begin(), bucket.end(), std::back_inserter(shards[s]));
         bucket.clear();
       }
+      // Repair and drop are order-independent, and cleaning::run sorts
+      // around the sub-second spacing itself, so the gathered (file,
+      // chunk) order goes in as is. Final merge order — which both the
+      // observer and parallel_merge consume — then needs a sort only when
+      // run did not leave one: no cleaning, or no spacing.
+      bool sorted = false;
       if (options.cleaning != nullptr) {
-        sort_seq_records(shards[s]);
         reports[s] = cleaning::run(shards[s], *options.cleaning,
                                    carry != nullptr ? &(*carry)[s] : nullptr);
+        sorted = options.cleaning->fix_second_granularity;
       }
-      // Establish final merge order once per shard (cleaning can perturb
-      // (time, seq) order: sub-second spacing moves stamps forward); both
-      // the observer and parallel_merge consume it.
-      sort_seq_records(shards[s]);
+      if (!sorted) sort_seq_records(shards[s]);
     }
     if (options.shard_observer && !shards[s].empty()) {
       obs::StageTimer observe_timer(metrics.ingest_observe);

@@ -21,14 +21,8 @@ bool Registry::asn_allocated(Asn asn, Timestamp at) const {
 }
 
 bool Registry::prefix_allocated(const Prefix& prefix, Timestamp at) const {
-  // Check every covering block: lengths 0..prefix.length().
-  for (int len = 0; len <= prefix.length(); ++len) {
-    Prefix candidate(prefix.address().masked(len), len);
-    if (const Timestamp* when = blocks_.find(candidate)) {
-      if (*when <= at) return true;
-    }
-  }
-  return false;
+  return blocks_.any_covering(
+      prefix, [at](const Timestamp& when) { return when <= at; });
 }
 
 }  // namespace bgpcc::core

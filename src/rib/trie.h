@@ -73,6 +73,21 @@ class PrefixTrie {
     return best;
   }
 
+  /// True if `pred` accepts the value of some stored prefix covering
+  /// `prefix` (lengths 0..prefix.length(), `prefix` itself included).
+  /// Costs one descent from the family root: values are tested on the
+  /// way down, shortest first, and the walk stops at the first accepted.
+  template <typename Pred>
+  [[nodiscard]] bool any_covering(const Prefix& prefix, Pred&& pred) const {
+    const Node* node = root_for(prefix.family());
+    for (int depth = 0; node != nullptr; ++depth) {
+      if (node->value && pred(*node->value)) return true;
+      if (depth == prefix.length()) break;
+      node = node->children[prefix.address().bit(depth) ? 1 : 0].get();
+    }
+    return false;
+  }
+
   /// In-order visit of all (prefix, value) pairs of both families
   /// (IPv4 subtree first).
   void for_each(

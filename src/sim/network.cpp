@@ -48,6 +48,14 @@ Router& Network::router(std::string_view name) {
 }
 
 RouteCollector& Network::collector(std::string_view name) {
+  return find_collector(name);
+}
+
+const RouteCollector& Network::collector(std::string_view name) const {
+  return find_collector(name);
+}
+
+RouteCollector& Network::find_collector(std::string_view name) const {
   auto it = collectors_.find(name);
   if (it == collectors_.end()) {
     throw ConfigError("unknown collector: " + std::string(name));

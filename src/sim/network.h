@@ -51,6 +51,7 @@ class Network {
 
   [[nodiscard]] Router& router(std::string_view name);
   [[nodiscard]] RouteCollector& collector(std::string_view name);
+  [[nodiscard]] const RouteCollector& collector(std::string_view name) const;
   [[nodiscard]] bool has_router(std::string_view name) const;
 
   /// Creates a BGP session between two nodes (router-router or
@@ -111,6 +112,9 @@ class Network {
                const std::string& from, const UpdateMessage& update);
   [[nodiscard]] Session& session(std::uint32_t session_id);
   [[nodiscard]] const Session& session(std::uint32_t session_id) const;
+  // Both collector() overloads: the map owns collectors through
+  // unique_ptr, so a const lookup can still hand out the mutable one.
+  [[nodiscard]] RouteCollector& find_collector(std::string_view name) const;
   [[nodiscard]] const Endpoint& other_end(const Session& s,
                                           const std::string& from) const;
 

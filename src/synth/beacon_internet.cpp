@@ -247,14 +247,13 @@ core::UpdateStream BeaconInternet::stream() const {
 
 core::UpdateStream BeaconInternet::collector_stream(
     const std::string& name) const {
-  return ingest({&const_cast<BeaconInternet*>(this)->network_.collector(name)})
-      .stream;
+  return ingest({&network_.collector(name)}).stream;
 }
 
 std::vector<const sim::RouteCollector*> BeaconInternet::collectors() const {
   std::vector<const sim::RouteCollector*> out;
   for (const std::string& name : collector_names()) {
-    out.push_back(&const_cast<BeaconInternet*>(this)->network_.collector(name));
+    out.push_back(&network_.collector(name));
   }
   return out;
 }

@@ -1,6 +1,10 @@
 // Unit tests: update streams and the §4 cleaning pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <random>
+
 #include "core/cleaning.h"
 #include "core/stream.h"
 
@@ -71,6 +75,102 @@ TEST(Registry, PrefixCoveredByAllocatedBlock) {
                                          Timestamp{}));
   EXPECT_FALSE(registry.prefix_allocated(
       Prefix::from_string("85.205.64.0/24"), Timestamp{}));
+}
+
+// A uniformly random prefix of `length` bits inside `block`.
+Prefix random_within(const Prefix& block, int length, std::mt19937& rng) {
+  std::array<std::uint8_t, 16> bytes{};
+  std::ranges::copy(block.address().bytes(), bytes.begin());
+  for (int i = block.length(); i < length; ++i) {
+    if ((rng() & 1u) != 0) {
+      bytes[static_cast<std::size_t>(i / 8)] |=
+          static_cast<std::uint8_t>(0x80u >> (i % 8));
+    }
+  }
+  IpAddress addr = block.is_v4()
+                       ? IpAddress::v4(bytes[0], bytes[1], bytes[2], bytes[3])
+                       : IpAddress::v6(bytes);
+  return Prefix(addr, length);
+}
+
+// Differential: prefix_allocated against a linear scan over every
+// (block, when) ever registered — "some block containing the prefix with
+// when <= at". Lookups sit 1 us before, at and after each block's epoch,
+// on the block itself, inside it and around it.
+TEST(Registry, PrefixAllocatedMatchesLinearScan) {
+  std::mt19937 rng(20201201u);
+  const Timestamp base = Timestamp::from_unix_seconds(1600000000);
+  auto random_when = [&] {
+    return base + Duration::micros(static_cast<std::int64_t>(rng() % 1000000));
+  };
+  const std::array<Prefix, 2> roots{Prefix::from_string("0.0.0.0/0"),
+                                    Prefix::from_string("::/0")};
+
+  std::vector<std::pair<Prefix, Timestamp>> blocks;
+  for (const Prefix& root : roots) {
+    const int width = root.address().bit_width();
+    // The extremes: a default block and two host-length blocks.
+    blocks.emplace_back(root, random_when());
+    blocks.emplace_back(random_within(root, width, rng), random_when());
+    blocks.emplace_back(random_within(root, width, rng), Timestamp{});
+    for (int i = 0; i < 100; ++i) {
+      const int length = static_cast<int>(rng() % (width + 1));
+      blocks.emplace_back(random_within(root, length, rng), random_when());
+    }
+    // Nested pairs whose epochs run either way: the outer block allocated
+    // before the inner one, and after it.
+    for (int i = 0; i < 20; ++i) {
+      const int outer_length = static_cast<int>(rng() % width);
+      Prefix outer = random_within(root, outer_length, rng);
+      const int inner_length =
+          outer_length + 1 + static_cast<int>(rng() % (width - outer_length));
+      Prefix inner = random_within(outer, inner_length, rng);
+      Timestamp early = random_when();
+      Timestamp late =
+          early + Duration::micros(1 + static_cast<std::int64_t>(rng() % 1000));
+      const bool outer_first = i % 2 == 0;
+      blocks.emplace_back(outer, outer_first ? early : late);
+      blocks.emplace_back(inner, outer_first ? late : early);
+    }
+  }
+  // A block registered twice keeps its earlier epoch; the scan sees both.
+  blocks.emplace_back(blocks[5].first, blocks[5].second + Duration::seconds(1));
+
+  Registry registry;
+  for (const auto& [block, when] : blocks) {
+    registry.allocate_prefix(block, when);
+  }
+  auto linear_scan = [&](const Prefix& prefix, Timestamp at) {
+    return std::ranges::any_of(blocks, [&](const auto& entry) {
+      return entry.first.contains(prefix) && entry.second <= at;
+    });
+  };
+
+  std::size_t allocated = 0;
+  std::size_t unallocated = 0;
+  for (const auto& [block, when] : blocks) {
+    const int width = block.address().bit_width();
+    const Prefix& root = roots[block.is_v4() ? 0 : 1];
+    const int inside_length =
+        block.length() + static_cast<int>(rng() % (width - block.length() + 1));
+    const std::array<Prefix, 4> lookups{
+        block, random_within(block, inside_length, rng),
+        Prefix(block.address(),
+               static_cast<int>(rng() % (block.length() + 1))),
+        random_within(root, static_cast<int>(rng() % (width + 1)), rng)};
+    for (const Prefix& prefix : lookups) {
+      for (std::int64_t offset : {-1, 0, 1}) {
+        const Timestamp at = when + Duration::micros(offset);
+        const bool expected = linear_scan(prefix, at);
+        EXPECT_EQ(registry.prefix_allocated(prefix, at), expected)
+            << prefix.to_string() << " at " << at.unix_micros();
+        ++(expected ? allocated : unallocated);
+      }
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(allocated, 100u);
+  EXPECT_GT(unallocated, 100u);
 }
 
 TEST(Cleaning, DropsUnallocatedResources) {

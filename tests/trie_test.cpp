@@ -3,6 +3,8 @@
 
 #include <map>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "rib/trie.h"
 
@@ -109,6 +111,51 @@ TEST(Trie, Clear) {
   trie.clear();
   EXPECT_TRUE(trie.empty());
   EXPECT_EQ(trie.find(Prefix::from_string("10.0.0.0/8")), nullptr);
+}
+
+TEST(Trie, AnyCoveringVisitsEveryCoveringPrefix) {
+  PrefixTrie<Prefix> trie;
+  for (const char* text :
+       {"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24",
+        "10.1.2.3/32", "10.1.2.128/25", "10.2.0.0/16", "11.0.0.0/8",
+        "2001:db8::/32"}) {
+    trie.insert(Prefix::from_string(text), Prefix::from_string(text));
+  }
+  auto visited = [&](const char* text, const Prefix* stop_at = nullptr) {
+    std::vector<std::string> seen;
+    const bool hit = trie.any_covering(
+        Prefix::from_string(text), [&](const Prefix& stored) {
+          seen.push_back(stored.to_string());
+          return stop_at != nullptr && stored == *stop_at;
+        });
+    EXPECT_EQ(hit, stop_at != nullptr) << text;
+    return seen;
+  };
+  using Seen = std::vector<std::string>;
+
+  // Exactly the stored covering prefixes, shortest first, the query
+  // itself included; siblings and more-specifics are never offered.
+  EXPECT_EQ(visited("10.1.2.3/32"),
+            (Seen{"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24",
+                  "10.1.2.3/32"}));
+  EXPECT_EQ(visited("10.1.2.0/24"),
+            (Seen{"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24"}));
+  EXPECT_EQ(visited("10.1.0.0/20"),
+            (Seen{"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16"}));
+  EXPECT_EQ(visited("0.0.0.0/0"), (Seen{"0.0.0.0/0"}));
+  EXPECT_EQ(visited("12.0.0.0/8"), (Seen{"0.0.0.0/0"}));
+  // Families do not mix: no v6 default, so a v6 walk sees only /32.
+  EXPECT_EQ(visited("2001:db8::1/128"), (Seen{"2001:db8::/32"}));
+  EXPECT_EQ(visited("2001:db9::/32"), Seen{});
+
+  // The walk stops at the first accepted value.
+  const Prefix stop = Prefix::from_string("10.1.0.0/16");
+  EXPECT_EQ(visited("10.1.2.3/32", &stop),
+            (Seen{"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16"}));
+
+  PrefixTrie<int> empty;
+  EXPECT_FALSE(empty.any_covering(Prefix::from_string("10.0.0.0/8"),
+                                  [](int) { return true; }));
 }
 
 // Property test: the trie agrees with std::map under a random workload.
