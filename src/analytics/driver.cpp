@@ -384,7 +384,7 @@ void AnalysisDriver::restore_impl(std::istream& in,
   std::size_t cursor_shards = 0;
   if (has_cursor) {
     core::IngestCheckpoint cursor = serialize::read_ingest_checkpoint(r);
-    cursor_shards = cursor.shards != 0 ? cursor.shards : cursor.carry.size();
+    cursor_shards = cursor.carry.size();
     if (ingestor != nullptr) {
       ingestor->restore_checkpoint(cursor);
     }

@@ -658,8 +658,9 @@ void write_ingest_checkpoint(Writer& w, const core::IngestCheckpoint& state) {
   // v2: the run's resolved shard count travels explicitly (it shapes the
   // carry below AND the restorer's engine — num_threads=0 resolution is
   // machine-dependent, so it must not be re-derived on the other side).
-  // Derive from the carry for caller-built structs that left shards 0.
-  w.u64(state.shards != 0 ? state.shards : state.carry.size());
+  // It is the carry's size, which the block then repeats as the carry's
+  // own count; the reader refuses a block whose two counts differ.
+  w.u64(state.carry.size());
   w.u64(state.carry.size());
   for (const core::cleaning::SecondCarry& shard : state.carry) {
     // unordered_map: serialize sorted by session so identical carry state
@@ -704,7 +705,6 @@ core::IngestCheckpoint read_ingest_checkpoint(Reader& r) {
   if (resolved_shards == 0 || resolved_shards > core::kMaxIngestShards) {
     throw DecodeError("corrupt ingest cursor: implausible shard count");
   }
-  out.shards = static_cast<std::size_t>(resolved_shards);
   std::uint64_t shard_count = r.u64();
   if (shard_count != resolved_shards) {
     throw DecodeError(

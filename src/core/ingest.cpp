@@ -89,6 +89,37 @@ struct FramedChunk {
   std::vector<mrt::Record> records;
 };
 
+/// The framing step both framers share: reads `reader`'s next chunk under
+/// the frame stage timer and stamps it with its (file, chunk) arrival
+/// coordinate, advancing `chunk_index`. Nullopt at the end of the source.
+std::optional<FramedChunk> frame_chunk(mrt::ChunkedReader& reader,
+                                       std::uint32_t file,
+                                       std::uint32_t& chunk_index) {
+  std::optional<std::vector<mrt::Record>> records;
+  {
+    obs::StageTimer frame_timer(obs::pipeline_metrics().ingest_frame);
+    records = reader.next_chunk();
+  }
+  if (!records) return std::nullopt;
+  if (chunk_index >= kMaxChunksPerFile) {
+    throw DecodeError(
+        "arrival-sequence overflow: one archive frames past 2^24 chunks "
+        "(raise IngestOptions::chunk_records)");
+  }
+  return FramedChunk{file, chunk_index++, std::move(*records)};
+}
+
+/// A position in the arrival order: the next source to open and, while
+/// a source is open mid-file, which one and how many of its chunks are
+/// consumed. Chunking is deterministic, so this locates the next record
+/// exactly.
+struct FramingCursor {
+  std::size_t next_source = 0;
+  bool input_open = false;
+  std::uint32_t current_file = 0;
+  std::uint32_t chunk_index = 0;
+};
+
 /// One decoded batch: records bucketed by SessionKey-hash shard, plus the
 /// batch's share of the deterministic counters and its arrival coordinate
 /// (the pipelined pool finishes chunks in any order; the gather stage
@@ -170,9 +201,9 @@ DecodedChunk decode_mrt_chunk(const std::string& collector,
 // padded to a power of two) over the per-shard ranges [lo, hi), moving
 // each record straight into its final slot. seq_time_order is a strict
 // total order (seq is globally unique), so the merge — and every
-// partitioning of it — is deterministic. Out is UpdateRecord for the
-// batch path (seq tags are spent) or SeqRecord for window runs (the final
-// run-merge still needs the tie-break).
+// partitioning of it — is deterministic. Out is UpdateRecord for a window
+// merged straight into the stream (seq tags are spent) or SeqRecord for
+// window runs (the final run-merge still needs the tie-break).
 template <typename Out>
 void merge_partition(std::vector<std::vector<SeqRecord>>& shards,
                      const std::vector<std::size_t>& lo,
@@ -298,15 +329,14 @@ void parallel_merge(std::vector<std::vector<SeqRecord>>& shards,
 void gather_and_clean(std::vector<DecodedChunk>& decoded,
                       const IngestOptions& options, WorkerPool* pool,
                       std::size_t shard_count,
-                      std::vector<cleaning::SecondCarry>* carry,
+                      std::vector<cleaning::SecondCarry>& carry,
                       std::vector<std::vector<SeqRecord>>& shards,
                       CleaningReport& report) {
   shards.assign(shard_count, {});
   std::vector<CleaningReport> reports(shard_count);
   // Committed-window barrier (IngestOptions::window_begin): held across
   // the whole shard-clean + observer phase, RAII so a throwing shard job
-  // still commits. Covers both the windowed path (process_window) and
-  // the batch path (finish_engine) — each batch run is one window.
+  // still commits.
   struct WindowBracket {
     const IngestOptions& opt;
     explicit WindowBracket(const IngestOptions& o) : opt(o) {
@@ -337,8 +367,7 @@ void gather_and_clean(std::vector<DecodedChunk>& decoded,
       // run did not leave one: no cleaning, or no spacing.
       bool sorted = false;
       if (options.cleaning != nullptr) {
-        reports[s] = cleaning::run(shards[s], *options.cleaning,
-                                   carry != nullptr ? &(*carry)[s] : nullptr);
+        reports[s] = cleaning::run(shards[s], *options.cleaning, &carry[s]);
         sorted = options.cleaning->fix_second_granularity;
       }
       if (!sorted) sort_seq_records(shards[s]);
@@ -356,28 +385,6 @@ void gather_and_clean(std::vector<DecodedChunk>& decoded,
     report.*kCleaningCounters[f] += window;
     metrics.cleaning_records[f]->inc(window);
   }
-}
-
-// Phases 3+4 of the batch path: gather, clean, merge straight into the
-// output stream — the single-window configuration.
-void finish_engine(std::vector<DecodedChunk>& decoded,
-                   const IngestOptions& options, WorkerPool* pool,
-                   unsigned threads, std::size_t shard_count,
-                   IngestResult& result) {
-  result.stats.shards = shard_count;
-  result.stats.threads = threads;
-  result.stats.chunks = decoded.size();
-  result.stats.windows = 1;
-  obs::pipeline_metrics().ingest_windows->inc();
-  for (const DecodedChunk& chunk : decoded) {
-    result.stats.update_messages += chunk.update_messages;
-    result.stats.records += chunk.records;
-  }
-
-  std::vector<std::vector<SeqRecord>> shards;
-  gather_and_clean(decoded, options, pool, shard_count, nullptr, shards,
-                   result.cleaning);
-  parallel_merge(shards, pool, threads, result.stream.records());
 }
 
 void sort_decoded(std::vector<DecodedChunk>& decoded) {
@@ -733,16 +740,19 @@ std::size_t resolve_shard_count(const IngestOptions& options) {
 }
 
 // ---------------------------------------------------------------------------
-// The streaming windowed engine. One framing cursor walks the sources in
-// add order (a window is by definition a prefix of arrival order);
-// decode, cleaning, and the merge run on one persistent WorkerPool that
-// lives as long as the engine — reused across windows and across
-// poll()/finish() calls. Windowed multi-threaded runs additionally
-// pipeline: while window N runs shard-clean + merge + inline passes on
-// the pool, window N+1 is framed and decoded on the same pool, with
-// decode tasks in flight bounded by the queue_chunks cap. Batch mode
-// (window_records == 0, finish() without poll()) takes the multi-framer
-// path instead — same output, whole input as one window.
+// The streaming windowed engine. poll() and finish() run every window,
+// the batch run's single unbounded one included, through one
+// process_window: frame → decode → shard-clean → merge. One framing
+// cursor walks the sources in add order (a window is by definition a
+// prefix of arrival order); decode, cleaning, and the merge run on one
+// persistent WorkerPool that lives as long as the engine — reused across
+// windows and across poll()/finish() calls. Bounded multi-threaded runs
+// additionally pipeline: while window N runs shard-clean + merge + inline
+// passes on the pool, window N+1 is framed and decoded on the same pool,
+// with decode tasks in flight bounded by the queue_chunks cap. A batch
+// finish() (unbounded window, no poll()) on a pool frames whole files
+// concurrently instead, and without a sink merges straight into the
+// stream — same output, no run to stitch.
 
 struct StreamingIngestor::Impl {
   struct SourceEntry {
@@ -794,16 +804,25 @@ struct StreamingIngestor::Impl {
     }
   }
 
+  static mrt::InputStream open_source(const SourceEntry& entry) {
+    return entry.is_file ? mrt::InputStream::open_file(entry.path)
+                         : mrt::InputStream::wrap(*entry.borrowed);
+  }
+
+  /// The live cursor's position as a value.
+  [[nodiscard]] FramingCursor live_cursor() const {
+    return FramingCursor{next_source, input.has_value(), current_file,
+                         chunk_index};
+  }
+
   /// Opens sources until one yields a bound reader; false when all input
   /// is consumed.
   bool ensure_reader() {
     while (!input) {
       if (next_source >= sources.size()) return false;
-      SourceEntry& entry = sources[next_source];
       current_file = static_cast<std::uint32_t>(next_source);
+      input = open_source(sources[next_source]);
       ++next_source;
-      input = entry.is_file ? mrt::InputStream::open_file(entry.path)
-                            : mrt::InputStream::wrap(*entry.borrowed);
       chunk_index = 0;
       if (!reader) {
         reader.emplace(input->stream(), chunk_records);
@@ -819,30 +838,16 @@ struct StreamingIngestor::Impl {
   /// sink return (queue abort) stops framing early.
   std::size_t frame_window(std::size_t budget,
                            const std::function<bool(FramedChunk&&)>& sink) {
-    const obs::PipelineMetrics& metrics = obs::pipeline_metrics();
     std::size_t framed = 0;
-    while (framed < budget) {
-      std::optional<std::vector<mrt::Record>> chunk;
-      {
-        // Times only the framing read itself — the sink below blocks on
-        // decode slots, which would otherwise dominate the stage.
-        obs::StageTimer frame_timer(metrics.ingest_frame);
-        if (!ensure_reader()) break;
-        chunk = reader->next_chunk();
-      }
+    while (framed < budget && ensure_reader()) {
+      std::optional<FramedChunk> chunk =
+          frame_chunk(*reader, current_file, chunk_index);
       if (!chunk) {
         input.reset();  // EOF: advance to the next source
         continue;
       }
-      if (chunk_index >= kMaxChunksPerFile) {
-        throw DecodeError(
-            "arrival-sequence overflow: one archive frames past 2^24 chunks "
-            "(raise IngestOptions::chunk_records)");
-      }
-      framed += chunk->size();
-      if (!sink(FramedChunk{current_file, chunk_index++, std::move(*chunk)})) {
-        break;
-      }
+      framed += chunk->records.size();
+      if (!sink(std::move(*chunk))) break;
     }
     return framed;
   }
@@ -859,10 +864,7 @@ struct StreamingIngestor::Impl {
     std::vector<DecodedChunk> decoded;
     std::size_t in_flight = 0;  // decode tasks submitted, not finished
     std::size_t framed = 0;
-    std::size_t end_next_source = 0;
-    bool end_input_open = false;
-    std::uint32_t end_current_file = 0;
-    std::uint32_t end_chunk_index = 0;
+    FramingCursor end;
   };
 
   /// Blocks the framer until a decode slot frees up — by executing other
@@ -937,10 +939,7 @@ struct StreamingIngestor::Impl {
     w.framed = frame_window(budget, [&](FramedChunk&& chunk) {
       return decode_sink(w, cap, std::move(chunk));
     });
-    w.end_next_source = next_source;
-    w.end_input_open = input.has_value();
-    w.end_current_file = current_file;
-    w.end_chunk_index = chunk_index;
+    w.end = live_cursor();
   }
 
   /// Produces the next fully decoded window: the pipelined prefetch if
@@ -963,10 +962,7 @@ struct StreamingIngestor::Impl {
                                               std::move(chunk), shard_count));
         return true;
       });
-      w->end_next_source = next_source;
-      w->end_input_open = input.has_value();
-      w->end_current_file = current_file;
-      w->end_chunk_index = chunk_index;
+      w->end = live_cursor();
       return w;
     }
     try {
@@ -978,6 +974,57 @@ struct StreamingIngestor::Impl {
       pool->fail(w->group, std::current_exception());
     }
     pool->wait(w->group);
+    return w;
+  }
+
+  /// A batch run's one unbounded window on the pool: framer tasks claim
+  /// whole files and fan chunks out as decode tasks on one group, so
+  /// framing I/O overlaps decode and up to min(#files, threads, 4)
+  /// archives are framed at once; the caller runs one framer and helps
+  /// (wait executes queued tasks) instead of spawning threads. Opens every
+  /// source up front and leaves the live cursor past the last one.
+  std::unique_ptr<WindowDecode> frame_files_concurrently() {
+    std::vector<mrt::InputStream> inputs;
+    inputs.reserve(sources.size());
+    for (const SourceEntry& entry : sources) {
+      inputs.push_back(open_source(entry));
+    }
+    auto w = std::make_unique<WindowDecode>();
+    const std::size_t cap = resolve_queue_capacity(options, threads);
+    const std::size_t framers =
+        std::min<std::size_t>({sources.size(), threads, std::size_t{4}});
+    std::atomic<std::size_t> next_file{0};
+    std::atomic<std::size_t> framed{0};
+    auto framer = [&] {
+      std::optional<mrt::ChunkedReader> file_reader;
+      for (;;) {
+        std::size_t f = next_file.fetch_add(1, std::memory_order_relaxed);
+        if (f >= sources.size() || w->group.failed()) return;
+        if (!file_reader) {
+          file_reader.emplace(inputs[f].stream(), chunk_records);
+        } else {
+          file_reader->reset(inputs[f].stream());
+        }
+        std::uint32_t file_chunk = 0;
+        while (std::optional<FramedChunk> chunk = frame_chunk(
+                   *file_reader, static_cast<std::uint32_t>(f), file_chunk)) {
+          framed.fetch_add(chunk->records.size(), std::memory_order_relaxed);
+          if (!decode_sink(*w, cap, std::move(*chunk))) return;
+        }
+      }
+    };
+    for (std::size_t t = 0; t + 1 < framers; ++t) {
+      pool->submit(w->group, framer);
+    }
+    try {
+      framer();
+    } catch (...) {
+      pool->fail(w->group, std::current_exception());
+    }
+    pool->wait(w->group);
+    w->framed = framed.load();
+    next_source = sources.size();
+    w->end = live_cursor();
     return w;
   }
 
@@ -1007,24 +1054,28 @@ struct StreamingIngestor::Impl {
   }
 
   /// Processes one window end to end; false when the input is exhausted.
-  bool process_window() {
+  /// The window's merge goes into `stream` when non-null (a finish() whose
+  /// whole input is this one window), else into a run of the RunStore.
+  bool process_window(std::vector<UpdateRecord>* stream = nullptr) {
     const obs::PipelineMetrics& metrics = obs::pipeline_metrics();
     obs::StageTimer window_timer(metrics.ingest_window);
     const std::size_t budget = options.window_records == 0
                                    ? std::numeric_limits<std::size_t>::max()
                                    : options.window_records;
-    std::unique_ptr<WindowDecode> w = take_window(budget);
+    // Files can be split among framers only when this window takes every
+    // source from the first: unbounded, and the cursor never moved.
+    const bool batch = pool != nullptr && options.window_records == 0 &&
+                       !windowed && next_source == 0;
+    std::unique_ptr<WindowDecode> w =
+        batch ? frame_files_concurrently() : take_window(budget);
     if (w->framed == 0) return false;
 
     // Commit this window's end-of-framing cursor: checkpoint_state()
-    // reads ONLY these fields, never the live cursor — a pipelined
+    // reads ONLY this value, never the live cursor — a pipelined
     // prefetch advances the live cursor concurrently, and a checkpoint
     // must resume at the first UNPROCESSED window (the prefetched window
     // is simply re-framed after a restore).
-    committed_next_source = w->end_next_source;
-    committed_input_open = w->end_input_open;
-    committed_current_file = w->end_current_file;
-    committed_chunk_index = w->end_chunk_index;
+    committed = w->end;
 
     // Pipeline: frame+decode the NEXT window on the pool while this one
     // cleans and merges. Only when this window filled its whole budget —
@@ -1043,133 +1094,18 @@ struct StreamingIngestor::Impl {
 
     sort_decoded(w->decoded);
     std::vector<std::vector<SeqRecord>> shards;
-    gather_and_clean(w->decoded, options, pool.get(), shard_count, &carry,
+    gather_and_clean(w->decoded, options, pool.get(), shard_count, carry,
                      shards, cleaning_report);
-    std::vector<SeqRecord> run;
-    parallel_merge(shards, pool.get(), threads, run);
-    runs.add_run(std::move(run));
+    if (stream != nullptr) {
+      parallel_merge(shards, pool.get(), threads, *stream);
+    } else {
+      std::vector<SeqRecord> run;
+      parallel_merge(shards, pool.get(), threads, run);
+      runs.add_run(std::move(run));
+    }
     ++stats.windows;
     metrics.ingest_windows->inc();
     return true;
-  }
-
-  /// The batch configuration: whole input as one window through the
-  /// multi-framer pipelined path (framing I/O overlaps decode, several
-  /// archives framed concurrently), merged straight into the stream.
-  void run_batch(IngestResult& result) {
-    // Wrap every source up front (detecting compression); files are
-    // opened here, matching the windowed path's DecodeError on a missing
-    // file.
-    std::vector<mrt::InputStream> inputs;
-    inputs.reserve(sources.size());
-    for (SourceEntry& entry : sources) {
-      inputs.push_back(entry.is_file ? mrt::InputStream::open_file(entry.path)
-                                     : mrt::InputStream::wrap(*entry.borrowed));
-    }
-
-    std::vector<DecodedChunk> decoded;
-    std::size_t raw_records = 0;
-
-    auto frame_file = [&](mrt::ChunkedReader& file_reader, std::uint32_t file,
-                          const std::function<bool(FramedChunk&&)>& sink) {
-      const obs::PipelineMetrics& metrics = obs::pipeline_metrics();
-      std::uint32_t file_chunk = 0;
-      for (;;) {
-        std::optional<std::vector<mrt::Record>> chunk;
-        {
-          obs::StageTimer frame_timer(metrics.ingest_frame);
-          chunk = file_reader.next_chunk();
-        }
-        if (!chunk) break;
-        if (file_chunk >= kMaxChunksPerFile) {
-          throw DecodeError(
-              "arrival-sequence overflow: one archive frames past 2^24 "
-              "chunks (raise IngestOptions::chunk_records)");
-        }
-        if (!sink(FramedChunk{file, file_chunk++, std::move(*chunk)})) return;
-      }
-    };
-
-    if (pool == nullptr || sources.empty()) {
-      // Inline mode: frame and decode alternate on the caller's thread,
-      // one ChunkedReader reused (reset) across every file. Nothing is
-      // buffered beyond the chunk in flight.
-      std::optional<mrt::ChunkedReader> batch_reader;
-      for (std::size_t f = 0; f < sources.size(); ++f) {
-        if (!batch_reader) {
-          batch_reader.emplace(inputs[f].stream(), chunk_records);
-        } else {
-          batch_reader->reset(inputs[f].stream());
-        }
-        frame_file(*batch_reader, static_cast<std::uint32_t>(f),
-                   [&](FramedChunk&& framed) {
-                     decoded.push_back(
-                         decode_mrt_chunk(sources[framed.file].collector,
-                                          std::move(framed), shard_count));
-                     return true;
-                   });
-      }
-      if (batch_reader) raw_records = batch_reader->records_read();
-    } else {
-      // Pool mode: framer tasks claim whole files and fan chunks out as
-      // decode tasks on the same group — framing I/O overlaps decode,
-      // multiple archives are framed in parallel, and the caller helps
-      // (wait executes queued tasks) instead of spawning threads.
-      const std::size_t framers =
-          std::min<std::size_t>({sources.size(), threads, std::size_t{4}});
-
-      WindowDecode w;
-      const std::size_t cap = resolve_queue_capacity(options, threads);
-      std::atomic<std::size_t> next_file{0};
-      std::atomic<std::size_t> raw_counter{0};
-
-      auto framer = [&] {
-        std::optional<mrt::ChunkedReader> file_reader;
-        auto flush_raw = [&] {
-          if (file_reader) {
-            raw_counter.fetch_add(file_reader->records_read(),
-                                  std::memory_order_relaxed);
-          }
-        };
-        try {
-          for (;;) {
-            std::size_t f = next_file.fetch_add(1, std::memory_order_relaxed);
-            if (f >= sources.size() || w.group.failed()) break;
-            if (!file_reader) {
-              file_reader.emplace(inputs[f].stream(), chunk_records);
-            } else {
-              file_reader->reset(inputs[f].stream());
-            }
-            frame_file(*file_reader, static_cast<std::uint32_t>(f),
-                       [&](FramedChunk&& framed) {
-                         return decode_sink(w, cap, std::move(framed));
-                       });
-          }
-        } catch (...) {
-          flush_raw();
-          throw;
-        }
-        flush_raw();
-      };
-
-      for (std::size_t t = 0; t + 1 < framers; ++t) {
-        pool->submit(w.group, framer);
-      }
-      // The caller runs one framer itself, then waits — executing any
-      // still-queued framer/decode tasks while it does.
-      try {
-        framer();
-      } catch (...) {
-        pool->fail(w.group, std::current_exception());
-      }
-      pool->wait(w.group);
-      raw_records = raw_counter.load();
-      decoded = std::move(w.decoded);
-    }
-
-    result.stats.raw_records = raw_records;
-    sort_decoded(decoded);
-    finish_engine(decoded, options, pool.get(), threads, shard_count, result);
   }
 
   IngestResult finish(const std::function<void(UpdateRecord&&)>* sink) {
@@ -1196,29 +1132,22 @@ struct StreamingIngestor::Impl {
 
   IngestResult finish_impl(const std::function<void(UpdateRecord&&)>* sink) {
     IngestResult result;
-    if (!windowed && options.window_records == 0 && sink == nullptr) {
-      run_batch(result);
-    } else {
-      while (process_window()) {
-      }
-      result.cleaning = cleaning_report;
-      result.stats = stats;
-      if (sink != nullptr) {
-        runs.merge(*sink);
-      } else {
-        std::vector<UpdateRecord>& out = result.stream.records();
-        out.reserve(runs.total_records());
-        runs.merge([&out](UpdateRecord&& r) { out.push_back(std::move(r)); });
-      }
+    std::vector<UpdateRecord>& out = result.stream.records();
+    // An unbounded window with no run before it takes the whole remaining
+    // input, so there is nothing to stitch: merge it straight into the
+    // stream.
+    const bool direct = sink == nullptr && options.window_records == 0 &&
+                        runs.total_records() == 0;
+    while (process_window(direct ? &out : nullptr)) {
     }
-    result.stats.files = sources.size();
-    result.stats.shards = shard_count;
-    result.stats.threads = threads;
-    // Keep the accessor truthful after a batch-mode finish too: stats()
-    // must report the completed run, not the zeros of a never-polled
-    // windowed state.
-    stats = result.stats;
-    cleaning_report = result.cleaning;
+    if (sink != nullptr) {
+      runs.merge(*sink);
+    } else if (!direct) {
+      out.reserve(runs.total_records());
+      runs.merge([&out](UpdateRecord&& r) { out.push_back(std::move(r)); });
+    }
+    result.cleaning = cleaning_report;
+    result.stats = stats;
     return result;
   }
 
@@ -1244,16 +1173,13 @@ struct StreamingIngestor::Impl {
   // Cursor committed by the last PROCESSED window — what
   // checkpoint_state() snapshots. Equal to the live cursor whenever no
   // prefetch is pending.
-  std::size_t committed_next_source = 0;
-  bool committed_input_open = false;
-  std::uint32_t committed_current_file = 0;
-  std::uint32_t committed_chunk_index = 0;
+  FramingCursor committed;
 
   std::vector<cleaning::SecondCarry> carry;  // one per shard
   CleaningReport cleaning_report;
   IngestStats stats;
   RunStore runs;
-  bool windowed = false;  // poll() was used → finish via run-merge
+  bool windowed = false;  // poll() or restore_checkpoint() was used
   bool finished = false;
   bool failed = false;  // a poll() threw → results would be incomplete
 
@@ -1341,11 +1267,11 @@ IngestCheckpoint StreamingIngestor::checkpoint_state() const {
   // (and advances) the live cursor concurrently, and a resume must
   // replay from the first window that was never processed — which is
   // exactly the prefetched window.
-  out.next_source = impl.committed_next_source;
-  out.input_open = impl.committed_input_open;
-  out.current_file = impl.committed_current_file;
-  out.chunk_index = impl.committed_chunk_index;
-  out.shards = impl.shard_count;
+  const FramingCursor& at = impl.committed;
+  out.next_source = at.next_source;
+  out.input_open = at.input_open;
+  out.current_file = at.current_file;
+  out.chunk_index = at.chunk_index;
   out.carry = impl.carry;
   out.cleaning = impl.cleaning_report;
   out.stats = impl.stats;
@@ -1382,20 +1308,14 @@ void StreamingIngestor::restore_checkpoint(const IngestCheckpoint& state) {
                         impl.sources[i].collector + "' is registered");
     }
   }
-  // Adopt the checkpoint's shard count instead of re-resolving locally:
-  // num_threads=0 auto-resolution is machine-dependent, and a cursor
-  // written on an 8-core host must restore on a 4-core one. A legacy
-  // caller-built checkpoint with shards == 0 is accepted as long as the
-  // carry itself is well-formed.
-  const std::size_t checkpoint_shards =
-      state.shards != 0 ? state.shards : state.carry.size();
-  if (checkpoint_shards == 0 || checkpoint_shards > kMaxIngestShards ||
-      checkpoint_shards != state.carry.size()) {
-    throw ConfigError(
-        "StreamingIngestor: checkpoint shard count (" +
-        std::to_string(state.shards) + ") and carry size (" +
-        std::to_string(state.carry.size()) +
-        ") are inconsistent or out of range");
+  // Adopt the checkpoint's shard count (its carry's size) instead of
+  // re-resolving locally: num_threads=0 auto-resolution is
+  // machine-dependent, and a cursor written on an 8-core host must
+  // restore on a 4-core one.
+  if (state.carry.empty() || state.carry.size() > kMaxIngestShards) {
+    throw ConfigError("StreamingIngestor: checkpoint shard count (" +
+                      std::to_string(state.carry.size()) +
+                      ") is out of range");
   }
   if (state.next_source > impl.sources.size() ||
       (state.input_open &&
@@ -1406,7 +1326,7 @@ void StreamingIngestor::restore_checkpoint(const IngestCheckpoint& state) {
         "registered sources");
   }
 
-  impl.shard_count = checkpoint_shards;
+  impl.shard_count = state.carry.size();
   impl.carry = state.carry;
   impl.cleaning_report = state.cleaning;
   impl.stats = state.stats;
@@ -1414,17 +1334,14 @@ void StreamingIngestor::restore_checkpoint(const IngestCheckpoint& state) {
   impl.stats.threads = impl.threads;
   impl.stats.files = impl.sources.size();
   impl.next_source = static_cast<std::size_t>(state.next_source);
-  impl.committed_next_source = static_cast<std::size_t>(state.next_source);
-  impl.committed_input_open = state.input_open;
-  impl.committed_current_file = state.current_file;
-  impl.committed_chunk_index = state.chunk_index;
-  impl.windowed = true;  // resumed runs finish via the run-merge path
+  impl.committed = FramingCursor{impl.next_source, state.input_open,
+                                 state.current_file, state.chunk_index};
+  impl.windowed = true;  // resumed: frame from the cursor, not by file
 
   if (state.input_open) {
-    Impl::SourceEntry& entry = impl.sources[state.current_file];
+    const Impl::SourceEntry& entry = impl.sources[state.current_file];
     impl.current_file = state.current_file;
-    impl.input = entry.is_file ? mrt::InputStream::open_file(entry.path)
-                               : mrt::InputStream::wrap(*entry.borrowed);
+    impl.input = Impl::open_source(entry);
     impl.reader.emplace(impl.input->stream(), impl.chunk_records);
     // Chunking is deterministic, so discarding the consumed chunks
     // relocates the framing cursor to the exact record the checkpointed

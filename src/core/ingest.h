@@ -8,7 +8,8 @@
 // with the engine and reused across windows and poll()/finish() calls —
 // no per-window thread spawn/join):
 //   1. Frame   — sequential readers (one per archive file; a batch run
-//                frames up to min(#files, threads, 4) files concurrently)
+//                on a pool frames up to min(#files, threads, 4) files
+//                concurrently)
 //                slice the input into batches of
 //                `chunk_records` raw records. Each batch carries a
 //                (file, chunk) arrival coordinate — the determinism
@@ -93,15 +94,18 @@ struct IngestOptions {
   /// cleaning entirely.
   const CleaningOptions* cleaning = nullptr;
   /// Raw MRT records per streaming window (chunk-granular: a window closes
-  /// at the first chunk boundary at or past the budget). 0 processes the
-  /// whole input as one window — the batch mode, which frames up to
-  /// min(#files, num_threads, 4) archive files concurrently. Any non-zero
-  /// window frames sequentially (a window is by definition a prefix of
-  /// the arrival order) while decode, cleaning, and the merge stay
-  /// parallel; with a pool, window N+1 is framed and decoded while
-  /// window N cleans and merges. The output is byte-identical for every
-  /// window size; only peak memory changes: O(window + shards) with
-  /// spilling, O(archive) without.
+  /// at the first chunk boundary at or past the budget). 0 makes the
+  /// window unbounded: the whole remaining input is one window — the
+  /// batch mode. Every window runs the same frame → decode → shard-clean
+  /// → merge pipeline; a bounded window frames sequentially (a window is
+  /// by definition a prefix of the arrival order) while decode, cleaning,
+  /// and the merge stay parallel, and with a pool window N+1 is framed
+  /// and decoded while window N cleans and merges. A finish() with no
+  /// poll() before it and an unbounded window on a pool frames up to
+  /// min(#files, num_threads, 4) archive files concurrently instead, and
+  /// without a sink merges that one window straight into the stream. The
+  /// output is byte-identical for every window size; only peak memory
+  /// changes: O(window + shards) with spilling, O(archive) without.
   std::size_t window_records = 0;
   /// When non-empty, completed window runs spill to temp files under this
   /// directory (created if missing) instead of accumulating in memory —
@@ -132,8 +136,8 @@ struct IngestOptions {
   /// Optional committed-window barrier, paired with shard_observer
   /// (analytics::AnalysisDriver::attach wires both). window_begin is
   /// invoked on the engine's polling thread immediately before a
-  /// window's shard-clean + observer phase (a batch run counts as one
-  /// window); window_commit when that phase ends — RAII-bracketed, so a
+  /// window's shard-clean + observer phase (a batch run with input counts
+  /// as one window); window_commit when that phase ends — RAII-bracketed, so a
   /// throwing window still commits. Everything between the two calls is
   /// a half-applied window: an external thread that waits out the
   /// bracket (e.g. by locking the same mutex) observes only fully
@@ -167,9 +171,10 @@ struct IngestStats {
   std::size_t records = 0;        ///< exploded per-prefix records (pre-clean)
   std::size_t shards = 0;         ///< SessionKey-hash shards used
   unsigned threads = 0;           ///< resolved worker count
-  /// Window runs produced (1 in batch mode). Like `threads`/`shards` this
-  /// reflects the engine configuration, not the input, and is excluded
-  /// from the deterministic-output contract.
+  /// Windows that framed at least one raw record: 1 for a batch run over
+  /// a non-empty input, 0 over an empty one, as poll() counts them. Like
+  /// `threads`/`shards` this reflects the engine configuration, not the
+  /// input, and is excluded from the deterministic-output contract.
   std::size_t windows = 0;
 };
 
@@ -212,13 +217,12 @@ struct IngestCheckpoint {
   /// deterministic, so skipping this many chunks relocates the cursor
   /// exactly).
   std::uint32_t chunk_index = 0;
-  /// Resolved shard count of the checkpointed run — the shape of `carry`.
-  /// Serialized since format v2 so a cursor written on a host that
-  /// auto-resolved more shards (num_threads = 0 on a many-core machine)
-  /// restores exactly on any other host: restore_checkpoint ADOPTS this
-  /// count instead of re-resolving it locally.
-  std::size_t shards = 0;
-  /// Per-shard cleaning carry (`shards` entries).
+  /// Per-shard cleaning carry, one entry per shard of the checkpointed
+  /// run: its size IS the run's resolved shard count. Serialized since
+  /// format v2 so a cursor written on a host that auto-resolved more
+  /// shards (num_threads = 0 on a many-core machine) restores exactly on
+  /// any other host: restore_checkpoint ADOPTS this count instead of
+  /// re-resolving it locally.
   std::vector<cleaning::SecondCarry> carry;
   CleaningReport cleaning;
   IngestStats stats;
@@ -236,7 +240,8 @@ struct IngestCheckpoint {
 /// `finish()` alone (no poll loop) is equivalent. The callback-sink
 /// overload emits records in final order without materializing the
 /// stream. The batch entry points below are thin wrappers over this
-/// class with window_records == 0 (one window = whole input).
+/// class: finish() alone, so with window_records == 0 the whole input is
+/// one window.
 ///
 /// Inputs are framed in add order; compressed (.gz/.bz2) files and
 /// streams are detected by magic bytes and inflated transparently.
@@ -254,11 +259,11 @@ class StreamingIngestor {
   /// Registers a caller-owned archive stream (must outlive the ingestor).
   /// Throws ConfigError on a null-ish use or more than 2^16 sources.
   void add_stream(const std::string& collector, std::istream& in);
-  /// Registers an archive file. In windowed mode (window_records != 0,
-  /// or any poll()/sink use) files are opened lazily as framing reaches
-  /// them, so a directory of thousands of dumps holds O(1) descriptors
-  /// open; the batch path (window_records == 0) opens every source up
-  /// front because its framers walk files concurrently.
+  /// Registers an archive file. Files are opened lazily as framing
+  /// reaches them, so a directory of thousands of dumps holds O(1)
+  /// descriptors open — except in a batch finish() (window_records == 0,
+  /// no poll()) on a pool, which opens every source up front because its
+  /// framers walk files concurrently.
   void add_file(const std::string& collector, const std::string& path);
 
   /// Processes the next window (frame → decode → shard-clean → sorted

@@ -263,7 +263,6 @@ std::optional<std::vector<Record>> ChunkedReader::next_chunk() {
     }
     chunk.push_back(std::move(*record));
   }
-  records_read_ += chunk.size();
   if (chunk.empty()) return std::nullopt;
   return chunk;
 }

@@ -153,20 +153,16 @@ class ChunkedReader {
   [[nodiscard]] std::optional<std::vector<Record>> next_chunk();
 
   /// Rebinds to another stream and clears the EOF latch so the same
-  /// framer (and its cumulative records_read()) serves a whole archive
-  /// directory. The chunk size is preserved.
+  /// framer serves a whole archive directory. The chunk size is
+  /// preserved.
   void reset(std::istream& in) {
     reader_.reset(in);
     done_ = false;
   }
 
-  /// Total records handed out so far (cumulative across reset()s).
-  [[nodiscard]] std::size_t records_read() const { return records_read_; }
-
  private:
   Reader reader_;
   std::size_t chunk_records_;
-  std::size_t records_read_ = 0;
   bool done_ = false;
 };
 

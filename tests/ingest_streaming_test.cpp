@@ -182,6 +182,19 @@ void expect_identical(const IngestResult& x, const IngestResult& y) {
   EXPECT_EQ(x.stats.chunks, y.stats.chunks);
 }
 
+void expect_same_stats(const IngestStats& x, const IngestStats& y) {
+  EXPECT_EQ(x.files, y.files);
+  EXPECT_EQ(x.chunks, y.chunks);
+  EXPECT_EQ(x.raw_records, y.raw_records);
+  EXPECT_EQ(x.update_messages, y.update_messages);
+  EXPECT_EQ(x.records, y.records);
+  EXPECT_EQ(x.shards, y.shards);
+  EXPECT_EQ(x.threads, y.threads);
+  EXPECT_EQ(x.windows, y.windows);
+}
+
+/// finish() alone over `parts`; also checks that the stats() accessor
+/// reports the finished run, whichever path produced it.
 IngestResult streaming_ingest(const std::vector<std::string>& parts,
                               const IngestOptions& options) {
   std::vector<std::istringstream> streams;
@@ -189,7 +202,9 @@ IngestResult streaming_ingest(const std::vector<std::string>& parts,
   for (const std::string& part : parts) streams.emplace_back(part);
   StreamingIngestor engine(options);
   for (std::istringstream& in : streams) engine.add_stream("C1", in);
-  return engine.finish();
+  IngestResult result = engine.finish();
+  expect_same_stats(engine.stats(), result.stats);
+  return result;
 }
 
 std::size_t spill_files_in(const std::string& dir) {
@@ -204,7 +219,8 @@ std::size_t spill_files_in(const std::string& dir) {
 // The acceptance matrix: window ∈ {1 chunk, ~1 file, unbounded-windowed,
 // batch} × threads ∈ {1, 4} × {in-memory, spill-to-disk}, all compared
 // against the sequential batch reference — including cleaning reports,
-// so window-boundary session-state carry-over is provably exact.
+// so window-boundary session-state carry-over is provably exact. Batch
+// (window 0) is one window and ignores spill_dir: it never creates it.
 TEST(IngestStreaming, WindowThreadSpillEquivalence) {
   for (std::uint32_t seed : {3u, 21u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -223,9 +239,10 @@ TEST(IngestStreaming, WindowThreadSpillEquivalence) {
     EXPECT_EQ(reference.stats.windows, 1u);
 
     // 16 records ≈ one chunk per window; ~140 ≈ one file per window; a
-    // huge budget runs the windowed machinery with a single window.
-    for (std::size_t window :
-         {std::size_t{16}, std::size_t{140}, std::size_t{1} << 40}) {
+    // huge budget runs the windowed machinery with a single window; 0 is
+    // the batch run (the multi-file framers on a pool).
+    for (std::size_t window : {std::size_t{16}, std::size_t{140},
+                               std::size_t{1} << 40, std::size_t{0}}) {
       for (unsigned threads : {1u, 4u}) {
         for (bool spill : {false, true}) {
           SCOPED_TRACE("window=" + std::to_string(window) +
@@ -240,11 +257,19 @@ TEST(IngestStreaming, WindowThreadSpillEquivalence) {
                         std::to_string(seed) + "_" + std::to_string(window) +
                         "_" + std::to_string(threads);
             options.spill_dir = spill_dir;
+            std::filesystem::remove_all(spill_dir);
           }
           IngestResult result = streaming_ingest(parts, options);
           expect_identical(reference, result);
           if (window == std::size_t{16}) {
             EXPECT_GT(result.stats.windows, 1u);
+          }
+          if (window == 0) {
+            EXPECT_EQ(result.stats.windows, 1u);
+            if (spill) {
+              EXPECT_FALSE(std::filesystem::exists(spill_dir))
+                  << "batch ingest must ignore spill_dir";
+            }
           }
           if (spill) {
             EXPECT_EQ(spill_files_in(spill_dir), 0u)

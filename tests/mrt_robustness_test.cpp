@@ -351,6 +351,46 @@ TEST(MrtRobustness, EmptyArchiveIsCleanEof) {
   core::IngestResult result = core::ingest_mrt_stream("C1", in_ingest);
   EXPECT_EQ(result.stream.size(), 0u);
   EXPECT_EQ(result.stats.raw_records, 0u);
+  EXPECT_EQ(result.stats.windows, 0u);
+
+  // No framed record means no window: a batch finish() and a poll() loop
+  // both report 0 windows and fire no window bracket, over a zero-byte
+  // archive and over no source at all, inline and on a pool.
+  for (unsigned threads : {1u, 4u}) {
+    for (bool poll : {false, true}) {
+      for (bool any_source : {false, true}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " poll=" + std::to_string(poll) +
+                     " any_source=" + std::to_string(any_source));
+        int brackets = 0;
+        core::IngestOptions options;
+        options.num_threads = threads;
+        options.window_begin = [&brackets] { ++brackets; };
+        options.window_commit = [&brackets] { ++brackets; };
+        std::istringstream in((std::string()));
+        core::StreamingIngestor engine(options);
+        if (any_source) engine.add_stream("C1", in);
+        if (poll) {
+          EXPECT_FALSE(engine.poll());
+        }
+        core::IngestResult empty = engine.finish();
+        EXPECT_EQ(empty.stream.size(), 0u);
+        EXPECT_EQ(empty.stats.raw_records, 0u);
+        EXPECT_EQ(empty.stats.files, any_source ? 1u : 0u);
+        EXPECT_EQ(empty.stats.windows, 0u);
+        EXPECT_EQ(engine.stats().windows, 0u);
+        EXPECT_EQ(brackets, 0);
+
+        if (!poll && !any_source) {
+          core::IngestResult none = core::ingest_mrt_sources({}, options);
+          EXPECT_EQ(none.stream.size(), 0u);
+          EXPECT_EQ(none.stats.files, 0u);
+          EXPECT_EQ(none.stats.windows, 0u);
+          EXPECT_EQ(brackets, 0);
+        }
+      }
+    }
+  }
 }
 
 // Compressed-input robustness: a truncated or corrupt gzip/bzip2 archive

@@ -540,7 +540,6 @@ TEST(SerializeRobustness, MismatchedHistogramBucketsThrow) {
 TEST(SerializeRobustness, BareIngestCursorIsRejected) {
   core::IngestCheckpoint cursor;
   cursor.chunk_records = 4096;
-  cursor.shards = core::kIngestShards;
   cursor.carry.resize(core::kIngestShards);
   std::ostringstream out;
   serialize::Writer w(out);
@@ -563,7 +562,6 @@ TEST(SerializeRobustness, IngestCheckpointRoundtrips) {
   cursor.input_open = true;
   cursor.current_file = 1;
   cursor.chunk_index = 42;
-  cursor.shards = core::kIngestShards;
   cursor.carry.resize(core::kIngestShards);
   core::SessionKey session{"rrc00", Asn(65001), IpAddress::v4(10, 0, 0, 1)};
   cursor.carry[session.hash() % core::kIngestShards][session] = {1600000000,
@@ -585,7 +583,6 @@ TEST(SerializeRobustness, IngestCheckpointRoundtrips) {
   EXPECT_EQ(back.input_open, cursor.input_open);
   EXPECT_EQ(back.current_file, cursor.current_file);
   EXPECT_EQ(back.chunk_index, cursor.chunk_index);
-  EXPECT_EQ(back.shards, core::kIngestShards);
   ASSERT_EQ(back.carry.size(), cursor.carry.size());
   const auto& shard = back.carry[session.hash() % core::kIngestShards];
   ASSERT_EQ(shard.size(), 1u);
@@ -596,27 +593,32 @@ TEST(SerializeRobustness, IngestCheckpointRoundtrips) {
 }
 
 TEST(SerializeRobustness, IngestCursorShardFieldIsValidated) {
-  // shards = 0 (a hand-built legacy struct): the writer derives the
-  // count from the carry's shape, and the reader hands it back.
+  // The writer records the carry's size as the resolved shard count, and
+  // the reader hands back a carry of that shape.
   core::IngestCheckpoint cursor;
   cursor.chunk_records = 1024;
   cursor.carry.resize(8);
+  std::ostringstream out;
+  serialize::Writer w(out);
+  serialize::write_ingest_checkpoint(w, cursor);
+  std::string bytes = out.str();
   {
-    std::ostringstream out;
-    serialize::Writer w(out);
-    serialize::write_ingest_checkpoint(w, cursor);
-    std::istringstream in(out.str());
+    std::istringstream in(bytes);
     serialize::Reader r(in);
-    EXPECT_EQ(serialize::read_ingest_checkpoint(r).shards, 8u);
+    EXPECT_EQ(serialize::read_ingest_checkpoint(r).carry.size(), 8u);
   }
 
   // A shard count that disagrees with the carry is corruption, not a
-  // judgement call: the reader must refuse.
-  cursor.shards = 4;  // the carry still holds 8 entries
-  std::ostringstream bad;
-  serialize::Writer w(bad);
-  serialize::write_ingest_checkpoint(w, cursor);
-  std::istringstream in(bad.str());
+  // judgement call: the reader must refuse. The carry's own count is the
+  // big-endian u64 after the block header (7 bytes), chunk_records (8),
+  // the collector count (4), next_source (8), input_open (1),
+  // current_file (4), chunk_index (4) and the resolved count (8).
+  constexpr std::size_t kCarryCount = 7 + 8 + 4 + 8 + 1 + 4 + 4 + 8;
+  ASSERT_GT(bytes.size(), kCarryCount + 8);
+  ASSERT_EQ(bytes[kCarryCount - 1], '\x08');  // resolved count, low byte
+  ASSERT_EQ(bytes[kCarryCount + 7], '\x08');  // carry count, low byte
+  bytes[kCarryCount + 7] = '\x04';
+  std::istringstream in(bytes);
   serialize::Reader r(in);
   EXPECT_THROW((void)serialize::read_ingest_checkpoint(r), DecodeError);
 }
