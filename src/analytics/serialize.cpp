@@ -1,9 +1,8 @@
 #include "analytics/serialize.h"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
 #include <istream>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <set>
@@ -11,6 +10,7 @@
 #include <vector>
 
 #include "analytics/passes.h"
+#include "core/codec.h"
 #include "netbase/error.h"
 
 namespace bgpcc::analytics {
@@ -18,6 +18,30 @@ namespace serialize {
 
 // ---------------------------------------------------------------------------
 // Primitive writer/reader.
+
+namespace {
+
+/// The big-endian bytes of `v`.
+template <class T>
+std::array<std::uint8_t, sizeof(T)> big_endian(T v) {
+  std::array<std::uint8_t, sizeof(T)> out{};
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[sizeof(T) - 1 - i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return out;
+}
+
+/// Reads sizeof(T) bytes as one big-endian integer.
+template <class T>
+T read_big_endian(Reader& r) {
+  std::array<std::uint8_t, sizeof(T)> bytes{};
+  r.raw(bytes.data(), bytes.size());
+  T v = 0;
+  for (std::uint8_t b : bytes) v = static_cast<T>((v << 8) | b);
+  return v;
+}
+
+}  // namespace
 
 void Writer::raw(const void* data, std::size_t size) {
   out_.write(static_cast<const char*>(data),
@@ -30,38 +54,17 @@ void Writer::raw(const void* data, std::size_t size) {
 
 void Writer::u8(std::uint8_t v) { raw(&v, 1); }
 
-void Writer::u16(std::uint16_t v) {
-  std::uint8_t b[2] = {static_cast<std::uint8_t>(v >> 8),
-                       static_cast<std::uint8_t>(v)};
-  raw(b, sizeof(b));
-}
+void Writer::u16(std::uint16_t v) { raw(big_endian(v).data(), sizeof(v)); }
 
-void Writer::u32(std::uint32_t v) {
-  std::uint8_t b[4] = {
-      static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
-      static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
-  raw(b, sizeof(b));
-}
+void Writer::u32(std::uint32_t v) { raw(big_endian(v).data(), sizeof(v)); }
 
-void Writer::u64(std::uint64_t v) {
-  std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) {
-    b[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-  }
-  raw(b, sizeof(b));
-}
+void Writer::u64(std::uint64_t v) { raw(big_endian(v).data(), sizeof(v)); }
 
 void Writer::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
 void Writer::boolean(bool v) { u8(v ? 1 : 0); }
 
-void Writer::str(std::string_view s) {
-  if (s.size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw ConfigError("state serialization: string exceeds u32 length");
-  }
-  u32(static_cast<std::uint32_t>(s.size()));
-  if (!s.empty()) raw(s.data(), s.size());
-}
+void Writer::str(std::string_view s) { core::codec::write_bytes(*this, s); }
 
 void Reader::raw(void* data, std::size_t size) {
   in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
@@ -71,49 +74,20 @@ void Reader::raw(void* data, std::size_t size) {
   read_ += size;
 }
 
-std::uint8_t Reader::u8() {
-  std::uint8_t v = 0;
-  raw(&v, 1);
-  return v;
-}
+std::uint8_t Reader::u8() { return read_big_endian<std::uint8_t>(*this); }
 
-std::uint16_t Reader::u16() {
-  std::uint8_t b[2];
-  raw(b, sizeof(b));
-  return static_cast<std::uint16_t>((b[0] << 8) | b[1]);
-}
+std::uint16_t Reader::u16() { return read_big_endian<std::uint16_t>(*this); }
 
-std::uint32_t Reader::u32() {
-  std::uint8_t b[4];
-  raw(b, sizeof(b));
-  return (static_cast<std::uint32_t>(b[0]) << 24) |
-         (static_cast<std::uint32_t>(b[1]) << 16) |
-         (static_cast<std::uint32_t>(b[2]) << 8) |
-         static_cast<std::uint32_t>(b[3]);
-}
+std::uint32_t Reader::u32() { return read_big_endian<std::uint32_t>(*this); }
 
-std::uint64_t Reader::u64() {
-  std::uint8_t b[8];
-  raw(b, sizeof(b));
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | b[i];
-  return v;
-}
+std::uint64_t Reader::u64() { return read_big_endian<std::uint64_t>(*this); }
 
 std::int64_t Reader::i64() { return static_cast<std::int64_t>(u64()); }
 
 bool Reader::boolean() { return u8() != 0; }
 
 std::string Reader::str() {
-  std::uint32_t size = u32();
-  // No field in the format approaches this; a corrupt length prefix must
-  // throw before it turns into a giant allocation.
-  if (size > (1u << 20)) {
-    throw DecodeError("corrupt state blob: oversized string length");
-  }
-  std::string out(size, '\0');
-  if (size > 0) raw(out.data(), size);
-  return out;
+  return core::codec::read_bytes<std::string>(*this);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,123 +155,24 @@ std::vector<PassTag> read_state_tags(std::istream& in) {
 }  // namespace serialize
 
 // ---------------------------------------------------------------------------
-// Typed helpers shared by the State codecs. Decoding validates everything
-// it reconstructs: ParseError from value-type constructors (Prefix length,
-// AsPath segment size) is rethrown as DecodeError so corrupt input keeps
-// the wire-error taxonomy.
+// Typed helpers shared by the State codecs. The value codecs (address,
+// prefix, session, AS path, community set, optional u32) live in
+// core/codec.h, shared with the spill-run format.
 
 namespace {
 
+using core::codec::read_aspath;
+using core::codec::read_communities;
+using core::codec::read_opt_u32;
+using core::codec::read_prefix;
+using core::codec::read_session;
+using core::codec::write_aspath;
+using core::codec::write_communities;
+using core::codec::write_opt_u32;
+using core::codec::write_prefix;
+using core::codec::write_session;
 using serialize::Reader;
 using serialize::Writer;
-
-void write_ip(Writer& w, const IpAddress& ip) {
-  auto bytes = ip.bytes();
-  w.u8(static_cast<std::uint8_t>(bytes.size()));
-  w.raw(bytes.data(), bytes.size());
-}
-
-IpAddress read_ip(Reader& r) {
-  std::uint8_t size = r.u8();
-  if (size != 4 && size != 16) {
-    throw DecodeError("corrupt state blob: bad address size");
-  }
-  std::uint8_t bytes[16];
-  r.raw(bytes, size);
-  if (size == 4) return IpAddress::v4(bytes[0], bytes[1], bytes[2], bytes[3]);
-  return IpAddress::v6({bytes, 16});
-}
-
-void write_prefix(Writer& w, const Prefix& prefix) {
-  write_ip(w, prefix.address());
-  w.u8(static_cast<std::uint8_t>(prefix.length()));
-}
-
-Prefix read_prefix(Reader& r) {
-  IpAddress address = read_ip(r);
-  std::uint8_t length = r.u8();
-  try {
-    return Prefix(address, length);
-  } catch (const ParseError&) {
-    throw DecodeError("corrupt state blob: prefix length exceeds family");
-  }
-}
-
-void write_session(Writer& w, const core::SessionKey& session) {
-  w.str(session.collector);
-  w.u32(session.peer_asn.value());
-  write_ip(w, session.peer_address);
-}
-
-core::SessionKey read_session(Reader& r) {
-  core::SessionKey out;
-  out.collector = r.str();
-  out.peer_asn = Asn(r.u32());
-  out.peer_address = read_ip(r);
-  return out;
-}
-
-void write_aspath(Writer& w, const AsPath& path) {
-  const auto& segments = path.segments();
-  w.u32(static_cast<std::uint32_t>(segments.size()));
-  for (const AsPathSegment& segment : segments) {
-    w.u8(static_cast<std::uint8_t>(segment.type));
-    w.u32(static_cast<std::uint32_t>(segment.asns.size()));
-    for (Asn asn : segment.asns) w.u32(asn.value());
-  }
-}
-
-AsPath read_aspath(Reader& r) {
-  std::uint32_t segment_count = r.u32();
-  std::vector<AsPathSegment> segments;
-  segments.reserve(std::min<std::uint32_t>(segment_count, 64));
-  for (std::uint32_t s = 0; s < segment_count; ++s) {
-    AsPathSegment segment;
-    std::uint8_t type = r.u8();
-    if (type != static_cast<std::uint8_t>(AsPathSegment::Type::kSet) &&
-        type != static_cast<std::uint8_t>(AsPathSegment::Type::kSequence)) {
-      throw DecodeError("corrupt state blob: bad AS-path segment type");
-    }
-    segment.type = static_cast<AsPathSegment::Type>(type);
-    std::uint32_t asn_count = r.u32();
-    if (asn_count > 255) {
-      // from_segments would reject it anyway; fail before allocating.
-      throw DecodeError("corrupt state blob: oversized AS-path segment");
-    }
-    segment.asns.reserve(asn_count);
-    for (std::uint32_t a = 0; a < asn_count; ++a) {
-      segment.asns.emplace_back(r.u32());
-    }
-    segments.push_back(std::move(segment));
-  }
-  try {
-    return AsPath::from_segments(std::move(segments));
-  } catch (const ParseError&) {
-    throw DecodeError("corrupt state blob: unencodable AS path");
-  }
-}
-
-void write_communities(Writer& w, const CommunitySet& set) {
-  w.u32(static_cast<std::uint32_t>(set.size()));
-  for (Community c : set) w.u32(c.raw());
-}
-
-CommunitySet read_communities(Reader& r) {
-  std::uint32_t count = r.u32();
-  CommunitySet out;
-  for (std::uint32_t i = 0; i < count; ++i) out.add(Community(r.u32()));
-  return out;
-}
-
-void write_opt_u32(Writer& w, const std::optional<std::uint32_t>& v) {
-  w.boolean(v.has_value());
-  if (v) w.u32(*v);
-}
-
-std::optional<std::uint32_t> read_opt_u32(Reader& r) {
-  if (!r.boolean()) return std::nullopt;
-  return r.u32();
-}
 
 void write_type_counts(Writer& w, const core::TypeCounts& counts) {
   for (std::uint64_t c : counts.counts) w.u64(c);
@@ -651,10 +526,10 @@ void write_ingest_checkpoint(Writer& w, const core::IngestCheckpoint& state) {
   w.u64(state.chunk_records);
   w.u32(static_cast<std::uint32_t>(state.collectors.size()));
   for (const std::string& collector : state.collectors) w.str(collector);
-  w.u64(state.next_source);
-  w.boolean(state.input_open);
-  w.u32(state.current_file);
-  w.u32(state.chunk_index);
+  w.u64(state.cursor.next_source);
+  w.boolean(state.cursor.input_open);
+  w.u32(state.cursor.current_file);
+  w.u32(state.cursor.chunk_index);
   // v2: the run's resolved shard count travels explicitly (it shapes the
   // carry below AND the restorer's engine — num_threads=0 resolution is
   // machine-dependent, so it must not be re-derived on the other side).
@@ -697,10 +572,10 @@ core::IngestCheckpoint read_ingest_checkpoint(Reader& r) {
   for (std::uint32_t i = 0; i < collector_count; ++i) {
     out.collectors.push_back(r.str());
   }
-  out.next_source = r.u64();
-  out.input_open = r.boolean();
-  out.current_file = r.u32();
-  out.chunk_index = r.u32();
+  out.cursor.next_source = r.u64();
+  out.cursor.input_open = r.boolean();
+  out.cursor.current_file = r.u32();
+  out.cursor.chunk_index = r.u32();
   std::uint64_t resolved_shards = r.u64();
   if (resolved_shards == 0 || resolved_shards > core::kMaxIngestShards) {
     throw DecodeError("corrupt ingest cursor: implausible shard count");

@@ -14,8 +14,10 @@
 //              + states (kCheckpoint), or framing cursor + cleaning carry
 //              (kIngestCursor)
 //
-// All integers are big-endian (network order), matching the BGP/MRT/
-// spill codecs. Decoding is bounds-checked end to end: truncated input,
+// All integers are big-endian (network order), matching the BGP/MRT
+// codecs. The value encodings inside the blocks (session, prefix, AS
+// path, community set, ...) are core/codec.h's, shared with the spill-run
+// format. Decoding is bounds-checked end to end: truncated input,
 // a bad magic, an unknown version, or a pass-tag mismatch throw
 // DecodeError (never UB) — serialize_test drives the same adversarial
 // battery the gz/bz2 sources get.
@@ -92,7 +94,8 @@ class Writer {
   void i64(std::int64_t v);
   /// Writes a bool as one byte (0 or 1).
   void boolean(bool v);
-  /// Writes a length-prefixed (u32) byte string.
+  /// Writes a length-prefixed (u32) byte string. Throws ConfigError past
+  /// core::codec::kMaxStringBytes, the cap Reader::str enforces.
   void str(std::string_view s);
   /// Writes raw bytes with no length prefix.
   void raw(const void* data, std::size_t size);
@@ -126,7 +129,8 @@ class Reader {
   /// Reads a bool byte; any nonzero value is true.
   [[nodiscard]] bool boolean();
   /// Reads a length-prefixed (u32) byte string. Throws DecodeError past
-  /// the 1 MiB sanity cap (no field in the format comes close).
+  /// core::codec::kMaxStringBytes (1 MiB; no field in the format comes
+  /// close).
   [[nodiscard]] std::string str();
   /// Reads exactly `size` raw bytes.
   void raw(void* data, std::size_t size);

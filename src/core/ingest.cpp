@@ -21,6 +21,7 @@
 
 #include "bgp/codec.h"
 #include "core/cleaning.h"
+#include "core/codec.h"
 #include "core/worker_pool.h"
 #include "mrt/mrt.h"
 #include "mrt/source.h"
@@ -108,17 +109,6 @@ std::optional<FramedChunk> frame_chunk(mrt::ChunkedReader& reader,
   }
   return FramedChunk{file, chunk_index++, std::move(*records)};
 }
-
-/// A position in the arrival order: the next source to open and, while
-/// a source is open mid-file, which one and how many of its chunks are
-/// consumed. Chunking is deterministic, so this locates the next record
-/// exactly.
-struct FramingCursor {
-  std::size_t next_source = 0;
-  bool input_open = false;
-  std::uint32_t current_file = 0;
-  std::uint32_t chunk_index = 0;
-};
 
 /// One decoded batch: records bucketed by SessionKey-hash shard, plus the
 /// batch's share of the deterministic counters and its arrival coordinate
@@ -396,176 +386,13 @@ void sort_decoded(std::vector<DecodedChunk>& decoded) {
 }
 
 // ---------------------------------------------------------------------------
-// Spilled-run codec: one self-describing record per SeqRecord. The
-// attribute block reuses the hardened RFC 4271 wire codec (encode_update /
-// decode_update) instead of a parallel hand-rolled serializer, so a
-// spill round-trip is exactly as lossless as the MRT decode that produced
-// the record. One exception: the next hop travels out-of-band. A decoded
-// record's next_hop can disagree with its prefix family (a dual-stack
-// UPDATE's MP_REACH next hop overwrites the classic one for every
-// exploded record), and the wire codec would reject or v4-map such a
-// combination — so the spill stores the verbatim address and encodes the
-// UpdateMessage with a family-matching placeholder instead.
+// Spilled runs: one u32 length-prefixed buffer per SeqRecord, encoded with
+// the shared value codec (core/codec.h); end of file is end of run.
 
-// Spill-record flag bits.
-constexpr std::uint8_t kSpillAnnouncement = 1;  // else withdrawal
-constexpr std::uint8_t kSpillTwoOctet = 2;      // legacy AS_PATH encoding
-
-void write_exact(std::ostream& out, const std::uint8_t* data,
-                 std::size_t size) {
-  out.write(reinterpret_cast<const char*>(data),
-            static_cast<std::streamsize>(size));
-  if (!out) throw DecodeError("spill-run write failed (stream error)");
-}
-
-void write_spill_record(std::ostream& out, const SeqRecord& sr) {
-  const UpdateRecord& record = sr.record;
-  ByteWriter w;
-  w.u64(sr.seq);
-  w.u64(static_cast<std::uint64_t>(record.time.unix_micros()));
-  const std::string& collector = record.session.collector;
-  if (collector.size() > std::numeric_limits<std::uint16_t>::max()) {
-    throw ConfigError("collector name too long to spill");
-  }
-  w.u16(static_cast<std::uint16_t>(collector.size()));
-  w.bytes({reinterpret_cast<const std::uint8_t*>(collector.data()),
-           collector.size()});
-  w.u32(record.session.peer_asn.value());
-  auto peer_ip = record.session.peer_address.bytes();
-  w.u8(static_cast<std::uint8_t>(peer_ip.size()));
-  w.bytes(peer_ip);
-  auto prefix_ip = record.prefix.address().bytes();
-  w.u8(static_cast<std::uint8_t>(prefix_ip.size()));
-  w.bytes(prefix_ip);
-  w.u8(static_cast<std::uint8_t>(record.prefix.length()));
-
-  UpdateMessage message;
-  if (record.announcement) {
-    message.announced.push_back(record.prefix);
-    message.attrs = record.attrs;
-    message.attrs->next_hop = record.prefix.address();
-  } else {
-    message.withdrawn.push_back(record.prefix);
-  }
-  std::uint8_t flags = record.announcement ? kSpillAnnouncement : 0;
-  std::vector<std::uint8_t> wire;
-  try {
-    wire = encode_update(message);
-  } catch (const DecodeError&) {
-    // Re-encoding a near-limit legacy AS_PATH at 4 bytes/ASN can push a
-    // message past the 4096-byte BGP cap. Such paths came off 2-octet
-    // sessions, so the legacy encoding both fits and is lossless; fall
-    // back to it and record the width for the reader.
-    try {
-      CodecOptions legacy;
-      legacy.four_byte_asn = false;
-      wire = encode_update(message, legacy);
-      flags |= kSpillTwoOctet;
-    } catch (const std::exception&) {
-      throw DecodeError(
-          "spill-run codec cannot represent a record (message exceeds the "
-          "4096-byte BGP cap in both AS encodings); ingest with spill_dir "
-          "unset");
-    }
-  }
-  w.u8(flags);
-  if (record.announcement) {
-    // Verbatim next hop out-of-band; the encoded message carries a
-    // placeholder of the prefix's own family (see the codec note above).
-    auto next_hop = record.attrs.next_hop.bytes();
-    w.u8(static_cast<std::uint8_t>(next_hop.size()));
-    w.bytes(next_hop);
-  }
-  w.u16(static_cast<std::uint16_t>(wire.size()));
-  w.bytes(wire);
-  write_exact(out, w.data().data(), w.size());
-}
-
-void read_spill_exact(std::istream& in, std::uint8_t* data,
-                      std::size_t size) {
-  // bgpcc-lint: allow(S1, this IS the checked primitive; gcount throws below)
-  in.read(reinterpret_cast<char*>(data),
-          static_cast<std::streamsize>(size));
-  if (static_cast<std::size_t>(in.gcount()) != size) {
-    throw DecodeError("truncated spill run");
-  }
-}
-
-IpAddress read_spill_ip(std::istream& in) {
-  std::uint8_t size = 0;
-  read_spill_exact(in, &size, 1);
-  if (size != 4 && size != 16) {
-    throw DecodeError("corrupt spill run: bad address size");
-  }
-  std::uint8_t bytes[16];
-  read_spill_exact(in, bytes, size);
-  if (size == 4) return IpAddress::v4(bytes[0], bytes[1], bytes[2], bytes[3]);
-  return IpAddress::v6({bytes, 16});
-}
-
-/// Reads one record; false at clean end of run.
-bool read_spill_record(std::istream& in, SeqRecord& out) {
-  std::uint8_t head[16];
-  // bgpcc-lint: allow(S1, EOF at record boundary is the clean stop signal)
-  in.read(reinterpret_cast<char*>(head), sizeof(head));
-  if (in.gcount() == 0 && in.eof()) return false;
-  if (static_cast<std::size_t>(in.gcount()) != sizeof(head)) {
-    throw DecodeError("truncated spill run");
-  }
-  ByteReader hr({head, sizeof(head)});
-  out.seq = hr.u64();
-  out.record.time =
-      Timestamp::from_unix_micros(static_cast<std::int64_t>(hr.u64()));
-
-  std::uint8_t len16[2];
-  read_spill_exact(in, len16, 2);
-  std::uint16_t collector_size =
-      static_cast<std::uint16_t>((len16[0] << 8) | len16[1]);
-  std::string collector(collector_size, '\0');
-  if (collector_size > 0) {
-    read_spill_exact(in, reinterpret_cast<std::uint8_t*>(collector.data()),
-                     collector_size);
-  }
-  std::uint8_t asn32[4];
-  read_spill_exact(in, asn32, 4);
-  std::uint32_t asn = (static_cast<std::uint32_t>(asn32[0]) << 24) |
-                      (static_cast<std::uint32_t>(asn32[1]) << 16) |
-                      (static_cast<std::uint32_t>(asn32[2]) << 8) |
-                      static_cast<std::uint32_t>(asn32[3]);
-  out.record.session =
-      SessionKey{std::move(collector), Asn(asn), read_spill_ip(in)};
-
-  IpAddress prefix_address = read_spill_ip(in);
-  std::uint8_t prefix_length = 0;
-  read_spill_exact(in, &prefix_length, 1);
-  out.record.prefix = Prefix(prefix_address, prefix_length);
-
-  std::uint8_t flags = 0;
-  read_spill_exact(in, &flags, 1);
-  out.record.announcement = (flags & kSpillAnnouncement) != 0;
-
-  IpAddress next_hop;
-  if (out.record.announcement) next_hop = read_spill_ip(in);
-
-  read_spill_exact(in, len16, 2);
-  std::uint16_t wire_size =
-      static_cast<std::uint16_t>((len16[0] << 8) | len16[1]);
-  std::vector<std::uint8_t> wire(wire_size);
-  read_spill_exact(in, wire.data(), wire_size);
-  CodecOptions codec;
-  codec.four_byte_asn = (flags & kSpillTwoOctet) == 0;
-  UpdateMessage message = decode_update(wire, codec);
-  if (out.record.announcement) {
-    if (!message.attrs) {
-      throw DecodeError("corrupt spill run: announcement without attributes");
-    }
-    out.record.attrs = std::move(*message.attrs);
-    out.record.attrs.next_hop = next_hop;  // replaces the placeholder
-  } else {
-    out.record.attrs = PathAttributes{};
-  }
-  return true;
-}
+/// Frame cap, enforced on write and read. A record holds one collector
+/// string (at most codec::kMaxStringBytes) plus the attributes of one
+/// decoded UPDATE (a few KiB), far below this.
+constexpr std::size_t kMaxSpillRecordBytes = std::size_t{16} << 20;
 
 /// Iterates one ordered run, wherever it lives.
 class RunCursor {
@@ -595,10 +422,35 @@ class SpillRunCursor final : public RunCursor {
       : in_(path, std::ios::binary) {
     if (!in_) throw DecodeError("cannot reopen spill run: " + path);
   }
-  bool next(SeqRecord& out) override { return read_spill_record(in_, out); }
+
+  /// Reads one record frame; false at the clean end of the run. A short
+  /// frame throws, and the record must decode to exactly its length.
+  bool next(SeqRecord& out) override {
+    if (in_.peek() == std::ifstream::traits_type::eof()) return false;
+    std::uint32_t size = ByteReader(fill(4)).u32();
+    if (size > kMaxSpillRecordBytes) {
+      throw DecodeError("corrupt spill run: oversized record");
+    }
+    ByteReader r(fill(size));
+    out = codec::read_seq_record(r);
+    if (!r.empty()) throw DecodeError("corrupt spill run: record overrun");
+    return true;
+  }
 
  private:
+  /// The next `n` bytes of the run, or DecodeError when fewer remain.
+  std::span<const std::uint8_t> fill(std::size_t n) {
+    frame_.resize(n);
+    in_.read(reinterpret_cast<char*>(frame_.data()),
+             static_cast<std::streamsize>(n));
+    if (static_cast<std::size_t>(in_.gcount()) != n) {
+      throw DecodeError("truncated spill run");
+    }
+    return frame_;
+  }
+
   std::ifstream in_;
+  std::vector<std::uint8_t> frame_;
 };
 
 /// Completed window runs: buffered in memory, or spilled to temp files
@@ -636,7 +488,20 @@ class RunStore {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) throw DecodeError("cannot create spill run: " + path);
     try {
-      for (const SeqRecord& sr : run) write_spill_record(out, sr);
+      ByteWriter frame;
+      for (const SeqRecord& sr : run) {
+        frame.clear();
+        frame.u32(0);  // the record's length, patched below
+        codec::write_seq_record(frame, sr);
+        const std::size_t size = frame.size() - 4;
+        if (size > kMaxSpillRecordBytes) {
+          throw ConfigError("record too large to spill");
+        }
+        frame.patch_u16(0, static_cast<std::uint16_t>(size >> 16));
+        frame.patch_u16(2, static_cast<std::uint16_t>(size));
+        out.write(reinterpret_cast<const char*>(frame.data().data()),
+                  static_cast<std::streamsize>(frame.size()));
+      }
       out.flush();
       if (!out) throw DecodeError("spill-run write failed: " + path);
     } catch (...) {
@@ -809,21 +674,16 @@ struct StreamingIngestor::Impl {
                          : mrt::InputStream::wrap(*entry.borrowed);
   }
 
-  /// The live cursor's position as a value.
-  [[nodiscard]] FramingCursor live_cursor() const {
-    return FramingCursor{next_source, input.has_value(), current_file,
-                         chunk_index};
-  }
-
   /// Opens sources until one yields a bound reader; false when all input
   /// is consumed.
   bool ensure_reader() {
-    while (!input) {
-      if (next_source >= sources.size()) return false;
-      current_file = static_cast<std::uint32_t>(next_source);
-      input = open_source(sources[next_source]);
-      ++next_source;
-      chunk_index = 0;
+    while (!cursor.input_open) {
+      if (cursor.next_source >= sources.size()) return false;
+      cursor.current_file = static_cast<std::uint32_t>(cursor.next_source);
+      input = open_source(sources[cursor.next_source]);
+      cursor.input_open = true;
+      ++cursor.next_source;
+      cursor.chunk_index = 0;
       if (!reader) {
         reader.emplace(input->stream(), chunk_records);
       } else {
@@ -841,9 +701,10 @@ struct StreamingIngestor::Impl {
     std::size_t framed = 0;
     while (framed < budget && ensure_reader()) {
       std::optional<FramedChunk> chunk =
-          frame_chunk(*reader, current_file, chunk_index);
+          frame_chunk(*reader, cursor.current_file, cursor.chunk_index);
       if (!chunk) {
         input.reset();  // EOF: advance to the next source
+        cursor.input_open = false;
         continue;
       }
       framed += chunk->records.size();
@@ -939,7 +800,7 @@ struct StreamingIngestor::Impl {
     w.framed = frame_window(budget, [&](FramedChunk&& chunk) {
       return decode_sink(w, cap, std::move(chunk));
     });
-    w.end = live_cursor();
+    w.end = cursor;
   }
 
   /// Produces the next fully decoded window: the pipelined prefetch if
@@ -962,7 +823,7 @@ struct StreamingIngestor::Impl {
                                               std::move(chunk), shard_count));
         return true;
       });
-      w->end = live_cursor();
+      w->end = cursor;
       return w;
     }
     try {
@@ -1023,8 +884,8 @@ struct StreamingIngestor::Impl {
     }
     pool->wait(w->group);
     w->framed = framed.load();
-    next_source = sources.size();
-    w->end = live_cursor();
+    cursor.next_source = sources.size();
+    w->end = cursor;
     return w;
   }
 
@@ -1065,7 +926,7 @@ struct StreamingIngestor::Impl {
     // Files can be split among framers only when this window takes every
     // source from the first: unbounded, and the cursor never moved.
     const bool batch = pool != nullptr && options.window_records == 0 &&
-                       !windowed && next_source == 0;
+                       !windowed && cursor.next_source == 0;
     std::unique_ptr<WindowDecode> w =
         batch ? frame_files_concurrently() : take_window(budget);
     if (w->framed == 0) return false;
@@ -1164,11 +1025,9 @@ struct StreamingIngestor::Impl {
   // pause mid-file). With pipelining this is owned by the prefetch
   // framer between polls — only checkpoint-committed copies below are
   // safe to read while a prefetch is in flight.
-  std::size_t next_source = 0;
-  std::optional<mrt::InputStream> input;
+  FramingCursor cursor;
+  std::optional<mrt::InputStream> input;  // engaged iff cursor.input_open
   std::optional<mrt::ChunkedReader> reader;
-  std::uint32_t current_file = 0;
-  std::uint32_t chunk_index = 0;
 
   // Cursor committed by the last PROCESSED window — what
   // checkpoint_state() snapshots. Equal to the live cursor whenever no
@@ -1267,11 +1126,7 @@ IngestCheckpoint StreamingIngestor::checkpoint_state() const {
   // (and advances) the live cursor concurrently, and a resume must
   // replay from the first window that was never processed — which is
   // exactly the prefetched window.
-  const FramingCursor& at = impl.committed;
-  out.next_source = at.next_source;
-  out.input_open = at.input_open;
-  out.current_file = at.current_file;
-  out.chunk_index = at.chunk_index;
+  out.cursor = impl.committed;
   out.carry = impl.carry;
   out.cleaning = impl.cleaning_report;
   out.stats = impl.stats;
@@ -1281,7 +1136,7 @@ IngestCheckpoint StreamingIngestor::checkpoint_state() const {
 void StreamingIngestor::restore_checkpoint(const IngestCheckpoint& state) {
   Impl& impl = *impl_;
   if (impl.finished || impl.failed || impl.windowed ||
-      impl.stats.raw_records != 0 || impl.input) {
+      impl.stats.raw_records != 0 || impl.cursor.input_open) {
     throw ConfigError(
         "StreamingIngestor: restore_checkpoint() on a used ingestor — "
         "restore into a freshly constructed one, before any poll()");
@@ -1317,10 +1172,11 @@ void StreamingIngestor::restore_checkpoint(const IngestCheckpoint& state) {
                       std::to_string(state.carry.size()) +
                       ") is out of range");
   }
-  if (state.next_source > impl.sources.size() ||
-      (state.input_open &&
-       (state.current_file >= impl.sources.size() ||
-        state.next_source != state.current_file + std::uint64_t{1}))) {
+  const FramingCursor& at = state.cursor;
+  if (at.next_source > impl.sources.size() ||
+      (at.input_open &&
+       (at.current_file >= impl.sources.size() ||
+        at.next_source != at.current_file + std::uint64_t{1}))) {
     throw ConfigError(
         "StreamingIngestor: checkpoint cursor is out of range for the "
         "registered sources");
@@ -1333,30 +1189,26 @@ void StreamingIngestor::restore_checkpoint(const IngestCheckpoint& state) {
   impl.stats.shards = impl.shard_count;
   impl.stats.threads = impl.threads;
   impl.stats.files = impl.sources.size();
-  impl.next_source = static_cast<std::size_t>(state.next_source);
-  impl.committed = FramingCursor{impl.next_source, state.input_open,
-                                 state.current_file, state.chunk_index};
+  impl.committed = at;
   impl.windowed = true;  // resumed: frame from the cursor, not by file
 
-  if (state.input_open) {
-    const Impl::SourceEntry& entry = impl.sources[state.current_file];
-    impl.current_file = state.current_file;
+  if (at.input_open) {
+    const Impl::SourceEntry& entry = impl.sources[at.current_file];
     impl.input = Impl::open_source(entry);
     impl.reader.emplace(impl.input->stream(), impl.chunk_records);
     // Chunking is deterministic, so discarding the consumed chunks
     // relocates the framing cursor to the exact record the checkpointed
     // run would have read next.
-    for (std::uint32_t c = 0; c < state.chunk_index; ++c) {
+    for (std::uint32_t c = 0; c < at.chunk_index; ++c) {
       if (!impl.reader->next_chunk()) {
         throw DecodeError(
             "restore_checkpoint: source '" + entry.collector +
-            "' ends before checkpoint chunk " +
-            std::to_string(state.chunk_index) +
+            "' ends before checkpoint chunk " + std::to_string(at.chunk_index) +
             " — the input differs from the checkpointed run");
       }
     }
-    impl.chunk_index = state.chunk_index;
   }
+  impl.cursor = at;
 }
 
 // ---------------------------------------------------------------------------

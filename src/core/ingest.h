@@ -184,10 +184,21 @@ struct IngestResult {
   IngestStats stats;
 };
 
+/// A position in the arrival order: the next source to open and, while
+/// a source is open mid-file, which one and how many of its chunks are
+/// consumed. Chunking is deterministic, so this locates the next record
+/// exactly.
+struct FramingCursor {
+  std::uint64_t next_source = 0;
+  bool input_open = false;
+  std::uint32_t current_file = 0;  ///< the open source, when input_open
+  std::uint32_t chunk_index = 0;   ///< its chunks already consumed
+};
+
 /// A resumable snapshot of a windowed StreamingIngestor, taken between
-/// windows (see StreamingIngestor::checkpoint_state). Plain data: the
-/// byte encoding lives in analytics/serialize.h so core stays free of
-/// any wire-format dependency.
+/// windows (see StreamingIngestor::checkpoint_state). Plain data: its
+/// block layout (kIngestCursor) lives in analytics/serialize.h, which
+/// encodes the values inside it with the core/codec.h value codecs.
 ///
 /// The snapshot captures the framing cursor (which source, how many
 /// chunks consumed), the per-shard §4 cleaning carry, and the cumulative
@@ -207,16 +218,8 @@ struct IngestCheckpoint {
   /// Collector name of each registered source, in add order. Restore
   /// validates count and names so the cursor indexes the same inputs.
   std::vector<std::string> collectors;
-  /// Index of the next source the framer would open.
-  std::uint64_t next_source = 0;
-  /// True when a source was open mid-file at checkpoint time; the fields
-  /// below then locate the resume point inside it.
-  bool input_open = false;
-  std::uint32_t current_file = 0;
-  /// Chunks already consumed from the open source (chunking is
-  /// deterministic, so skipping this many chunks relocates the cursor
-  /// exactly).
-  std::uint32_t chunk_index = 0;
+  /// Where the first unprocessed window starts.
+  FramingCursor cursor;
   /// Per-shard cleaning carry, one entry per shard of the checkpointed
   /// run: its size IS the run's resolved shard count. Serialized since
   /// format v2 so a cursor written on a host that auto-resolved more

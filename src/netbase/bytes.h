@@ -2,6 +2,7 @@
 // wire codecs. All multi-byte integers on the wire are network byte order.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -44,6 +45,12 @@ class ByteReader {
   /// Skips `n` bytes (throws if fewer remain).
   void skip(std::size_t n);
 
+  /// Copies the next `n` bytes into `out` (throws if fewer remain).
+  void raw(void* out, std::size_t n) {
+    std::span<const std::uint8_t> view = bytes(n);
+    std::copy(view.begin(), view.end(), static_cast<std::uint8_t*>(out));
+  }
+
  private:
   void require(std::size_t n) const;
 
@@ -62,6 +69,10 @@ class ByteWriter {
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void bytes(std::span<const std::uint8_t> data);
+  /// Appends `n` raw bytes (the pointer form of bytes()).
+  void raw(const void* data, std::size_t n) {
+    bytes({static_cast<const std::uint8_t*>(data), n});
+  }
 
   /// Reserves a 2-byte slot (written as zero) and returns its offset for a
   /// later patch_u16() once the enclosed payload length is known.
@@ -71,6 +82,8 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
+  /// Empties the buffer, keeping its capacity for reuse.
+  void clear() { buf_.clear(); }
 
  private:
   std::vector<std::uint8_t> buf_;

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -21,6 +20,7 @@
 
 #include "bgp/codec.h"
 #include "core/cleaning.h"
+#include "core/codec.h"
 #include "core/ingest.h"
 #include "core/registry.h"
 #include "core/stream.h"
@@ -606,6 +606,61 @@ TEST(IngestStreaming, DualStackNextHopSurvivesSpill) {
   expect_identical(reference, result);
 }
 
+// Every attribute the MRT decode can produce survives a spilled run:
+// MED, LOCAL_PREF, atomic aggregate, aggregator, large communities, an
+// unknown optional transitive attribute and an AS_SET segment, next to
+// withdrawals.
+TEST(IngestStreaming, EveryAttributeSurvivesSpill) {
+  std::ostringstream archive;
+  mrt::Writer writer(archive);
+  Timestamp base = Timestamp::from_unix_seconds(1600000000);
+  for (int i = 0; i < 24; ++i) {
+    const auto network = 0x0a000000u + (static_cast<std::uint32_t>(i) << 12);
+    Prefix prefix(IpAddress::v4(network), 20);
+    UpdateMessage update;
+    if (i % 3 == 2) {
+      update.withdrawn.push_back(prefix);
+    } else {
+      update.announced.push_back(prefix);
+      PathAttributes attrs;
+      attrs.origin = Origin::kEgp;
+      attrs.as_path = AsPath::from_string("65001 65100 {65200 4200000001}");
+      attrs.next_hop = IpAddress::from_string("192.0.2.1");
+      attrs.med = static_cast<std::uint32_t>(i);
+      attrs.local_pref = 100;
+      attrs.atomic_aggregate = true;
+      attrs.aggregator = Aggregator{Asn(65100), IpAddress::v4(192, 0, 2, 9)};
+      attrs.communities.add(Community(0xfde80000u + i));
+      attrs.large_communities.add(LargeCommunity{64500, 1, network});
+      attrs.add_unknown(RawAttribute{0xc0, 99, {1, 2, 3}});
+      update.attrs = std::move(attrs);
+    }
+    mrt::Bgp4mpMessage message;
+    message.peer_asn = Asn(65001);
+    message.local_asn = Asn(64512);
+    message.peer_ip = IpAddress::v4(0x0a000001u);
+    message.local_ip = IpAddress::from_string("203.0.113.1");
+    message.bgp_message = encode_update(update);
+    writer.write_message(base + Duration::seconds(i), message);
+  }
+
+  IngestOptions options;
+  options.num_threads = 2;
+  options.chunk_records = 4;
+  IngestResult reference = streaming_ingest({archive.str()}, options);
+  ASSERT_EQ(reference.stream.size(), 24u);
+  const PathAttributes& first = reference.stream.records().front().attrs;
+  ASSERT_TRUE(first.aggregator && first.med && first.local_pref);
+  ASSERT_EQ(first.unknown.size(), 1u);
+  ASSERT_FALSE(first.large_communities.empty());
+
+  IngestOptions spilled = options;
+  spilled.window_records = 8;
+  spilled.spill_dir = ::testing::TempDir() + "/bgpcc_all_attrs_spill";
+  IngestResult result = streaming_ingest({archive.str()}, spilled);
+  expect_identical(reference, result);
+}
+
 // Misuse guards: finish() twice and poll() after finish() are loud
 // ConfigErrors, not silent empties.
 TEST(IngestStreaming, LifecycleMisuseThrows) {
@@ -672,12 +727,13 @@ TEST(IngestStreaming, OversizeLegacyPathSurvivesSpill) {
 // A failure while a window's run is being spilled must not leak the
 // partially written run file into spill_dir: add_run removes it before
 // rethrowing, and the store's destructor removes every completed run.
-// The injected failure is a collector name past the spill codec's u16
-// length cap — the write throws ConfigError mid-run, after the file has
-// already been created.
+// The injected failure is a collector name past the shared string cap
+// (codec::kMaxStringBytes) — the first record's encode throws
+// ConfigError after the run file has already been created. Every
+// decoded record copies the 1 MiB name, so the archive stays small.
 TEST(IngestStreaming, SpillFailureLeavesDirClean) {
   ArchiveGenerator gen(53);
-  std::vector<std::string> records = gen.generate(40);
+  std::vector<std::string> records = gen.generate(12);
   std::string archive;
   for (const std::string& record : records) archive += record;
 
@@ -689,8 +745,7 @@ TEST(IngestStreaming, SpillFailureLeavesDirClean) {
   options.window_records = 8;
   options.spill_dir = spill_dir;
 
-  std::string oversize_collector(
-      std::numeric_limits<std::uint16_t>::max() + 1, 'c');
+  std::string oversize_collector(codec::kMaxStringBytes + 1, 'c');
   std::istringstream in(archive);
   {
     StreamingIngestor engine(options);

@@ -208,6 +208,24 @@ TEST(ByteWriter, PatchU16) {
   EXPECT_EQ(to_hex({w.data().data(), w.data().size()}), "0004deadbeef");
 }
 
+TEST(ByteWriter, RawAndClear) {
+  ByteWriter w;
+  const std::uint8_t payload[3] = {0xab, 0xcd, 0xef};
+  w.u8(0x01);
+  w.raw(payload, sizeof(payload));
+  EXPECT_EQ(to_hex({w.data().data(), w.data().size()}), "01abcdef");
+
+  ByteReader r({w.data().data(), w.data().size()});
+  EXPECT_EQ(r.u8(), 0x01);
+  std::uint8_t back[3] = {};
+  r.raw(back, sizeof(back));
+  EXPECT_EQ(back[2], 0xef);
+  EXPECT_THROW(r.raw(back, 1), DecodeError);
+
+  w.clear();
+  EXPECT_EQ(w.size(), 0u);
+}
+
 TEST(Timeutil, DurationArithmetic) {
   EXPECT_EQ(Duration::hours(2).count_micros(), 7200ll * 1000000);
   EXPECT_EQ((Duration::minutes(1) + Duration::seconds(30)).count_micros(),

@@ -23,6 +23,7 @@
 #include "analytics/serialize.h"
 #include "archive_gen.h"
 #include "core/cleaning.h"
+#include "core/codec.h"
 #include "core/ingest.h"
 #include "core/registry.h"
 #include "core/stream.h"
@@ -201,6 +202,24 @@ TEST(SerializePrimitives, OversizedStringLengthThrows) {
   std::istringstream in(out.str());
   serialize::Reader r(in);
   EXPECT_THROW((void)r.str(), DecodeError);
+}
+
+// The writer and the reader share one string cap: a string of exactly
+// the cap round-trips, and one byte more is refused when written, not
+// later when a checkpoint is restored.
+TEST(SerializePrimitives, StringCapIsSharedByWriterAndReader) {
+  const std::string at_cap(core::codec::kMaxStringBytes, 'c');
+  std::ostringstream out;
+  serialize::Writer w(out);
+  w.str(at_cap);
+  std::istringstream in(out.str());
+  serialize::Reader r(in);
+  EXPECT_EQ(r.str(), at_cap);
+
+  std::ostringstream over_out;
+  serialize::Writer over(over_out);
+  EXPECT_THROW(over.str(at_cap + "c"), ConfigError);
+  EXPECT_EQ(over.bytes_written(), 0u);
 }
 
 TEST(SerializeHeader, BadMagicAndVersionThrow) {
@@ -558,10 +577,10 @@ TEST(SerializeRobustness, IngestCheckpointRoundtrips) {
   core::IngestCheckpoint cursor;
   cursor.chunk_records = 1024;
   cursor.collectors = {"rrc00", "route-views2"};
-  cursor.next_source = 2;
-  cursor.input_open = true;
-  cursor.current_file = 1;
-  cursor.chunk_index = 42;
+  cursor.cursor.next_source = 2;
+  cursor.cursor.input_open = true;
+  cursor.cursor.current_file = 1;
+  cursor.cursor.chunk_index = 42;
   cursor.carry.resize(core::kIngestShards);
   core::SessionKey session{"rrc00", Asn(65001), IpAddress::v4(10, 0, 0, 1)};
   cursor.carry[session.hash() % core::kIngestShards][session] = {1600000000,
@@ -579,10 +598,10 @@ TEST(SerializeRobustness, IngestCheckpointRoundtrips) {
 
   EXPECT_EQ(back.chunk_records, cursor.chunk_records);
   EXPECT_EQ(back.collectors, cursor.collectors);
-  EXPECT_EQ(back.next_source, cursor.next_source);
-  EXPECT_EQ(back.input_open, cursor.input_open);
-  EXPECT_EQ(back.current_file, cursor.current_file);
-  EXPECT_EQ(back.chunk_index, cursor.chunk_index);
+  EXPECT_EQ(back.cursor.next_source, cursor.cursor.next_source);
+  EXPECT_EQ(back.cursor.input_open, cursor.cursor.input_open);
+  EXPECT_EQ(back.cursor.current_file, cursor.cursor.current_file);
+  EXPECT_EQ(back.cursor.chunk_index, cursor.cursor.chunk_index);
   ASSERT_EQ(back.carry.size(), cursor.carry.size());
   const auto& shard = back.carry[session.hash() % core::kIngestShards];
   ASSERT_EQ(shard.size(), 1u);

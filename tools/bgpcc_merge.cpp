@@ -258,8 +258,8 @@ int cmd_ingest(const std::vector<std::string>& args) {
     ingestor.add_file(args[i].substr(0, eq), args[i].substr(eq + 1));
   }
   core::IngestResult result = ingestor.finish();
-  std::fprintf(stderr,
-               "ingested %zu file(s): %zu records on the cleaned stream\n",
+  // No CleaningOptions are set: the stream is decoded, not §4-cleaned.
+  std::fprintf(stderr, "ingested %zu file(s): %zu records (uncleaned)\n",
                result.stats.files, result.stream.size());
 
   std::ofstream out(out_path, std::ios::binary);
