@@ -49,16 +49,13 @@
 #include <memory>
 #include <utility>
 
+#include "analytics/serialize.h"
 #include "core/classifier.h"
+#include "core/codec.h"
 #include "core/stream.h"
 #include "netbase/error.h"
 
 namespace bgpcc::analytics {
-
-namespace serialize {
-class Writer;
-class Reader;
-}  // namespace serialize
 
 /// A State that observes records with their §5 stream events, fed from
 /// the driver's stream table.
@@ -91,21 +88,23 @@ template <Pass P>
 using ReportOf = decltype(std::declval<const typename P::State&>().report());
 
 /// A pass whose State additionally round-trips through the versioned wire
-/// codec (analytics/serialize.h): a pinned wire tag plus save/load. Every
+/// codec (analytics/serialize.h): a pinned wire tag plus a field list,
+/// `static auto fields(auto& self) { return std::tie(self.a_, ...); }`,
+/// naming the State's evidence members once. core::codec::write_value
+/// and read_value derive the State's save and load from it. Every
 /// shipped pass models this; custom passes may opt in to make their
 /// states checkpointable and bgpcc-merge-able.
 ///
-/// Contract: load() is called on a freshly minted state (make_state from
-/// an identically configured pass) and must leave it exactly as the saved
-/// one — configuration members are NOT serialized, only evidence, so the
-/// loading side configures the pass itself.
+/// Contract: loading fills a freshly minted state (make_state from an
+/// identically configured pass) and must leave it exactly as the saved
+/// one. Configuration members stay out of the field list — only
+/// evidence travels, so the loading side configures the pass itself.
 template <typename P>
 concept SerializablePass =
-    Pass<P> && requires(const typename P::State& cs, typename P::State& s,
-                        serialize::Writer& w, serialize::Reader& r) {
+    Pass<P> && requires(const typename P::State& cs, typename P::State& s) {
       { P::kStateTag } -> std::convertible_to<std::uint16_t>;
-      cs.save(w);
-      s.load(r);
+      P::State::fields(cs);
+      P::State::fields(s);
     };
 
 namespace detail {
@@ -161,22 +160,22 @@ class StateModel final : public AnyState {
   }
   void save(serialize::Writer& writer) const override {
     if constexpr (SerializablePass<P>) {
-      state_.save(writer);
+      core::codec::write_value(writer, state_);
     } else {
       (void)writer;
       throw ConfigError(
           "AnalysisDriver: this pass's State is not serializable — give it "
-          "kStateTag + save()/load() (analytics/serialize.h) to checkpoint");
+          "kStateTag + a fields() list (analytics/pass.h) to checkpoint");
     }
   }
   void load(serialize::Reader& reader) override {
     if constexpr (SerializablePass<P>) {
-      state_.load(reader);
+      core::codec::read_value(reader, state_);
     } else {
       (void)reader;
       throw ConfigError(
           "AnalysisDriver: this pass's State is not serializable — give it "
-          "kStateTag + save()/load() (analytics/serialize.h) to restore");
+          "kStateTag + a fields() list (analytics/pass.h) to restore");
     }
   }
   [[nodiscard]] std::unique_ptr<AnyState> clone() const override {
@@ -200,8 +199,8 @@ class PassModel final : public AnyPass {
       return P::kStateTag;
     } else {
       throw ConfigError(
-          "AnalysisDriver: this pass has no wire tag — give its State "
-          "kStateTag + save()/load() (analytics/serialize.h) to serialize");
+          "AnalysisDriver: this pass has no wire tag — give it kStateTag "
+          "and its State a fields() list (analytics/pass.h) to serialize");
     }
   }
 

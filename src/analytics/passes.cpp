@@ -46,15 +46,16 @@ void CommunityStatsPass::State::observe(const core::UpdateRecord& record) {
   std::size_t count = communities.size();
   occurrences_ += count;
   if (count > 0) ++with_communities_;
-  ++histogram_[std::min(count, histogram_.size() - 1)];
+  std::vector<std::uint64_t>& buckets = histogram_.buckets;
+  ++buckets[std::min(count, buckets.size() - 1)];
   for (Community c : communities) values_.insert(c.raw());
 }
 
 void CommunityStatsPass::State::merge(State&& other) {
   // Histogram sizes match: every state of one pass is minted with the
   // same bucket count.
-  for (std::size_t i = 0; i < histogram_.size(); ++i) {
-    histogram_[i] += other.histogram_[i];
+  for (std::size_t i = 0; i < histogram_.buckets.size(); ++i) {
+    histogram_.buckets[i] += other.histogram_.buckets[i];
   }
   announcements_ += other.announcements_;
   withdrawals_ += other.withdrawals_;
@@ -71,7 +72,7 @@ CommunityStatsPass::Report CommunityStatsPass::State::report() const {
   report.with_communities = with_communities_;
   report.community_occurrences = occurrences_;
   report.unique_communities = values_.size();
-  report.communities_per_announcement = histogram_;
+  report.communities_per_announcement = histogram_.buckets;
 
   std::map<std::uint16_t, std::uint64_t> per_namespace;
   // bgpcc-lint: allow(D1, map increments commute - order cannot reach report)

@@ -20,6 +20,8 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -65,10 +67,8 @@ class ClassifierPass {
     [[nodiscard]] Report report() const {
       return Report{counts_, counts_.first_sightings};
     }
-    /// Serializes the tallies (analytics/serialize.h).
-    void save(serialize::Writer& writer) const;
-    /// Restores saved tallies (analytics/serialize.h).
-    void load(serialize::Reader& reader);
+    /// The serialized evidence (pass.h, SerializablePass).
+    static auto fields(auto& self) { return std::tie(self.counts_); }
 
    private:
     core::TypeCounts counts_;
@@ -110,12 +110,10 @@ class PerSessionTypesPass {
     [[nodiscard]] Report report() const {
       return core::rank_session_types(counts_);
     }
-    /// Serializes the per-session evidence (analytics/serialize.h). The
-    /// prefix filter is configuration, not evidence: the loading side
+    /// The serialized evidence (pass.h, SerializablePass). The prefix
+    /// filter is configuration, not evidence: the loading side
     /// constructs the pass with the same only_prefix.
-    void save(serialize::Writer& writer) const;
-    /// Restores saved per-session evidence (analytics/serialize.h).
-    void load(serialize::Reader& reader);
+    static auto fields(auto& self) { return std::tie(self.counts_); }
 
    private:
     std::optional<Prefix> only_prefix_;
@@ -163,11 +161,9 @@ class TomographyPass {
     [[nodiscard]] Report report() const {
       return core::finalize_community_behavior(evidence_, options_);
     }
-    /// Serializes the evidence counters (analytics/serialize.h).
-    /// Thresholds are configuration: only the counters travel.
-    void save(serialize::Writer& writer) const;
-    /// Restores saved evidence counters (analytics/serialize.h).
-    void load(serialize::Reader& reader);
+    /// The serialized evidence (pass.h, SerializablePass). Thresholds
+    /// are configuration: only the counters travel.
+    static auto fields(auto& self) { return std::tie(self.evidence_); }
 
    private:
     core::TomographyOptions options_;
@@ -247,25 +243,45 @@ class CommunityStatsPass {
    public:
     /// Sizes the histogram to the pass's configured bucket count.
     explicit State(std::size_t histogram_buckets)
-        : histogram_(histogram_buckets, 0) {}
+        : histogram_{std::vector<std::uint64_t>(histogram_buckets, 0)} {}
     /// Accumulates one record's community attribute.
     void observe(const core::UpdateRecord& record);
     /// Unions value sets and sums histograms/counters.
     void merge(State&& other);
     /// Projects the merged statistics.
     [[nodiscard]] Report report() const;
-    /// Serializes the value set, histogram, and counters
-    /// (analytics/serialize.h).
-    void save(serialize::Writer& writer) const;
-    /// Restores saved statistics (analytics/serialize.h). Rejects
-    /// (ConfigError) a saved histogram whose bucket count differs from
-    /// this state's configuration — merging mismatched histograms would
-    /// index out of bounds.
-    void load(serialize::Reader& reader);
+    /// The serialized evidence (pass.h, SerializablePass): the value
+    /// set, the histogram and the counters.
+    static auto fields(auto& self) {
+      return std::tie(self.values_, self.histogram_, self.announcements_,
+                      self.withdrawals_, self.with_communities_,
+                      self.occurrences_);
+    }
 
    private:
+    /// Announcements per community count. Its size is configuration, so
+    /// a reader refuses (ConfigError) a saved histogram of another size:
+    /// merging mismatched histograms would index out of bounds.
+    struct Histogram {
+      std::vector<std::uint64_t> buckets;
+      /// u64 bucket count, then the buckets (core/codec.h write_value).
+      static void write_wire(auto& w, const Histogram& histogram) {
+        core::codec::write_value(w, histogram.buckets);
+      }
+      static void read_wire(auto& r, Histogram& histogram) {
+        std::uint64_t size = r.u64();
+        if (size != histogram.buckets.size()) {
+          throw ConfigError(
+              "CommunityStatsPass: saved state has " + std::to_string(size) +
+              " histogram buckets, this pass is configured with " +
+              std::to_string(histogram.buckets.size()) +
+              " — load with the original histogram_buckets");
+        }
+        for (std::uint64_t& bucket : histogram.buckets) bucket = r.u64();
+      }
+    };
     std::unordered_set<std::uint32_t> values_;
-    std::vector<std::uint64_t> histogram_;
+    Histogram histogram_;
     std::uint64_t announcements_ = 0;
     std::uint64_t withdrawals_ = 0;
     std::uint64_t with_communities_ = 0;
@@ -354,11 +370,9 @@ class DuplicateBurstPass {
     void merge(State&& other);
     /// Projects the totals and the per-session ranking.
     [[nodiscard]] Report report() const;
-    /// Serializes the per-session tallies (analytics/serialize.h).
-    /// min_run is configuration.
-    void save(serialize::Writer& writer) const;
-    /// Restores saved tallies (analytics/serialize.h).
-    void load(serialize::Reader& reader);
+    /// The serialized evidence (pass.h, SerializablePass). min_run is
+    /// configuration.
+    static auto fields(auto& self) { return std::tie(self.tallies_); }
 
    private:
     struct Tally {
@@ -366,6 +380,10 @@ class DuplicateBurstPass {
       std::uint64_t nn = 0;
       std::uint64_t bursts = 0;
       std::uint64_t longest_run = 0;
+      static auto fields(auto& self) {
+        return std::tie(self.classified, self.nn, self.bursts,
+                        self.longest_run);
+      }
     };
     DuplicateBurstOptions options_;
     std::map<core::SessionKey, Tally> tallies_;
@@ -414,12 +432,12 @@ class AnomalyPass {
     /// Runs the sigma scoring and burst-episode scan over the merged
     /// evidence.
     [[nodiscard]] Report report() const;
-    /// Serializes the evidence (analytics/serialize.h). The novelty
+    /// The serialized evidence (pass.h, SerializablePass). The novelty
     /// bucket width is configuration and must match across save and load
     /// (bucket indexes are window-relative).
-    void save(serialize::Writer& writer) const;
-    /// Restores saved evidence (analytics/serialize.h).
-    void load(serialize::Reader& reader);
+    static auto fields(auto& self) {
+      return std::tie(self.counts_, self.novelty_);
+    }
 
    private:
     core::AnomalyOptions options_;
@@ -476,11 +494,9 @@ class RevealedPass {
     [[nodiscard]] Report report() const {
       return core::finalize_revealed(evidence_);
     }
-    /// Serializes the phase buckets (analytics/serialize.h). The beacon
+    /// The serialized evidence (pass.h, SerializablePass). The beacon
     /// schedule is configuration; only the phase buckets travel.
-    void save(serialize::Writer& writer) const;
-    /// Restores saved phase buckets (analytics/serialize.h).
-    void load(serialize::Reader& reader);
+    static auto fields(auto& self) { return std::tie(self.evidence_); }
 
    private:
     core::BeaconSchedule schedule_;
@@ -531,12 +547,12 @@ class ExplorationPass {
     void merge(State&& other);
     /// Closes runs in flight (on copies) and projects the sorted events.
     [[nodiscard]] Report report() const;
-    /// Serializes the evidence (analytics/serialize.h): the completed
-    /// events and the runs in flight travel, so a restored state
+    /// The serialized evidence (pass.h, SerializablePass): the runs in
+    /// flight and the completed events travel, so a restored state
     /// continues runs mid-flight.
-    void save(serialize::Writer& writer) const;
-    /// Restores saved runs and events (analytics/serialize.h).
-    void load(serialize::Reader& reader);
+    static auto fields(auto& self) {
+      return std::tie(self.runs_, self.events_);
+    }
 
    private:
     /// A run in flight: its event so far and the distinct community
@@ -544,6 +560,13 @@ class ExplorationPass {
     struct Run {
       core::ExplorationEvent event;
       std::set<CommunitySet> attributes;
+      static auto fields(auto& self) {
+        return std::tie(self.event, self.attributes);
+      }
+      /// A run is filed under its event's stream, so runs_ writes no keys.
+      static std::pair<Prefix, core::SessionKey> key(const Run& run) {
+        return {run.event.prefix, run.event.session};
+      }
     };
     /// A run is reported once it holds at least this many nc.
     static constexpr int kMinNc = 2;
@@ -597,12 +620,10 @@ class UsageClassificationPass {
     [[nodiscard]] Report report() const {
       return core::finalize_usage(evidence_, options_);
     }
-    /// Serializes the evidence (analytics/serialize.h). Heuristic
+    /// The serialized evidence (pass.h, SerializablePass). Heuristic
     /// knobs are configuration; per-value counts and per-namespace
     /// session sets are the serialized evidence.
-    void save(serialize::Writer& writer) const;
-    /// Restores saved evidence (analytics/serialize.h).
-    void load(serialize::Reader& reader);
+    static auto fields(auto& self) { return std::tie(self.evidence_); }
 
    private:
     core::UsageOptions options_;

@@ -15,9 +15,11 @@
 //              (kIngestCursor)
 //
 // All integers are big-endian (network order), matching the BGP/MRT
-// codecs. The value encodings inside the blocks (session, prefix, AS
-// path, community set, ...) are core/codec.h's, shared with the spill-run
-// format. Decoding is bounds-checked end to end: truncated input,
+// codecs. Everything inside the blocks is encoded by core/codec.h: its
+// leaf value codecs (session, prefix, AS path, community set, ...),
+// shared with the spill-run format, and its generic write_value /
+// read_value, which derive each pass State's, the stream table's and the
+// cursor's bytes from their field lists. Decoding is bounds-checked end to end: truncated input,
 // a bad magic, an unknown version, or a pass-tag mismatch throw
 // DecodeError (never UB) — serialize_test drives the same adversarial
 // battery the gz/bz2 sources get.
@@ -126,7 +128,7 @@ class Reader {
   [[nodiscard]] std::uint64_t u64();
   /// Reads a 64-bit signed integer.
   [[nodiscard]] std::int64_t i64();
-  /// Reads a bool byte; any nonzero value is true.
+  /// Reads a bool byte: 0 or 1, anything else throws DecodeError.
   [[nodiscard]] bool boolean();
   /// Reads a length-prefixed (u32) byte string. Throws DecodeError past
   /// core::codec::kMaxStringBytes (1 MiB; no field in the format comes

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "core/classifier.h"
@@ -82,6 +83,8 @@ struct NoveltyBucket {
   /// Earliest occurrence observed in the bucket.
   Timestamp earliest;
   friend bool operator==(const NoveltyBucket&, const NoveltyBucket&) = default;
+  /// The wire form (core/codec.h write_value): count, then earliest.
+  static auto fields(auto& self) { return std::tie(self.count, self.earliest); }
 };
 
 /// Per-community occurrence histogram over novelty_window-aligned time

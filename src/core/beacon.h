@@ -13,10 +13,12 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "core/classifier.h"
 #include "core/stream.h"
+#include "netbase/error.h"
 
 namespace bgpcc::core {
 
@@ -74,6 +76,19 @@ struct PhaseBuckets {
   bool announce = false;
   bool withdraw = false;
   bool outside = false;
+
+  /// The wire form (core/codec.h write_value): one bitmask byte, 1
+  /// announce, 2 withdraw, 4 outside. A reader refuses any other bit.
+  static void write_wire(auto& w, const PhaseBuckets& buckets) {
+    w.u8(static_cast<std::uint8_t>((buckets.announce ? 1 : 0) |
+                                   (buckets.withdraw ? 2 : 0) |
+                                   (buckets.outside ? 4 : 0)));
+  }
+  static void read_wire(auto& r, PhaseBuckets& buckets) {
+    std::uint8_t mask = r.u8();
+    if (mask > 7) throw DecodeError("corrupt encoding: phase bitmask above 7");
+    buckets = PhaseBuckets{(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0};
+  }
 };
 
 /// Per-attribute phase occupancy, keyed on the full CommunitySet value.
@@ -105,6 +120,11 @@ struct ExplorationEvent {
   int distinct_attributes = 0;
   friend bool operator==(const ExplorationEvent&,
                          const ExplorationEvent&) = default;
+  /// The wire form (core/codec.h write_value): every member, in order.
+  static auto fields(auto& self) {
+    return std::tie(self.session, self.prefix, self.as_path, self.begin,
+                    self.end, self.nc_count, self.distinct_attributes);
+  }
 };
 
 /// The deterministic output order: (begin, session, prefix), with end /

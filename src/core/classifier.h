@@ -18,6 +18,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -86,6 +87,11 @@ struct TypeCounts {
 
   TypeCounts& operator+=(const TypeCounts& other);
   friend bool operator==(const TypeCounts&, const TypeCounts&) = default;
+  /// The wire form (core/codec.h write_value): every member, in order.
+  static auto fields(auto& self) {
+    return std::tie(self.counts, self.first_sightings, self.withdrawals,
+                    self.nn_with_med_change);
+  }
 };
 
 /// Streaming classifier; feed records in chronological order per session.
@@ -104,6 +110,11 @@ class Classifier {
     std::uint64_t nn_run = 0;
     /// A withdrawal arrived after the last announcement.
     bool withdrawn = false;
+    /// The wire form of a stream table entry (core/codec.h write_value).
+    static auto fields(auto& self) {
+      return std::tie(self.as_path, self.communities, self.med, self.nn_run,
+                      self.withdrawn);
+    }
   };
   /// Stream cursors keyed by (session, prefix).
   using StreamStates = std::map<std::pair<SessionKey, Prefix>, StreamState>;
@@ -209,6 +220,10 @@ struct UsageOptions {
 struct UsageEvidence {
   std::map<std::uint32_t, std::uint64_t> value_occurrences;
   std::map<std::uint16_t, std::set<SessionKey>> namespace_sessions;
+  /// The wire form (core/codec.h write_value): both maps, in order.
+  static auto fields(auto& self) {
+    return std::tie(self.value_occurrences, self.namespace_sessions);
+  }
 };
 
 /// Folds one announcement's community occurrences into `evidence`

@@ -57,6 +57,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/cleaning.h"
@@ -176,6 +177,12 @@ struct IngestStats {
   /// `threads`/`shards` this reflects the engine configuration, not the
   /// input, and is excluded from the deterministic-output contract.
   std::size_t windows = 0;
+  /// The counters a checkpoint carries (core/codec.h write_value):
+  /// `shards` and `threads` are configuration, re-resolved on restore.
+  static auto fields(auto& self) {
+    return std::tie(self.files, self.chunks, self.raw_records,
+                    self.update_messages, self.records, self.windows);
+  }
 };
 
 struct IngestResult {
@@ -193,6 +200,11 @@ struct FramingCursor {
   bool input_open = false;
   std::uint32_t current_file = 0;  ///< the open source, when input_open
   std::uint32_t chunk_index = 0;   ///< its chunks already consumed
+  /// The wire form (core/codec.h write_value): every member, in order.
+  static auto fields(auto& self) {
+    return std::tie(self.next_source, self.input_open, self.current_file,
+                    self.chunk_index);
+  }
 };
 
 /// A resumable snapshot of a windowed StreamingIngestor, taken between

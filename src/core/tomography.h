@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/stream.h"
@@ -45,6 +46,15 @@ struct AsEvidence {
   /// shard-parallel tomography.
   AsEvidence& operator+=(const AsEvidence& other);
   friend bool operator==(const AsEvidence&, const AsEvidence&) = default;
+  /// The wire form (core/codec.h write_value): the ASN and the five
+  /// counters; the classification is recomputed, not carried.
+  static auto fields(auto& self) {
+    return std::tie(self.asn, self.on_path, self.own_namespace_tagged,
+                    self.as_peer, self.as_peer_with_communities,
+                    self.as_peer_with_foreign);
+  }
+  /// Evidence is filed under its ASN, so a map of it writes no keys.
+  static Asn key(const AsEvidence& evidence) { return evidence.asn; }
 };
 
 /// Inference thresholds (fractions in [0,1]).

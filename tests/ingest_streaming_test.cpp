@@ -6,6 +6,7 @@
 // identical deterministic stats — the batch path is just the
 // one-window special case of the same core.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
@@ -207,6 +208,30 @@ IngestResult streaming_ingest(const std::vector<std::string>& parts,
   return result;
 }
 
+/// A spill directory of the running test's own, named by the test and
+/// the process id, so build trees and runs sharing TempDir() never see
+/// each other's run files. Removed on construction (a killed run may have
+/// left it behind) and on destruction; never created here.
+class TestSpillDir {
+ public:
+  explicit TestSpillDir(const std::string& suffix = "")
+      : path_(::testing::TempDir() + "/bgpcc_spill_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              "_" + std::to_string(::getpid()) + suffix) {
+    std::filesystem::remove_all(path_);
+  }
+  ~TestSpillDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TestSpillDir(const TestSpillDir&) = delete;
+  TestSpillDir& operator=(const TestSpillDir&) = delete;
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 std::size_t spill_files_in(const std::string& dir) {
   std::size_t count = 0;
   std::error_code ec;
@@ -251,13 +276,13 @@ TEST(IngestStreaming, WindowThreadSpillEquivalence) {
           IngestOptions options = reference_options;
           options.num_threads = threads;
           options.window_records = window;
+          TestSpillDir spill_owner("_" + std::to_string(seed) + "_" +
+                                   std::to_string(window) + "_" +
+                                   std::to_string(threads));
           std::string spill_dir;
           if (spill) {
-            spill_dir = ::testing::TempDir() + "/bgpcc_spill_" +
-                        std::to_string(seed) + "_" + std::to_string(window) +
-                        "_" + std::to_string(threads);
+            spill_dir = spill_owner.path();
             options.spill_dir = spill_dir;
-            std::filesystem::remove_all(spill_dir);
           }
           IngestResult result = streaming_ingest(parts, options);
           expect_identical(reference, result);
@@ -542,8 +567,8 @@ TEST(IngestStreaming, CompressedRotatedArchivesWindowedSpilled) {
 
     IngestOptions windowed = options;
     windowed.window_records = 32;
-    windowed.spill_dir = dir + "/bgpcc_streaming_spill_" +
-                         mrt::to_string(compression);
+    TestSpillDir spill_dir("_" + mrt::to_string(compression));
+    windowed.spill_dir = spill_dir.path();
     StreamingIngestor engine(windowed);
     for (const std::string& path : paths) engine.add_file("rrc00", path);
     IngestResult result = engine.finish();
@@ -601,7 +626,8 @@ TEST(IngestStreaming, DualStackNextHopSurvivesSpill) {
 
   IngestOptions spilled = options;
   spilled.window_records = 8;
-  spilled.spill_dir = ::testing::TempDir() + "/bgpcc_dualstack_spill";
+  TestSpillDir spill_dir;
+  spilled.spill_dir = spill_dir.path();
   IngestResult result = streaming_ingest({archive.str()}, spilled);
   expect_identical(reference, result);
 }
@@ -656,7 +682,8 @@ TEST(IngestStreaming, EveryAttributeSurvivesSpill) {
 
   IngestOptions spilled = options;
   spilled.window_records = 8;
-  spilled.spill_dir = ::testing::TempDir() + "/bgpcc_all_attrs_spill";
+  TestSpillDir spill_dir;
+  spilled.spill_dir = spill_dir.path();
   IngestResult result = streaming_ingest({archive.str()}, spilled);
   expect_identical(reference, result);
 }
@@ -719,7 +746,8 @@ TEST(IngestStreaming, OversizeLegacyPathSurvivesSpill) {
 
   IngestOptions spilled = options;
   spilled.window_records = 2;
-  spilled.spill_dir = ::testing::TempDir() + "/bgpcc_oversize_spill";
+  TestSpillDir spill_dir;
+  spilled.spill_dir = spill_dir.path();
   IngestResult result = streaming_ingest({archive.str()}, spilled);
   expect_identical(reference, result);
 }
@@ -737,7 +765,8 @@ TEST(IngestStreaming, SpillFailureLeavesDirClean) {
   std::string archive;
   for (const std::string& record : records) archive += record;
 
-  std::string spill_dir = ::testing::TempDir() + "/bgpcc_spill_failure";
+  TestSpillDir owner;
+  const std::string& spill_dir = owner.path();
   std::filesystem::create_directories(spill_dir);
   IngestOptions options;
   options.num_threads = 2;

@@ -2,6 +2,7 @@
 // §5 stream cursor instead of reading the driver's stream table.
 #include <cstdint>
 #include <map>
+#include <tuple>
 
 namespace fixture {
 
@@ -10,8 +11,6 @@ struct Record {};
 struct SessionKey {};
 class Classifier {};
 }  // namespace core
-struct Reader {};
-struct Writer {};
 
 class CursorPass {
  public:
@@ -21,8 +20,7 @@ class CursorPass {
     void observe(const core::Record& r) {}
     void merge(const State& other) {}
     std::uint64_t report() const { return 0; }
-    void save(Writer& w) const {}
-    void load(Reader& r) {}
+    static auto fields(auto& self) { return std::tie(); }
 
    private:
     core::Classifier classifier_;  // BAD: a private stream cursor
@@ -39,8 +37,7 @@ class PerSessionCursorPass {
     void observe(const core::Record& r) {}
     void merge(const State& other) {}
     std::uint64_t report() const { return 0; }
-    void save(Writer& w) const {}
-    void load(Reader& r) {}
+    static auto fields(auto& self) { return std::tie(); }
 
    private:
     // BAD: one cursor map per session

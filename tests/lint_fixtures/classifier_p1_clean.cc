@@ -3,6 +3,7 @@
 // named after the classifier is fine. P1 must stay silent.
 #include <cstdint>
 #include <map>
+#include <tuple>
 
 namespace fixture {
 
@@ -12,8 +13,6 @@ struct SessionKey {};
 struct StreamEvent {};
 struct TypeCounts {};
 }  // namespace core
-struct Reader {};
-struct Writer {};
 
 class ClassifierPass {
  public:
@@ -23,8 +22,7 @@ class ClassifierPass {
     void observe(const core::Record& r, const core::StreamEvent& e) {}
     void merge(const State& other) {}
     std::uint64_t report() const { return 0; }
-    void save(Writer& w) const {}
-    void load(Reader& r) {}
+    static auto fields(auto& self) { return std::tie(self.counts_); }
 
    private:
     std::map<core::SessionKey, core::TypeCounts> counts_;

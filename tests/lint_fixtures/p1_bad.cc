@@ -11,7 +11,7 @@ struct Reader {};
 struct Writer {};
 
 // BAD: no kStateTag, no make_state, State not copy-constructible and
-// missing save/load.
+// missing its fields() list.
 class BrokenPass {
  public:
   struct State {
@@ -21,7 +21,7 @@ class BrokenPass {
     void observe(const Record& r) { ++seen_; }
     void merge(const State& other) { seen_ += other.seen_; }
     std::uint64_t report() const { return seen_; }
-    // BAD: no save/load — cannot checkpoint.
+    // BAD: no fields() list — cannot checkpoint.
 
     std::uint64_t seen_ = 0;
     std::mutex mu_;  // BAD: non-copyable member

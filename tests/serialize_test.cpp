@@ -9,10 +9,14 @@
 //  - robustness: truncation at every prefix length, bad magic, wrong
 //    version, cross-driver tag mismatches, bare-cursor misuse, and a
 //    corrupt length prefix all throw DecodeError/ConfigError — never UB
-//    (the ASan/UBSan CI jobs run this suite).
+//    (the ASan/UBSan CI jobs run this suite);
+//  - canonical bytes: every pass payload, a stream table section and a
+//    cursor block, cut at every byte and flipped at every byte, either
+//    throw or decode to a value that re-encodes to the same bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -611,6 +615,92 @@ TEST(SerializeRobustness, IngestCheckpointRoundtrips) {
   EXPECT_EQ(back.stats.raw_records, 99u);
 }
 
+// The reader takes every source count the writer writes: one collector's
+// 5-minute dumps pass 2^16 files in about 7.5 months.
+TEST(SerializeRobustness, CursorWithManySourcesRoundtrips) {
+  core::IngestCheckpoint cursor;
+  cursor.chunk_records = 4096;
+  for (std::uint32_t i = 0; i < (1u << 16) + 1; ++i) {
+    cursor.collectors.push_back(std::to_string(i));
+  }
+  cursor.carry.resize(core::kIngestShards);
+  std::ostringstream out;
+  serialize::Writer w(out);
+  serialize::write_ingest_checkpoint(w, cursor);
+  std::istringstream in(out.str());
+  serialize::Reader r(in);
+  EXPECT_EQ(serialize::read_ingest_checkpoint(r).collectors,
+            cursor.collectors);
+  EXPECT_EQ(r.bytes_read(), w.bytes_written());
+}
+
+void write_nine_counts(serialize::Writer& w, std::uint64_t nc) {
+  for (int i = 0; i < 9; ++i) w.u64(i == 2 ? nc : 0);
+}
+
+// A map key the writer can never repeat: the reader refuses the file
+// instead of silently keeping one of the two entries.
+TEST(SerializeRobustness, RepeatedSessionKeyThrows) {
+  const core::SessionKey session{"rrc00", Asn(65001),
+                                 IpAddress::v4(10, 0, 0, 1)};
+  std::ostringstream payload_out;
+  serialize::Writer payload(payload_out);
+  payload.u64(2);
+  core::codec::write_session(payload, session);
+  write_nine_counts(payload, 1);
+  core::codec::write_session(payload, session);
+  write_nine_counts(payload, 2);
+
+  std::ostringstream file;
+  serialize::Writer w(file);
+  serialize::write_block_header(w, serialize::BlockKind::kPartialState);
+  w.u16(1);
+  w.u16(static_cast<std::uint16_t>(serialize::PassTag::kPerSessionTypes));
+  w.u64(payload.bytes_written());
+  w.raw(payload_out.str().data(), payload_out.str().size());
+
+  AnalysisDriver driver;
+  (void)driver.add(PerSessionTypesPass{});
+  std::istringstream in(file.str());
+  EXPECT_THROW(driver.load_state(in), DecodeError);
+}
+
+// An AsPath holds no empty segment, so an encoded one is corruption (the
+// decoded path would drop it and re-encode to other bytes).
+TEST(SerializeRobustness, EmptyAsPathSegmentThrows) {
+  std::ostringstream out;
+  serialize::Writer w(out);
+  w.u32(2);  // two segments
+  w.u8(2);   // a sequence
+  w.u32(0);  // of no ASNs
+  w.u8(2);
+  w.u32(1);
+  w.u32(65001);
+  std::istringstream in(out.str());
+  serialize::Reader r(in);
+  EXPECT_THROW((void)core::codec::read_aspath(r), DecodeError);
+}
+
+// Booleans are written as 0 or 1, so a withdrawn byte of 2 is corruption.
+TEST(SerializeRobustness, NonBinaryWithdrawnByteThrows) {
+  core::UpdateRecord record;
+  record.session =
+      core::SessionKey{"rrc00", Asn(65001), IpAddress::v4(10, 0, 0, 1)};
+  record.prefix = Prefix::from_string("10.0.0.0/8");
+  record.attrs.as_path = AsPath::sequence({Asn(65001)});
+  core::Classifier table;
+  (void)table.advance(record);
+  std::ostringstream out;
+  serialize::Writer w(out);
+  serialize::write_stream_table(w, table.stream_states());
+  std::string bytes = out.str();
+  ASSERT_EQ(bytes.back(), '\x00');  // withdrawn: the entry's last byte
+  bytes.back() = '\x02';
+  std::istringstream in(bytes);
+  serialize::Reader r(in);
+  EXPECT_THROW((void)serialize::read_stream_table(r), DecodeError);
+}
+
 TEST(SerializeRobustness, IngestCursorShardFieldIsValidated) {
   // The writer records the carry's size as the resolved shard count, and
   // the reader hands back a carry of that shape.
@@ -667,6 +757,188 @@ TEST(SerializeRobustness, NonSerializablePassThrowsConfigError) {
   (void)checkpointer.add(OpaquePass{});
   std::ostringstream cp;
   EXPECT_THROW(checkpointer.checkpoint(cp), ConfigError);
+}
+
+// ---------------------------------------------------------------------------
+// Canonical bytes: a reader accepts only what its writer can produce.
+
+/// 48 records over three sessions (one on IPv6) and three prefixes,
+/// spread over the beacon announce phase, the withdraw phase and outside
+/// both: nc/nn/pc churn, MED changes, withdrawals and exploration runs,
+/// so every pass holds evidence in every member it serializes.
+std::vector<core::UpdateRecord> canonical_fixture() {
+  const core::SessionKey sessions[] = {
+      {"rrc00", Asn(65001), IpAddress::v4(10, 0, 0, 1)},
+      {"rrc00", Asn(65002), IpAddress::v4(10, 0, 0, 2)},
+      {"rrc01", Asn(65003), IpAddress::from_string("2001:db8::1")}};
+  const Prefix prefixes[] = {Prefix::from_string("10.0.0.0/8"),
+                             Prefix::from_string("192.0.2.0/24"),
+                             Prefix::from_string("2001:db8::/32")};
+  const Timestamp midnight = Timestamp::from_unix_seconds(1584230400);
+  std::vector<core::UpdateRecord> records;
+  for (int i = 0; i < 48; ++i) {
+    core::UpdateRecord record;
+    record.session = sessions[i % 3];
+    record.prefix = prefixes[(i / 3) % 3];
+    record.time = i < 16   ? midnight + Duration::seconds(10 * i)
+                  : i < 40 ? midnight + Duration::hours(2) +
+                                 Duration::seconds(i)
+                           : midnight + Duration::hours(3) +
+                                 Duration::seconds(i);
+    record.announcement = i % 7 != 6;
+    record.attrs.as_path = AsPath::sequence(
+        {record.session.peer_asn, Asn(i % 11 == 0 ? 65300 : 65100),
+         Asn(65200)});
+    if (i % 5 != 0) {
+      record.attrs.communities.add(Community::of(
+          static_cast<std::uint16_t>(65001 + i % 3),
+          static_cast<std::uint16_t>(100 + (i / 4) % 3)));
+    }
+    if ((i / 2) % 2 == 0) record.attrs.communities.add(Community::of(65100, 7));
+    if (i % 6 == 5) record.attrs.communities.add(Community::of(65535, 1));
+    if (i % 4 == 0) record.attrs.med = static_cast<std::uint32_t>(i % 8);
+    records.push_back(std::move(record));
+  }
+  return records;
+}
+
+/// Cuts `payload` at every byte and flips every byte (three masks).
+/// Every cut must throw DecodeError. Every flip must throw DecodeError,
+/// decode to a value that `roundtrip` re-encodes to exactly the flipped
+/// bytes, or throw ConfigError from a configuration field that ends at
+/// `config_end`: only a flip before that end can reach its check.
+void expect_checked_or_canonical(
+    const std::string& payload,
+    const std::function<std::string(const std::string&)>& roundtrip,
+    std::size_t config_end = 0) {
+  ASSERT_EQ(roundtrip(payload), payload);
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_THROW((void)roundtrip(payload.substr(0, cut)), DecodeError)
+        << "cut=" << cut;
+  }
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    for (unsigned mask : {0x01u, 0x80u, 0xFFu}) {
+      std::string bytes = payload;
+      bytes[i] = static_cast<char>(bytes[i] ^ mask);
+      try {
+        EXPECT_TRUE(roundtrip(bytes) == bytes)
+            << "byte " << i << " mask " << mask << " decoded to other bytes";
+      } catch (const DecodeError&) {
+      } catch (const ConfigError&) {
+        EXPECT_LT(i, config_end)
+            << "byte " << i << " mask " << mask << " threw ConfigError";
+      }
+    }
+  }
+}
+
+/// Decodes one payload with `read`, requiring every byte consumed (the
+/// driver's state-blob rule), and re-encodes it with `write`.
+std::string reencode(const std::string& bytes,
+                     const std::function<void(serialize::Reader&)>& read,
+                     const std::function<void(serialize::Writer&)>& write) {
+  std::istringstream in(bytes);
+  serialize::Reader r(in);
+  read(r);
+  if (r.bytes_read() != bytes.size()) {
+    throw DecodeError("payload not consumed exactly");
+  }
+  std::ostringstream out;
+  serialize::Writer w(out);
+  write(w);
+  return out.str();
+}
+
+/// The one state payload of `pass` after it observes `records`, and its
+/// check: decode into a fresh state and re-encode.
+template <class P>
+void expect_pass_payload_canonical(P pass,
+                                   const std::vector<core::UpdateRecord>&
+                                       records) {
+  AnalysisDriver driver;
+  (void)driver.add(pass);
+  for (const core::UpdateRecord& record : records) driver.observe(record);
+  std::ostringstream file;
+  driver.save_state(file);
+  // Header (7), pass count (2), tag (2), blob length (8), payload.
+  const std::string payload = file.str().substr(19);
+  ASSERT_GT(payload.size(), 8u) << "tag " << P::kStateTag;
+
+  std::size_t config_end = 0;
+  if constexpr (std::is_same_v<P, CommunityStatsPass>) {
+    // The u64 histogram size follows the u64 value count and u32 values.
+    std::uint64_t values = 0;
+    for (int b = 0; b < 8; ++b) {
+      values = (values << 8) | static_cast<unsigned char>(payload[b]);
+    }
+    config_end = 8 + 4 * values + 8;
+  }
+  SCOPED_TRACE("tag " + std::to_string(P::kStateTag));
+  expect_checked_or_canonical(
+      payload,
+      [&pass](const std::string& bytes) {
+        auto state = pass.make_state();
+        return reencode(
+            bytes, [&](serialize::Reader& r) { core::codec::read_value(r, state); },
+            [&](serialize::Writer& w) { core::codec::write_value(w, state); });
+      },
+      config_end);
+}
+
+TEST(SerializeCanonical, EveryPassPayloadByteIsCheckedOrCanonical) {
+  const std::vector<core::UpdateRecord> records = canonical_fixture();
+  expect_pass_payload_canonical(ClassifierPass{}, records);
+  expect_pass_payload_canonical(PerSessionTypesPass{}, records);
+  expect_pass_payload_canonical(TomographyPass{}, records);
+  expect_pass_payload_canonical(CommunityStatsPass{}, records);
+  expect_pass_payload_canonical(DuplicateBurstPass{}, records);
+  expect_pass_payload_canonical(AnomalyPass{}, records);
+  expect_pass_payload_canonical(RevealedPass{}, records);
+  expect_pass_payload_canonical(ExplorationPass{}, records);
+  expect_pass_payload_canonical(UsageClassificationPass{}, records);
+}
+
+TEST(SerializeCanonical, StreamTableByteIsCheckedOrCanonical) {
+  core::Classifier table;
+  for (const core::UpdateRecord& record : canonical_fixture()) {
+    (void)table.advance(record);
+  }
+  std::ostringstream out;
+  serialize::Writer w(out);
+  serialize::write_stream_table(w, table.stream_states());
+  expect_checked_or_canonical(out.str(), [](const std::string& bytes) {
+    core::Classifier::StreamStates streams;
+    return reencode(
+        bytes,
+        [&](serialize::Reader& r) { streams = serialize::read_stream_table(r); },
+        [&](serialize::Writer& w) { serialize::write_stream_table(w, streams); });
+  });
+}
+
+TEST(SerializeCanonical, CursorBlockByteIsCheckedOrCanonical) {
+  core::IngestCheckpoint cursor;
+  cursor.chunk_records = 1024;
+  cursor.collectors = {"rrc00", "rrc01"};
+  cursor.cursor = {1, true, 1, 3};
+  cursor.carry.resize(4);
+  for (const core::UpdateRecord& record : canonical_fixture()) {
+    cursor.carry[record.session.hash() % 4][record.session] = {
+        record.time.unix_micros() / 1000000, 2};
+  }
+  cursor.cleaning.dropped_unallocated_asn = 7;
+  cursor.cleaning.late_records = 5;
+  cursor.stats.raw_records = 99;
+  cursor.stats.windows = 3;
+  std::ostringstream out;
+  serialize::Writer w(out);
+  serialize::write_ingest_checkpoint(w, cursor);
+  expect_checked_or_canonical(out.str(), [](const std::string& bytes) {
+    core::IngestCheckpoint back;
+    return reencode(
+        bytes,
+        [&](serialize::Reader& r) { back = serialize::read_ingest_checkpoint(r); },
+        [&](serialize::Writer& w) { serialize::write_ingest_checkpoint(w, back); });
+  });
 }
 
 }  // namespace

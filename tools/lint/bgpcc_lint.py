@@ -18,7 +18,8 @@ load-bearing invariants statically, before any test runs:
   P1  pass-contract conformance: every `*Pass` class with a nested
       State declares kStateTag (unique, and a serialize::PassTag value
       when the enum is in view), the full State interface
-      (observe/merge/report/save/load), make_state, a
+      (observe/merge/report plus the static fields() list its save and
+      load derive from), make_state, a
       copy-constructible State (the snapshot contract), and no State
       member holding a core::Classifier (the §5 comparison runs once, in
       the driver's stream table; passes read its StreamEvent).
@@ -920,7 +921,7 @@ NONCOPYABLE_MEMBER_RE = re.compile(
     r"\b(std\s*::\s*)?(mutex|shared_mutex|recursive_mutex|atomic|thread|"
     r"unique_ptr|condition_variable)\b")
 
-STATE_REQUIRED_METHODS = ("observe", "merge", "report", "save", "load")
+STATE_REQUIRED_METHODS = ("observe", "merge", "report", "fields")
 
 
 def check_p1(project, model, findings):
@@ -969,7 +970,8 @@ def check_p1(project, model, findings):
                 model.path, state.start_line, "P1",
                 f"pass '{leaf}' State is missing {', '.join(missing)} — "
                 f"the Pass/SerializablePass contract requires observe/"
-                f"merge/report plus save/load for checkpointing"))
+                f"merge/report plus a static fields() list, from which "
+                f"checkpointing derives save and load"))
         for mname, mtype in state.members.items():
             if not mname.startswith("using ") and \
                     CLASSIFIER_MEMBER_RE.search(mtype):
