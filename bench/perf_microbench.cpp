@@ -13,6 +13,7 @@
 
 #include "analytics/driver.h"
 #include "analytics/passes.h"
+#include "analytics/standard.h"
 #include "bgp/codec.h"
 #include "core/classifier.h"
 #include "core/cleaning.h"
@@ -566,24 +567,8 @@ void BM_AnomalyInline(benchmark::State& state) {
 }
 BENCHMARK(BM_AnomalyInline)->Arg(1)->Arg(4)->UseRealTime();
 
-// Registers the full shipped pass set — the bgpcc-merge/checkpoint
-// configuration — on a driver.
-void add_standard_passes(analytics::AnalysisDriver& driver) {
-  // The benchmarks only serialize/report whole drivers, so the typed
-  // handles add() returns have no caller here.
-  static_cast<void>(driver.add(analytics::ClassifierPass{}));
-  static_cast<void>(driver.add(analytics::PerSessionTypesPass{}));
-  static_cast<void>(driver.add(analytics::TomographyPass{}));
-  static_cast<void>(driver.add(analytics::CommunityStatsPass{}));
-  static_cast<void>(driver.add(analytics::DuplicateBurstPass{}));
-  static_cast<void>(driver.add(analytics::AnomalyPass{}));
-  static_cast<void>(driver.add(analytics::RevealedPass{}));
-  static_cast<void>(driver.add(analytics::ExplorationPass{}));
-  static_cast<void>(driver.add(analytics::UsageClassificationPass{}));
-}
-
 // Checkpoint/restore round-trip (analytics/serialize.h): encode a
-// populated full-pass-set driver's shard states through the wire codec
+// populated standard-pass-set driver's shard states through the wire codec
 // and restore them into a fresh driver — the crash-safety overhead a
 // resumable year-scale run pays per checkpoint interval. Bytes/sec is
 // measured over the encoded checkpoint size, so codec regressions and
@@ -594,7 +579,7 @@ void BM_CheckpointRoundtrip(benchmark::State& state) {
   core::CleaningOptions cleaning;
   cleaning.registry = &registry;
   analytics::AnalysisDriver driver;
-  add_standard_passes(driver);
+  static_cast<void>(analytics::StandardPasses::add(driver));
   core::IngestOptions options;
   options.num_threads = 1;
   options.chunk_records = 1024;
@@ -611,7 +596,7 @@ void BM_CheckpointRoundtrip(benchmark::State& state) {
     std::string encoded = std::move(out).str();
     bytes = encoded.size();
     analytics::AnalysisDriver restored;
-    add_standard_passes(restored);
+    static_cast<void>(analytics::StandardPasses::add(restored));
     std::istringstream encoded_in(encoded);
     restored.restore(encoded_in);
     benchmark::DoNotOptimize(restored.size());
@@ -638,7 +623,7 @@ void BM_SnapshotEpoch(benchmark::State& state) {
   core::CleaningOptions cleaning;
   cleaning.registry = &registry;
   analytics::AnalysisDriver driver;
-  add_standard_passes(driver);
+  static_cast<void>(analytics::StandardPasses::add(driver));
   core::IngestOptions options;
   options.num_threads = static_cast<unsigned>(state.range(1));
   options.chunk_records = 1024;

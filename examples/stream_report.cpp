@@ -4,17 +4,17 @@
 // A small beacon internet runs one simulated day; each collector's log
 // is written as gzip-compressed MRT archives (exactly the shape of a
 // RouteViews/RIS download directory); then a single windowed ingestion
-// run cleans the stream while all nine shipped passes observe inline on
-// the shard threads. Window runs spill to disk and the final merged
-// records flow through a discarding sink, so NO cleaned stream is ever
-// materialized: peak memory is O(window + shards + pass state), the
-// configuration that scales to archives larger than RAM.
+// run cleans the stream while the standard pass set (analytics/standard.h)
+// observes inline on the shard threads. Window runs spill to disk and the
+// final merged records flow through a discarding sink, so NO cleaned
+// stream is ever materialized: peak memory is O(window + shards + pass
+// state), the configuration that scales to archives larger than RAM.
 //
 // Two modes:
 //
 //   ./stream_report
-//       Batch: ingest everything, then print the nine-section report
-//       once from the finalizing report().
+//       Batch: ingest everything, then print the standard set's
+//       canonical report text once from the finalizing report().
 //
 //   ./stream_report --follow [--interval-ms N] [--metrics <path|->]
 //       Live serving: the collector logs are written as a rotated dump
@@ -23,7 +23,7 @@
 //       round — polling the growing archive directory the way a
 //       long-running bgpccd would. After draining each round's windows
 //       it takes a non-finalizing AnalysisDriver::snapshot() and
-//       re-emits the full nine-section report for that epoch; the final
+//       re-emits the full canonical report text for that epoch; the final
 //       finish() + report() is byte-identical to the batch run.
 //
 // Metrics export (the obs layer): --metrics <path|-> enables stage
@@ -49,8 +49,7 @@
 #include <thread>
 #include <vector>
 
-#include "analytics/driver.h"
-#include "analytics/passes.h"
+#include "analytics/standard.h"
 #include "core/tables.h"
 #include "mrt/source.h"
 #include "obs/metrics.h"
@@ -59,161 +58,6 @@
 using namespace bgpcc;
 
 namespace {
-
-/// Handles for all nine shipped passes, registration order = wire tags.
-struct Handles {
-  analytics::PassHandle<analytics::ClassifierPass> types;
-  analytics::PassHandle<analytics::PerSessionTypesPass> sessions;
-  analytics::PassHandle<analytics::TomographyPass> tomography;
-  analytics::PassHandle<analytics::CommunityStatsPass> communities;
-  analytics::PassHandle<analytics::DuplicateBurstPass> duplicates;
-  analytics::PassHandle<analytics::AnomalyPass> anomalies;
-  analytics::PassHandle<analytics::RevealedPass> revealed;
-  analytics::PassHandle<analytics::ExplorationPass> exploration;
-  analytics::PassHandle<analytics::UsageClassificationPass> usage;
-};
-
-Handles add_passes(analytics::AnalysisDriver& driver) {
-  Handles h;
-  h.types = driver.add(analytics::ClassifierPass{});
-  h.sessions = driver.add(analytics::PerSessionTypesPass{});
-  h.tomography = driver.add(analytics::TomographyPass{});
-  h.communities = driver.add(analytics::CommunityStatsPass{});
-  h.duplicates = driver.add(analytics::DuplicateBurstPass{});
-  core::AnomalyOptions anomaly_options;
-  anomaly_options.min_classified = 20;
-  anomaly_options.novelty_min_occurrences = 50;
-  h.anomalies = driver.add(analytics::AnomalyPass{anomaly_options});
-  core::BeaconSchedule schedule;  // the simulated day runs the RIS default
-  h.revealed = driver.add(analytics::RevealedPass{schedule});
-  h.exploration = driver.add(analytics::ExplorationPass{schedule});
-  core::UsageOptions usage_options;
-  usage_options.min_occurrences = 5;
-  h.usage = driver.add(analytics::UsageClassificationPass{usage_options});
-  return h;
-}
-
-/// All nine projections, collected from a snapshot or from the
-/// finalized driver — the printer is agnostic to the source.
-struct Reports {
-  analytics::ClassifierPass::Report types;
-  analytics::PerSessionTypesPass::Report sessions;
-  analytics::TomographyPass::Report tomography;
-  analytics::CommunityStatsPass::Report communities;
-  analytics::DuplicateBurstPass::Report duplicates;
-  core::AnomalyReport anomalies;
-  core::RevealedStats revealed;
-  analytics::ExplorationPass::Report exploration;
-  analytics::UsageClassificationPass::Report usage;
-};
-
-Reports collect(const analytics::ReportSnapshot& snap, const Handles& h) {
-  return Reports{snap.report(h.types),      snap.report(h.sessions),
-                 snap.report(h.tomography), snap.report(h.communities),
-                 snap.report(h.duplicates), snap.report(h.anomalies),
-                 snap.report(h.revealed),   snap.report(h.exploration),
-                 snap.report(h.usage)};
-}
-
-Reports collect_final(analytics::AnalysisDriver& driver, const Handles& h) {
-  return Reports{driver.report(h.types),      driver.report(h.sessions),
-                 driver.report(h.tomography), driver.report(h.communities),
-                 driver.report(h.duplicates), driver.report(h.anomalies),
-                 driver.report(h.revealed),   driver.report(h.exploration),
-                 driver.report(h.usage)};
-}
-
-void print_report(const Reports& r) {
-  // 1. Table-2-style announcement-type shares.
-  core::TextTable table({"type", "observed changes", "count", "share"});
-  const char* descriptions[6] = {
-      "path + community", "path only",        "community only",
-      "no change",        "prepending+comm.", "prepending only"};
-  for (std::size_t i = 0; i < 6; ++i) {
-    core::AnnouncementType type = core::kAllAnnouncementTypes[i];
-    table.add_row({core::label(type), descriptions[i],
-                   core::with_commas(r.types.counts.count(type)),
-                   core::percent(r.types.counts.share(type))});
-  }
-  std::printf("%s\n", table.to_string().c_str());
-
-  // 2. Per-session type ranking (Figure 3's input).
-  std::printf("sessions ranked by activity (%zu total):\n",
-              r.sessions.size());
-  for (std::size_t i = 0; i < r.sessions.size() && i < 3; ++i) {
-    const auto& [session, counts] = r.sessions[i];
-    std::printf("  %s: %s classified\n", session.to_string().c_str(),
-                core::with_commas(counts.total()).c_str());
-  }
-
-  // 3. §7 per-AS community-behavior tomography.
-  std::size_t labeled = 0;
-  for (const core::AsEvidence& e : r.tomography) {
-    if (e.classification != core::CommunityBehavior::kUnknown) ++labeled;
-  }
-  std::printf("tomography: %zu ASes observed on-path, %zu with inferred "
-              "community behavior\n",
-              r.tomography.size(), labeled);
-
-  // 4. Community-attribute statistics (Table 1's community rows).
-  std::printf("announcements w/ communities: %s  (mean %s per "
-              "announcement)\n",
-              core::percent(r.communities.share_with_communities()).c_str(),
-              core::format_double(r.communities.mean_communities(), 2)
-                  .c_str());
-  std::printf("unique community values: %s across %zu AS namespaces\n",
-              core::with_commas(r.communities.unique_communities).c_str(),
-              r.communities.namespaces.size());
-
-  // 5. Duplicate attribution.
-  std::printf("duplicates: %s nn among %s classified announcements; "
-              "%s bursts\n",
-              core::with_commas(r.duplicates.nn).c_str(),
-              core::with_commas(r.duplicates.classified).c_str(),
-              core::with_commas(r.duplicates.bursts).c_str());
-
-  // 6. Anomaly scan (§7): duplicate outliers + novelty bursts.
-  std::printf("\nanomaly scan: population nn share mean %s (stddev %s); "
-              "%zu duplicate outliers, %zu novelty bursts\n",
-              core::percent(r.anomalies.population_mean_nn_share).c_str(),
-              core::percent(r.anomalies.population_stddev_nn_share).c_str(),
-              r.anomalies.duplicate_outliers.size(),
-              r.anomalies.novelty_bursts.size());
-  for (std::size_t i = 0; i < r.anomalies.novelty_bursts.size() && i < 3;
-       ++i) {
-    const core::NoveltyBurst& burst = r.anomalies.novelty_bursts[i];
-    std::printf("  burst: %s x%s from %s\n",
-                burst.community.to_string().c_str(),
-                core::with_commas(burst.occurrences).c_str(),
-                burst.first_seen.time_of_day_string().substr(0, 8).c_str());
-  }
-
-  // 7. Revealed information (§6 / Figure 6).
-  std::printf("revealed attributes: %s unique; withdrawal-only %s, "
-              "announce-only %s, ambiguous %s\n",
-              core::with_commas(r.revealed.total_unique).c_str(),
-              core::percent(r.revealed.withdrawal_ratio()).c_str(),
-              core::with_commas(r.revealed.announce_only).c_str(),
-              core::with_commas(r.revealed.ambiguous).c_str());
-
-  // 8. §6 community exploration (Figure 4).
-  std::printf("exploration: %zu namespace-exploration events\n",
-              r.exploration.size());
-
-  // 9. Per-AS community usage (Krenc et al., IMC 2021).
-  core::TextTable usage_table(
-      {"namespace", "profile", "occurrences", "values", "sessions"});
-  for (std::size_t i = 0; i < r.usage.size() && i < 6; ++i) {
-    const core::AsUsage& as_usage = r.usage[i];
-    usage_table.add_row({std::to_string(as_usage.asn16),
-                         core::label(as_usage.profile),
-                         core::with_commas(as_usage.occurrences),
-                         core::with_commas(as_usage.distinct_values),
-                         core::with_commas(as_usage.sessions)});
-  }
-  std::printf("\ncommunity usage by namespace:\n%s",
-              usage_table.to_string().c_str());
-}
 
 /// Renders the global metric registry to the --metrics target: "-" is
 /// stdout (always Prometheus text), a path ending in .json gets the
@@ -362,7 +206,8 @@ int main(int argc, char** argv) {
   cleaning.registry = &registry;
 
   analytics::AnalysisDriver driver;
-  Handles handles = add_passes(driver);
+  const analytics::StandardPasses standard =
+      analytics::StandardPasses::add(driver);
 
   core::IngestOptions ingest;
   ingest.num_threads = 0;        // hardware concurrency
@@ -388,7 +233,7 @@ int main(int argc, char** argv) {
       std::printf("\n===== epoch %ju: %s raw records ingested =====\n\n",
                   static_cast<std::uintmax_t>(snap.epoch()),
                   core::with_commas(ingestor.stats().raw_records).c_str());
-      print_report(collect(snap, handles));
+      std::fputs(standard.collect(snap).render().c_str(), stdout);
       if (metrics) {
         std::printf("\n----- epoch %ju metrics -----\n",
                     static_cast<std::uintmax_t>(snap.epoch()));
@@ -419,7 +264,7 @@ int main(int argc, char** argv) {
               follow ? "===== final report =====\n\n" : "",
               result.stats.raw_records, cleaned, result.stats.windows,
               result.stats.threads);
-  print_report(collect_final(driver, handles));
+  std::fputs(standard.collect(driver).render().c_str(), stdout);
 
   if (metrics) {
     metrics->stop();  // final emit below supersedes the periodic file

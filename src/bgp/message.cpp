@@ -20,13 +20,22 @@ std::string UpdateMessage::summary() const {
   std::string out;
   if (!withdrawn.empty()) {
     out += "withdraw";
-    for (const Prefix& p : withdrawn) out += " " + p.to_string();
+    for (const Prefix& p : withdrawn) {
+      out += ' ';
+      out += p.to_string();
+    }
   }
   if (!announced.empty()) {
     if (!out.empty()) out += "; ";
     out += "announce";
-    for (const Prefix& p : announced) out += " " + p.to_string();
-    if (attrs) out += " " + attrs->summary();
+    for (const Prefix& p : announced) {
+      out += ' ';
+      out += p.to_string();
+    }
+    if (attrs) {
+      out += ' ';
+      out += attrs->summary();
+    }
   }
   if (out.empty()) out = "(empty update)";
   return out;

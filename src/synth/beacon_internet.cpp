@@ -29,6 +29,15 @@ Policy transit_ingress_policy(std::uint16_t asn16, int k) {
   return policy;
 }
 
+// A node name such as "T3". Appending to a named string keeps GCC 12
+// quiet; `"T" + std::to_string(k)` inlines an insert it flags with a
+// false -Wrestrict.
+std::string node_name(const char* kind, int index) {
+  std::string name(kind);
+  name += std::to_string(index);
+  return name;
+}
+
 VendorProfile pick_vendor(double roll, const BeaconOptions& options) {
   if (roll < options.junos_fraction) return VendorProfile::junos();
   if (roll < options.junos_fraction + options.bird_fraction) {
@@ -77,7 +86,7 @@ BeaconInternet::BeaconInternet(BeaconOptions options)
 
   const int k_ingress = options_.transit_ingresses;
   for (int k = 0; k < k_ingress; ++k) {
-    network_.add_router("T" + std::to_string(k), Asn(kAsnT),
+    network_.add_router(node_name("T", k), Asn(kAsnT),
                         pick_vendor(unit(rng), options_));
   }
 
@@ -114,15 +123,14 @@ BeaconInternet::BeaconInternet(BeaconOptions options)
     options_t.b_import = transit_ingress_policy(
         static_cast<std::uint16_t>(kAsnT), k);
     t_u1_sessions_.push_back(
-        network_.add_session("U1", "T" + std::to_string(k), options_t));
+        network_.add_session("U1", node_name("T", k), options_t));
   }
   // T full iBGP mesh (fast internal propagation).
   for (int a = 0; a < k_ingress; ++a) {
     for (int b = a + 1; b < k_ingress; ++b) {
       sim::SessionOptions ibgp;
       ibgp.delay = Duration::millis(3 + (a + b) % 5);
-      network_.add_session("T" + std::to_string(a), "T" + std::to_string(b),
-                           ibgp);
+      network_.add_session(node_name("T", a), node_name("T", b), ibgp);
     }
   }
 
@@ -134,7 +142,7 @@ BeaconInternet::BeaconInternet(BeaconOptions options)
     for (int i = 0; i < options_.peers_per_collector; ++i) {
       int index = c * options_.peers_per_collector + i;
       PeerInfo peer;
-      peer.name = "P" + std::to_string(index);
+      peer.name = node_name("P", index);
       peer.asn = Asn(kAsnPeerBase + static_cast<std::uint32_t>(index));
       peer.collector = collector_name;
       peer.transit_ingress = index % k_ingress;
@@ -174,8 +182,8 @@ BeaconInternet::BeaconInternet(BeaconOptions options)
         so.delay = Duration::millis(
             static_cast<std::int64_t>(5 + 15 * unit(rng)));
         so.b_import = peer_import;  // peer is endpoint b
-        network_.add_session("T" + std::to_string(peer.transit_ingress),
-                             peer.name, so);
+        network_.add_session(node_name("T", peer.transit_ingress), peer.name,
+                             so);
       }
       if (peer.has_h) {
         sim::SessionOptions so;
@@ -189,7 +197,7 @@ BeaconInternet::BeaconInternet(BeaconOptions options)
         so.delay = Duration::millis(
             static_cast<std::int64_t>(5 + 12 * unit(rng)));
         so.b_import = peer_import;
-        network_.add_session("M" + std::to_string(index % 2 + 1), peer.name,
+        network_.add_session(node_name("M", index % 2 + 1), peer.name,
                              so);
       }
       // Peer -> collector.

@@ -22,6 +22,7 @@
 #include "analytics/driver.h"
 #include "analytics/passes.h"
 #include "analytics/serialize.h"
+#include "analytics/standard.h"
 #include "archive_gen.h"
 #include "core/cleaning.h"
 #include "core/ingest.h"
@@ -39,56 +40,6 @@ using core::Registry;
 using core::StreamingIngestor;
 using core::archgen::allocated_registry;
 using core::archgen::ArchiveGenerator;
-
-struct Handles {
-  PassHandle<ClassifierPass> types;
-  PassHandle<PerSessionTypesPass> per_session;
-  PassHandle<TomographyPass> tomography;
-  PassHandle<CommunityStatsPass> communities;
-  PassHandle<DuplicateBurstPass> duplicates;
-  PassHandle<AnomalyPass> anomaly;
-  PassHandle<RevealedPass> revealed;
-  PassHandle<ExplorationPass> exploration;
-  PassHandle<UsageClassificationPass> usage;
-};
-
-Handles add_all_passes(AnalysisDriver& driver) {
-  return Handles{driver.add(ClassifierPass{}),
-                 driver.add(PerSessionTypesPass{}),
-                 driver.add(TomographyPass{}),
-                 driver.add(CommunityStatsPass{}),
-                 driver.add(DuplicateBurstPass{}),
-                 driver.add(AnomalyPass{}),
-                 driver.add(RevealedPass{}),
-                 driver.add(ExplorationPass{}),
-                 driver.add(UsageClassificationPass{})};
-}
-
-struct AllReports {
-  ClassifierPass::Report types;
-  PerSessionTypesPass::Report per_session;
-  TomographyPass::Report tomography;
-  CommunityStatsPass::Report communities;
-  DuplicateBurstPass::Report duplicates;
-  AnomalyPass::Report anomaly;
-  RevealedPass::Report revealed;
-  ExplorationPass::Report exploration;
-  UsageClassificationPass::Report usage;
-
-  friend bool operator==(const AllReports&, const AllReports&) = default;
-};
-
-AllReports collect(AnalysisDriver& driver, const Handles& handles) {
-  return AllReports{driver.report(handles.types),
-                    driver.report(handles.per_session),
-                    driver.report(handles.tomography),
-                    driver.report(handles.communities),
-                    driver.report(handles.duplicates),
-                    driver.report(handles.anomaly),
-                    driver.report(handles.revealed),
-                    driver.report(handles.exploration),
-                    driver.report(handles.usage)};
-}
 
 /// The shared two-collector fixture: sessions on two archives, windowed
 /// ingestion so a checkpoint can land mid-source or between sources.
@@ -118,7 +69,7 @@ struct Fixture {
   /// Builds driver + ingestor wired together over fresh input streams.
   struct Run {
     AnalysisDriver driver;
-    Handles handles;
+    StandardPasses handles;
     IngestOptions opt;
     std::unique_ptr<std::istringstream> in_a;
     std::unique_ptr<std::istringstream> in_b;
@@ -127,7 +78,7 @@ struct Fixture {
 
   [[nodiscard]] std::unique_ptr<Run> start() const {
     auto run = std::make_unique<Run>();
-    run->handles = add_all_passes(run->driver);
+    run->handles = StandardPasses::add(run->driver);
     run->opt = options();
     run->driver.attach(run->opt);
     run->engine = std::make_unique<StreamingIngestor>(run->opt);
@@ -149,7 +100,7 @@ TEST(CheckpointResume, EveryInterruptionPointResumesExactly) {
   IngestResult ref_result = reference->engine->finish();
   ASSERT_GT(ref_result.stream.size(), 0u);
   ASSERT_GT(windows, 3u) << "fixture too small to exercise resume";
-  AllReports expected = collect(reference->driver, reference->handles);
+  StandardReports expected = reference->handles.collect(reference->driver);
   ASSERT_GT(expected.types.counts.total(), 0u);
   ASSERT_GT(expected.revealed.total_unique, 0u);
 
@@ -173,7 +124,7 @@ TEST(CheckpointResume, EveryInterruptionPointResumesExactly) {
     // original process owns the earlier runs); the REPORTS are complete
     // because the driver states cover every pre-checkpoint record.
     EXPECT_LT(result.stream.size(), ref_result.stream.size()) << "k=" << k;
-    EXPECT_EQ(collect(resumed->driver, resumed->handles), expected)
+    EXPECT_EQ(resumed->handles.collect(resumed->driver), expected)
         << "k=" << k;
   }
 }
@@ -185,14 +136,14 @@ TEST(CheckpointResume, ShardCountAdoptedAcrossHosts) {
   auto reference = fixture.start();
   IngestResult ref_result = reference->engine->finish();
   ASSERT_GT(ref_result.stream.size(), 0u);
-  AllReports expected = collect(reference->driver, reference->handles);
+  StandardReports expected = reference->handles.collect(reference->driver);
 
   // "Big host": an explicit 32-shard run (what num_threads = 0 resolves
   // to on a 32-core machine), interrupted after two windows.
   std::ostringstream checkpoint;
   {
     AnalysisDriver driver;
-    (void)add_all_passes(driver);
+    (void)StandardPasses::add(driver);
     IngestOptions opt = fixture.options();
     opt.shards = 32;
     driver.attach(opt);
@@ -216,7 +167,7 @@ TEST(CheckpointResume, ShardCountAdoptedAcrossHosts) {
   resumed->driver.restore(in, *resumed->engine);
   EXPECT_EQ(resumed->engine->stats().shards, 32u);
   (void)resumed->engine->finish();
-  EXPECT_EQ(collect(resumed->driver, resumed->handles), expected);
+  EXPECT_EQ(resumed->handles.collect(resumed->driver), expected);
 }
 
 TEST(CheckpointResume, CheckpointIsDeterministic) {
@@ -241,20 +192,20 @@ TEST(CheckpointResume, StateOnlyCheckpointRestoresReports) {
   // Driver-only snapshot (no ingest cursor): shard-faithful states.
   std::ostringstream out;
   run->driver.checkpoint(out);
-  AllReports expected = collect(run->driver, run->handles);
+  StandardReports expected = run->handles.collect(run->driver);
 
   AnalysisDriver restored;
-  Handles handles = add_all_passes(restored);
+  StandardPasses handles = StandardPasses::add(restored);
   std::istringstream in(out.str());
   restored.restore(in);
-  EXPECT_EQ(collect(restored, handles), expected);
+  EXPECT_EQ(handles.collect(restored), expected);
 
   // The same snapshot is also loadable as a disjoint-run partial.
   AnalysisDriver merged;
-  Handles merged_handles = add_all_passes(merged);
+  StandardPasses merged_handles = StandardPasses::add(merged);
   std::istringstream again(out.str());
   merged.load_state(again);
-  EXPECT_EQ(collect(merged, merged_handles), expected);
+  EXPECT_EQ(merged_handles.collect(merged), expected);
 }
 
 TEST(CheckpointResume, MisuseThrowsConfigError) {
@@ -297,7 +248,7 @@ TEST(CheckpointResume, MisuseThrowsConfigError) {
     run->driver.checkpoint(out, *run->engine);
 
     AnalysisDriver driver;
-    (void)add_all_passes(driver);
+    (void)StandardPasses::add(driver);
     IngestOptions opt = fixture.options();
     opt.chunk_records = 64;  // chunking defines windows: must match
     driver.attach(opt);
@@ -318,7 +269,7 @@ TEST(CheckpointResume, MisuseThrowsConfigError) {
     run->driver.checkpoint(out, *run->engine);
 
     AnalysisDriver driver;
-    (void)add_all_passes(driver);
+    (void)StandardPasses::add(driver);
     IngestOptions opt = fixture.options();
     driver.attach(opt);
     StreamingIngestor engine(opt);
@@ -332,7 +283,7 @@ TEST(CheckpointResume, MisuseThrowsConfigError) {
   // already minted at the first run's layout.
   {
     AnalysisDriver driver;
-    (void)add_all_passes(driver);
+    (void)StandardPasses::add(driver);
     IngestOptions first = fixture.options();
     driver.attach(first);
     IngestOptions second = fixture.options();
@@ -473,7 +424,7 @@ TEST(CheckpointResume, SourceShorterThanCheckpointThrows) {
   // Resume against a truncated first archive: the framer cannot skip to
   // the checkpointed chunk, and must say so rather than resume wrong.
   AnalysisDriver driver;
-  (void)add_all_passes(driver);
+  (void)StandardPasses::add(driver);
   IngestOptions opt = fixture.options();
   driver.attach(opt);
   StreamingIngestor engine(opt);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <random>
 #include <sstream>
 #include <string>
@@ -22,6 +23,7 @@
 #include "core/stream.h"
 #include "mrt/mrt.h"
 #include "sim/collector.h"
+#include "test_dir.h"
 
 namespace bgpcc::core {
 namespace {
@@ -350,7 +352,9 @@ TEST(IngestDifferential, RotatedFilesMatchSingleArchive) {
                      update);
   }
 
-  std::string dir = ::testing::TempDir();
+  test::TestDir fixture_dir("diff");
+  std::filesystem::create_directories(fixture_dir.path());
+  const std::string& dir = fixture_dir.path();
   std::string single = dir + "/bgpcc_diff_single.mrt";
   collector.write_mrt(single, /*extended_time=*/false);
 

@@ -6,7 +6,6 @@
 // identical deterministic stats — the batch path is just the
 // one-window special case of the same core.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
@@ -29,6 +28,7 @@
 #include "mrt/source.h"
 #include "netbase/error.h"
 #include "sim/collector.h"
+#include "test_dir.h"
 
 namespace bgpcc::core {
 namespace {
@@ -208,30 +208,6 @@ IngestResult streaming_ingest(const std::vector<std::string>& parts,
   return result;
 }
 
-/// A spill directory of the running test's own, named by the test and
-/// the process id, so build trees and runs sharing TempDir() never see
-/// each other's run files. Removed on construction (a killed run may have
-/// left it behind) and on destruction; never created here.
-class TestSpillDir {
- public:
-  explicit TestSpillDir(const std::string& suffix = "")
-      : path_(::testing::TempDir() + "/bgpcc_spill_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-              "_" + std::to_string(::getpid()) + suffix) {
-    std::filesystem::remove_all(path_);
-  }
-  ~TestSpillDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  TestSpillDir(const TestSpillDir&) = delete;
-  TestSpillDir& operator=(const TestSpillDir&) = delete;
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 std::size_t spill_files_in(const std::string& dir) {
   std::size_t count = 0;
   std::error_code ec;
@@ -276,9 +252,10 @@ TEST(IngestStreaming, WindowThreadSpillEquivalence) {
           IngestOptions options = reference_options;
           options.num_threads = threads;
           options.window_records = window;
-          TestSpillDir spill_owner("_" + std::to_string(seed) + "_" +
-                                   std::to_string(window) + "_" +
-                                   std::to_string(threads));
+          test::TestDir spill_owner(
+              "spill", "_" + std::to_string(seed) + "_" +
+                           std::to_string(window) + "_" +
+                           std::to_string(threads));
           std::string spill_dir;
           if (spill) {
             spill_dir = spill_owner.path();
@@ -491,7 +468,9 @@ TEST(IngestStreaming, CompressedInputMatchesUncompressed) {
   }
 
   // Through the filesystem front-end, with mixed compression per source.
-  std::string dir = ::testing::TempDir();
+  test::TestDir fixture_dir("streaming");
+  std::filesystem::create_directories(fixture_dir.path());
+  const std::string& dir = fixture_dir.path();
   std::string gz_path = dir + "/bgpcc_streaming_in.gz";
   std::string bz2_path = dir + "/bgpcc_streaming_in.bz2";
   std::string raw_path = dir + "/bgpcc_streaming_in.mrt";
@@ -544,7 +523,9 @@ TEST(IngestStreaming, CompressedRotatedArchivesWindowedSpilled) {
                      update);
   }
 
-  std::string dir = ::testing::TempDir();
+  test::TestDir fixture_dir("streaming");
+  std::filesystem::create_directories(fixture_dir.path());
+  const std::string& dir = fixture_dir.path();
   std::string single = dir + "/bgpcc_streaming_single.mrt";
   collector.write_mrt(single, /*extended_time=*/false);
 
@@ -567,7 +548,7 @@ TEST(IngestStreaming, CompressedRotatedArchivesWindowedSpilled) {
 
     IngestOptions windowed = options;
     windowed.window_records = 32;
-    TestSpillDir spill_dir("_" + mrt::to_string(compression));
+    test::TestDir spill_dir("spill", "_" + mrt::to_string(compression));
     windowed.spill_dir = spill_dir.path();
     StreamingIngestor engine(windowed);
     for (const std::string& path : paths) engine.add_file("rrc00", path);
@@ -626,7 +607,7 @@ TEST(IngestStreaming, DualStackNextHopSurvivesSpill) {
 
   IngestOptions spilled = options;
   spilled.window_records = 8;
-  TestSpillDir spill_dir;
+  test::TestDir spill_dir("spill");
   spilled.spill_dir = spill_dir.path();
   IngestResult result = streaming_ingest({archive.str()}, spilled);
   expect_identical(reference, result);
@@ -682,7 +663,7 @@ TEST(IngestStreaming, EveryAttributeSurvivesSpill) {
 
   IngestOptions spilled = options;
   spilled.window_records = 8;
-  TestSpillDir spill_dir;
+  test::TestDir spill_dir("spill");
   spilled.spill_dir = spill_dir.path();
   IngestResult result = streaming_ingest({archive.str()}, spilled);
   expect_identical(reference, result);
@@ -746,7 +727,7 @@ TEST(IngestStreaming, OversizeLegacyPathSurvivesSpill) {
 
   IngestOptions spilled = options;
   spilled.window_records = 2;
-  TestSpillDir spill_dir;
+  test::TestDir spill_dir("spill");
   spilled.spill_dir = spill_dir.path();
   IngestResult result = streaming_ingest({archive.str()}, spilled);
   expect_identical(reference, result);
@@ -765,7 +746,7 @@ TEST(IngestStreaming, SpillFailureLeavesDirClean) {
   std::string archive;
   for (const std::string& record : records) archive += record;
 
-  TestSpillDir owner;
+  test::TestDir owner("spill");
   const std::string& spill_dir = owner.path();
   std::filesystem::create_directories(spill_dir);
   IngestOptions options;

@@ -2,7 +2,9 @@
 // per-collector `ingest` runs fanned in with `merge` must print
 // BYTE-IDENTICAL reports to a monolithic run over every archive at
 // once — the split-run workflow the wire codec exists for, proven
-// against the real executable's stdout, not a library shortcut.
+// against the real executable's stdout, not a library shortcut. That
+// stdout is the standard pass set's canonical rendering
+// (analytics/standard.h), byte for byte.
 //
 // The tool's path arrives via the BGPCC_MERGE_TOOL compile definition
 // (see tests/CMakeLists.txt); commands run through std::system with
@@ -15,7 +17,9 @@
 #include <sstream>
 #include <string>
 
+#include "analytics/standard.h"
 #include "archive_gen.h"
+#include "core/ingest.h"
 
 namespace bgpcc {
 namespace {
@@ -97,9 +101,31 @@ TEST_F(MergeToolTest, SplitIngestMergeEqualsMonolithicRun) {
   std::string mono_report = read_file(mono_out);
   std::string split_report = read_file(split_out);
   ASSERT_FALSE(mono_report.empty());
-  EXPECT_NE(mono_report.find("== announcement types =="), std::string::npos);
-  EXPECT_NE(mono_report.find("== community usage"), std::string::npos);
+  EXPECT_NE(mono_report.find("[classifier]\n"), std::string::npos);
+  EXPECT_NE(mono_report.find("\n[usage] "), std::string::npos);
   EXPECT_EQ(split_report, mono_report);
+}
+
+TEST_F(MergeToolTest, MergePrintsTheStandardRendering) {
+  std::string state = temp_path("render.state");
+  ASSERT_EQ(run_tool("ingest " + state + " rrc00=" + archive_a_ +
+                         " rrc01=" + archive_b_,
+                     temp_path("render_ingest.out")),
+            0);
+  std::string out = temp_path("render.out");
+  ASSERT_EQ(run_tool("merge " + state, out), 0);
+
+  // The same ingest in process, with `ingest`'s default IngestOptions.
+  analytics::AnalysisDriver driver;
+  const analytics::StandardPasses standard =
+      analytics::StandardPasses::add(driver);
+  core::IngestOptions options;
+  driver.attach(options);
+  core::StreamingIngestor ingestor(options);
+  ingestor.add_file("rrc00", archive_a_);
+  ingestor.add_file("rrc01", archive_b_);
+  (void)ingestor.finish();
+  EXPECT_EQ(read_file(out), standard.collect(driver).render());
 }
 
 TEST_F(MergeToolTest, ChainedSaveMergesAssociatively) {

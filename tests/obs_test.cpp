@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "analytics/driver.h"
-#include "analytics/passes.h"
+#include "analytics/standard.h"
 #include "archive_gen.h"
 #include "core/cleaning.h"
 #include "core/ingest.h"
@@ -335,30 +335,6 @@ TEST(ObsPipelineMetrics, CleaningCountersMatchTheCleaningReport) {
 // ---------------------------------------------------------------------
 // The differential contract: metrics never perturb analysis output.
 
-struct AllHandles {
-  analytics::PassHandle<analytics::ClassifierPass> types;
-  analytics::PassHandle<analytics::PerSessionTypesPass> per_session;
-  analytics::PassHandle<analytics::TomographyPass> tomography;
-  analytics::PassHandle<analytics::CommunityStatsPass> communities;
-  analytics::PassHandle<analytics::DuplicateBurstPass> duplicates;
-  analytics::PassHandle<analytics::AnomalyPass> anomaly;
-  analytics::PassHandle<analytics::RevealedPass> revealed;
-  analytics::PassHandle<analytics::ExplorationPass> exploration;
-  analytics::PassHandle<analytics::UsageClassificationPass> usage;
-};
-
-AllHandles add_all_passes(analytics::AnalysisDriver& driver) {
-  return AllHandles{driver.add(analytics::ClassifierPass{}),
-                    driver.add(analytics::PerSessionTypesPass{}),
-                    driver.add(analytics::TomographyPass{}),
-                    driver.add(analytics::CommunityStatsPass{}),
-                    driver.add(analytics::DuplicateBurstPass{}),
-                    driver.add(analytics::AnomalyPass{}),
-                    driver.add(analytics::RevealedPass{}),
-                    driver.add(analytics::ExplorationPass{}),
-                    driver.add(analytics::UsageClassificationPass{})};
-}
-
 /// One full ingest + analysis run; the returned value is everything an
 /// observer could compare: the nine serialized pass states (save_state
 /// covers them all, byte for byte) plus the deterministic ingest
@@ -385,7 +361,7 @@ RunOutput run_pipeline(const std::string& archive_a,
   opt.cleaning = &cleaning;
 
   analytics::AnalysisDriver driver;
-  (void)add_all_passes(driver);
+  (void)analytics::StandardPasses::add(driver);
   driver.attach(opt);
 
   core::StreamingIngestor engine(opt);

@@ -25,6 +25,7 @@
 #include "analytics/driver.h"
 #include "analytics/passes.h"
 #include "analytics/serialize.h"
+#include "analytics/standard.h"
 #include "archive_gen.h"
 #include "core/cleaning.h"
 #include "core/codec.h"
@@ -277,70 +278,19 @@ TEST(SerializeHeader, BadMagicAndVersionThrow) {
 // ---------------------------------------------------------------------------
 // Full-driver fixtures.
 
-/// All nine shipped passes, so every State codec is exercised.
-struct Handles {
-  PassHandle<ClassifierPass> types;
-  PassHandle<PerSessionTypesPass> per_session;
-  PassHandle<TomographyPass> tomography;
-  PassHandle<CommunityStatsPass> communities;
-  PassHandle<DuplicateBurstPass> duplicates;
-  PassHandle<AnomalyPass> anomaly;
-  PassHandle<RevealedPass> revealed;
-  PassHandle<ExplorationPass> exploration;
-  PassHandle<UsageClassificationPass> usage;
-};
-
-Handles add_all_passes(AnalysisDriver& driver) {
-  return Handles{driver.add(ClassifierPass{}),
-                 driver.add(PerSessionTypesPass{}),
-                 driver.add(TomographyPass{}),
-                 driver.add(CommunityStatsPass{}),
-                 driver.add(DuplicateBurstPass{}),
-                 driver.add(AnomalyPass{}),
-                 driver.add(RevealedPass{}),
-                 driver.add(ExplorationPass{}),
-                 driver.add(UsageClassificationPass{})};
-}
-
-struct AllReports {
-  ClassifierPass::Report types;
-  PerSessionTypesPass::Report per_session;
-  TomographyPass::Report tomography;
-  CommunityStatsPass::Report communities;
-  DuplicateBurstPass::Report duplicates;
-  AnomalyPass::Report anomaly;
-  RevealedPass::Report revealed;
-  ExplorationPass::Report exploration;
-  UsageClassificationPass::Report usage;
-
-  friend bool operator==(const AllReports&, const AllReports&) = default;
-};
-
-AllReports collect(AnalysisDriver& driver, const Handles& handles) {
-  return AllReports{driver.report(handles.types),
-                    driver.report(handles.per_session),
-                    driver.report(handles.tomography),
-                    driver.report(handles.communities),
-                    driver.report(handles.duplicates),
-                    driver.report(handles.anomaly),
-                    driver.report(handles.revealed),
-                    driver.report(handles.exploration),
-                    driver.report(handles.usage)};
-}
-
 /// Ingests `archives` (collector → archive bytes) inline through one
 /// driver; returns the driver finalized via collect() when `reports` is
 /// non-null, or serialized via save_state into `state` otherwise.
 void run_archives(const std::vector<std::pair<std::string, std::string>>&
                       archives,
-                  const CleaningOptions& cleaning, AllReports* reports,
+                  const CleaningOptions& cleaning, StandardReports* reports,
                   std::string* state) {
   IngestOptions options;
   options.chunk_records = 32;
   options.cleaning = &cleaning;
 
   AnalysisDriver driver;
-  Handles handles = add_all_passes(driver);
+  StandardPasses handles = StandardPasses::add(driver);
   driver.attach(options);
   StreamingIngestor engine(options);
   std::vector<std::unique_ptr<std::istringstream>> inputs;
@@ -350,7 +300,7 @@ void run_archives(const std::vector<std::pair<std::string, std::string>>&
   }
   IngestResult result = engine.finish();
   ASSERT_GT(result.stats.records, 0u);
-  if (reports != nullptr) *reports = collect(driver, handles);
+  if (reports != nullptr) *reports = handles.collect(driver);
   if (state != nullptr) {
     std::ostringstream out;
     driver.save_state(out);
@@ -368,19 +318,19 @@ TEST(SerializeRoundtrip, AllPassesSurviveSaveAndLoad) {
   CleaningOptions cleaning;
   cleaning.registry = &registry;
 
-  AllReports expected;
+  StandardReports expected;
   std::string state;
   run_archives({{"rrc00", archive}}, cleaning, &expected, &state);
   ASSERT_FALSE(state.empty());
   ASSERT_GT(expected.types.counts.total(), 0u);
   ASSERT_GT(expected.communities.unique_communities, 0u);
-  ASSERT_FALSE(expected.per_session.empty());
+  ASSERT_FALSE(expected.sessions.empty());
 
   AnalysisDriver loaded;
-  Handles handles = add_all_passes(loaded);
+  StandardPasses handles = StandardPasses::add(loaded);
   std::istringstream in(state);
   loaded.load_state(in);
-  EXPECT_EQ(collect(loaded, handles), expected);
+  EXPECT_EQ(handles.collect(loaded), expected);
 }
 
 TEST(SerializeRoundtrip, SaveIsDeterministic) {
@@ -432,7 +382,7 @@ TEST(SerializeDifferential, PerCollectorPartialsEqualMonolithicRun) {
   CleaningOptions cleaning;
   cleaning.registry = &registry;
 
-  AllReports monolithic;
+  StandardReports monolithic;
   run_archives({{"rrc00", archive_a}, {"rrc01", archive_b},
                 {"rrc03", archive_c}},
                cleaning, &monolithic, nullptr);
@@ -456,12 +406,12 @@ TEST(SerializeDifferential, PerCollectorPartialsEqualMonolithicRun) {
            {&state_a, &state_b, &state_c},
            {&state_c, &state_a, &state_b}}) {
     AnalysisDriver merged;
-    Handles handles = add_all_passes(merged);
+    StandardPasses handles = StandardPasses::add(merged);
     for (const std::string* state : order) {
       std::istringstream in(*state);
       merged.load_state(in);
     }
-    EXPECT_EQ(collect(merged, handles), monolithic);
+    EXPECT_EQ(handles.collect(merged), monolithic);
   }
 }
 
@@ -487,7 +437,7 @@ TEST(SerializeRobustness, TruncationAtEveryPrefixThrows) {
   for (std::size_t cut = 0; cut < state.size();
        cut += (cut < 64 ? 1 : 97)) {
     AnalysisDriver driver;
-    (void)add_all_passes(driver);
+    (void)StandardPasses::add(driver);
     std::istringstream in(state.substr(0, cut));
     EXPECT_THROW(driver.load_state(in), DecodeError) << "cut=" << cut;
   }
@@ -499,7 +449,7 @@ TEST(SerializeRobustness, BitFlipInHeaderThrows) {
     std::string corrupt = state;
     corrupt[byte] = static_cast<char>(corrupt[byte] ^ 0x40);
     AnalysisDriver driver;
-    (void)add_all_passes(driver);
+    (void)StandardPasses::add(driver);
     std::istringstream in(corrupt);
     EXPECT_THROW(driver.load_state(in), DecodeError) << "byte=" << byte;
   }
@@ -569,7 +519,7 @@ TEST(SerializeRobustness, BareIngestCursorIsRejected) {
   serialize::write_ingest_checkpoint(w, cursor);
 
   AnalysisDriver driver;
-  (void)add_all_passes(driver);
+  (void)StandardPasses::add(driver);
   std::istringstream in(out.str());
   EXPECT_THROW(driver.load_state(in), DecodeError);
 

@@ -31,6 +31,7 @@
 
 #include "analytics/driver.h"
 #include "analytics/passes.h"
+#include "analytics/standard.h"
 #include "archive_gen.h"
 #include "core/cleaning.h"
 #include "core/ingest.h"
@@ -48,68 +49,6 @@ using core::Registry;
 using core::StreamingIngestor;
 using core::archgen::allocated_registry;
 using core::archgen::ArchiveGenerator;
-
-struct Handles {
-  PassHandle<ClassifierPass> types;
-  PassHandle<PerSessionTypesPass> per_session;
-  PassHandle<TomographyPass> tomography;
-  PassHandle<CommunityStatsPass> communities;
-  PassHandle<DuplicateBurstPass> duplicates;
-  PassHandle<AnomalyPass> anomaly;
-  PassHandle<RevealedPass> revealed;
-  PassHandle<ExplorationPass> exploration;
-  PassHandle<UsageClassificationPass> usage;
-};
-
-Handles add_all_passes(AnalysisDriver& driver) {
-  return Handles{driver.add(ClassifierPass{}),
-                 driver.add(PerSessionTypesPass{}),
-                 driver.add(TomographyPass{}),
-                 driver.add(CommunityStatsPass{}),
-                 driver.add(DuplicateBurstPass{}),
-                 driver.add(AnomalyPass{}),
-                 driver.add(RevealedPass{}),
-                 driver.add(ExplorationPass{}),
-                 driver.add(UsageClassificationPass{})};
-}
-
-struct AllReports {
-  ClassifierPass::Report types;
-  PerSessionTypesPass::Report per_session;
-  TomographyPass::Report tomography;
-  CommunityStatsPass::Report communities;
-  DuplicateBurstPass::Report duplicates;
-  AnomalyPass::Report anomaly;
-  RevealedPass::Report revealed;
-  ExplorationPass::Report exploration;
-  UsageClassificationPass::Report usage;
-
-  friend bool operator==(const AllReports&, const AllReports&) = default;
-};
-
-AllReports collect(AnalysisDriver& driver, const Handles& handles) {
-  return AllReports{driver.report(handles.types),
-                    driver.report(handles.per_session),
-                    driver.report(handles.tomography),
-                    driver.report(handles.communities),
-                    driver.report(handles.duplicates),
-                    driver.report(handles.anomaly),
-                    driver.report(handles.revealed),
-                    driver.report(handles.exploration),
-                    driver.report(handles.usage)};
-}
-
-AllReports collect(const ReportSnapshot& snap, const Handles& handles) {
-  return AllReports{snap.report(handles.types),
-                    snap.report(handles.per_session),
-                    snap.report(handles.tomography),
-                    snap.report(handles.communities),
-                    snap.report(handles.duplicates),
-                    snap.report(handles.anomaly),
-                    snap.report(handles.revealed),
-                    snap.report(handles.exploration),
-                    snap.report(handles.usage)};
-}
 
 constexpr std::size_t kRecordsA = 700;
 constexpr std::size_t kRecordsB = 500;
@@ -143,7 +82,7 @@ struct Fixture {
 
   struct Run {
     AnalysisDriver driver;
-    Handles handles;
+    StandardPasses handles;
     IngestOptions opt;
     std::unique_ptr<std::istringstream> in_a;
     std::unique_ptr<std::istringstream> in_b;
@@ -152,7 +91,7 @@ struct Fixture {
 
   [[nodiscard]] std::unique_ptr<Run> start(IngestOptions opt) const {
     auto run = std::make_unique<Run>();
-    run->handles = add_all_passes(run->driver);
+    run->handles = StandardPasses::add(run->driver);
     run->opt = std::move(opt);
     run->driver.attach(run->opt);
     run->engine = std::make_unique<StreamingIngestor>(run->opt);
@@ -168,9 +107,10 @@ struct Fixture {
   /// An independent run whose input is the fixture input truncated to
   /// the first `raw_records` framed records (the engine frames rrc00
   /// fully before rrc01, so the prefix splits cleanly by count).
-  [[nodiscard]] AllReports truncated_report(std::size_t raw_records) const {
+  [[nodiscard]] StandardReports truncated_report(
+      std::size_t raw_records) const {
     auto run = std::make_unique<Run>();
-    run->handles = add_all_passes(run->driver);
+    run->handles = StandardPasses::add(run->driver);
     run->opt = options();
     run->driver.attach(run->opt);
     run->engine = std::make_unique<StreamingIngestor>(run->opt);
@@ -184,7 +124,7 @@ struct Fixture {
       run->engine->add_stream("rrc01", *run->in_b);
     }
     (void)run->engine->finish();
-    return collect(run->driver, run->handles);
+    return run->handles.collect(run->driver);
   }
 };
 
@@ -194,16 +134,16 @@ TEST(SnapshotReport, EveryWindowBoundaryEqualsTruncatedRun) {
 
   // Boundary 0: a snapshot before any window is the empty report — the
   // same as an independent run over zero records.
-  std::vector<std::pair<std::size_t, AllReports>> boundaries;
+  std::vector<std::pair<std::size_t, StandardReports>> boundaries;
   {
     ReportSnapshot snap = run->driver.snapshot();
     EXPECT_EQ(snap.epoch(), 1u);
-    boundaries.emplace_back(0, collect(snap, run->handles));
+    boundaries.emplace_back(0, run->handles.collect(snap));
   }
   while (run->engine->poll()) {
     ReportSnapshot snap = run->driver.snapshot();
     boundaries.emplace_back(run->engine->stats().raw_records,
-                            collect(snap, run->handles));
+                            run->handles.collect(snap));
   }
   ASSERT_GT(boundaries.size(), 4u) << "fixture too small";
   ASSERT_EQ(boundaries.back().first, kRecordsA + kRecordsB);
@@ -215,7 +155,7 @@ TEST(SnapshotReport, EveryWindowBoundaryEqualsTruncatedRun) {
   // The snapshotted run's finale is untouched by the snapshots and
   // equals the last boundary (all input was already ingested).
   (void)run->engine->finish();
-  EXPECT_EQ(collect(run->driver, run->handles), boundaries.back().second);
+  EXPECT_EQ(run->handles.collect(run->driver), boundaries.back().second);
 }
 
 TEST(SnapshotReport, SnapshottingNeverPerturbsTheFinalReport) {
@@ -240,20 +180,20 @@ TEST(SnapshotReport, SnapshottingNeverPerturbsTheFinalReport) {
           // Back-to-back snapshots: new epoch, identical content.
           ReportSnapshot again = snapshotted->driver.snapshot();
           EXPECT_EQ(again.epoch(), snap.epoch() + 1);
-          EXPECT_EQ(collect(again, snapshotted->handles),
-                    collect(snap, snapshotted->handles));
+          EXPECT_EQ(snapshotted->handles.collect(again),
+                    snapshotted->handles.collect(snap));
           doubled = true;
         }
       }
       (void)snapshotted->engine->finish();
-      AllReports with = collect(snapshotted->driver, snapshotted->handles);
+      StandardReports with = snapshotted->handles.collect(snapshotted->driver);
       std::ostringstream with_bytes;
       snapshotted->driver.save_state(with_bytes);
 
       // Run B: identical, but never snapshots.
       auto plain = fixture.start(opt);
       (void)plain->engine->finish();
-      AllReports without = collect(plain->driver, plain->handles);
+      StandardReports without = plain->handles.collect(plain->driver);
       std::ostringstream without_bytes;
       plain->driver.save_state(without_bytes);
 
@@ -270,12 +210,12 @@ TEST(SnapshotReport, ConcurrentSnapshotWhileIngesting) {
 
   // Reference: the committed-boundary report set from a sequential run
   // (boundary 0 = the empty state included).
-  std::vector<AllReports> committed;
+  std::vector<StandardReports> committed;
   {
     auto run = fixture.start(opt);
-    committed.push_back(collect(run->driver.snapshot(), run->handles));
+    committed.push_back(run->handles.collect(run->driver.snapshot()));
     while (run->engine->poll()) {
-      committed.push_back(collect(run->driver.snapshot(), run->handles));
+      committed.push_back(run->handles.collect(run->driver.snapshot()));
     }
   }
   ASSERT_GT(committed.size(), 4u);
@@ -286,11 +226,11 @@ TEST(SnapshotReport, ConcurrentSnapshotWhileIngesting) {
   auto run = fixture.start(opt);
   std::atomic<bool> stop{false};
   std::atomic<bool> live{false};
-  std::vector<std::pair<std::uint64_t, AllReports>> observed;
+  std::vector<std::pair<std::uint64_t, StandardReports>> observed;
   std::thread snapshotter([&] {
     do {
       ReportSnapshot snap = run->driver.snapshot();
-      observed.emplace_back(snap.epoch(), collect(snap, run->handles));
+      observed.emplace_back(snap.epoch(), run->handles.collect(snap));
       live.store(true, std::memory_order_release);
       std::this_thread::yield();
     } while (!stop.load(std::memory_order_relaxed) && observed.size() < 256);
@@ -309,7 +249,7 @@ TEST(SnapshotReport, ConcurrentSnapshotWhileIngesting) {
     EXPECT_GT(epoch, last_epoch) << "epochs must be strictly increasing";
     last_epoch = epoch;
     bool at_boundary = false;
-    for (const AllReports& boundary : committed) {
+    for (const StandardReports& boundary : committed) {
       if (reports == boundary) {
         at_boundary = true;
         break;
@@ -321,7 +261,7 @@ TEST(SnapshotReport, ConcurrentSnapshotWhileIngesting) {
 
   // And the live run's finale is unperturbed.
   (void)run->engine->finish();
-  EXPECT_EQ(collect(run->driver, run->handles), committed.back());
+  EXPECT_EQ(run->handles.collect(run->driver), committed.back());
 }
 
 TEST(SnapshotReport, EveryEntryPointNamesItselfAfterFinalize) {
@@ -329,7 +269,8 @@ TEST(SnapshotReport, EveryEntryPointNamesItselfAfterFinalize) {
   auto run = fixture.start();
   (void)run->engine->finish();
   ReportSnapshot before = run->driver.snapshot();  // pre-finalize: fine
-  AllReports final_reports = collect(run->driver, run->handles);  // finalizes
+  // Finalizes the driver.
+  StandardReports final_reports = run->handles.collect(run->driver);
 
   auto expect_named = [](const char* call, auto&& fn) {
     try {
@@ -365,8 +306,8 @@ TEST(SnapshotReport, EveryEntryPointNamesItselfAfterFinalize) {
 
   // Finalization never invalidates what was already produced: reports
   // stay redeemable and pre-finalize snapshots stay readable.
-  EXPECT_EQ(collect(run->driver, run->handles), final_reports);
-  EXPECT_EQ(collect(before, run->handles), final_reports);
+  EXPECT_EQ(run->handles.collect(run->driver), final_reports);
+  EXPECT_EQ(run->handles.collect(before), final_reports);
 }
 
 TEST(SnapshotReport, CheckpointAfterSnapshotIsByteIdenticalAndResumes) {
@@ -375,7 +316,7 @@ TEST(SnapshotReport, CheckpointAfterSnapshotIsByteIdenticalAndResumes) {
   // Uninterrupted reference.
   auto reference = fixture.start();
   (void)reference->engine->finish();
-  AllReports expected = collect(reference->driver, reference->handles);
+  StandardReports expected = reference->handles.collect(reference->driver);
 
   // Checkpoint bytes after two windows, never snapshotted...
   std::ostringstream plain;
@@ -406,13 +347,13 @@ TEST(SnapshotReport, CheckpointAfterSnapshotIsByteIdenticalAndResumes) {
   std::istringstream in(snapshotted.str());
   resumed->driver.restore(in, *resumed->engine);
   (void)resumed->engine->finish();
-  EXPECT_EQ(collect(resumed->driver, resumed->handles), expected);
+  EXPECT_EQ(resumed->handles.collect(resumed->driver), expected);
 }
 
 TEST(SnapshotReport, SnapshotOutlivesDriverAndValidatesHandles) {
   Fixture fixture;
   ReportSnapshot survivor;
-  Handles handles;
+  StandardPasses handles;
   {
     auto run = fixture.start();
     handles = run->handles;
@@ -423,14 +364,14 @@ TEST(SnapshotReport, SnapshotOutlivesDriverAndValidatesHandles) {
   }  // driver and engine destroyed
 
   // The snapshot owns its merged states: still readable.
-  AllReports reports = collect(survivor, handles);
+  StandardReports reports = handles.collect(survivor);
   EXPECT_GT(reports.types.counts.total(), 0u);
   EXPECT_EQ(reports, fixture.truncated_report(kRecordsA + kRecordsB));
 
   // Copies share the same immutable payload.
   ReportSnapshot copy = survivor;
   EXPECT_EQ(copy.epoch(), survivor.epoch());
-  EXPECT_EQ(collect(copy, handles), reports);
+  EXPECT_EQ(handles.collect(copy), reports);
 
   // An empty snapshot and a foreign handle both refuse to project.
   ReportSnapshot empty;
@@ -461,13 +402,13 @@ TEST(SnapshotReport, SinkAndObserveModesSnapshotToo) {
   ASSERT_GT(stream.size(), 0u);
 
   AnalysisDriver driver;
-  Handles handles = add_all_passes(driver);
+  StandardPasses handles = StandardPasses::add(driver);
   // `prefix` sees only the first half; `full` sees everything; neither
   // ever snapshots.
   AnalysisDriver prefix;
-  Handles prefix_handles = add_all_passes(prefix);
+  StandardPasses prefix_handles = StandardPasses::add(prefix);
   AnalysisDriver full;
-  Handles full_handles = add_all_passes(full);
+  StandardPasses full_handles = StandardPasses::add(full);
   for (const core::UpdateRecord& record : stream.records()) {
     full.observe(record);
   }
@@ -479,14 +420,14 @@ TEST(SnapshotReport, SinkAndObserveModesSnapshotToo) {
   }
   // Mid-stream snapshot == finalizing report() of the prefix-only run.
   ReportSnapshot mid = driver.snapshot();
-  EXPECT_EQ(collect(mid, handles), collect(prefix, prefix_handles));
+  EXPECT_EQ(handles.collect(mid), prefix_handles.collect(prefix));
 
   // The snapshotted driver keeps absorbing records, and its finale
   // equals the never-snapshotted full run.
   for (std::size_t i = half; i < stream.size(); ++i) {
     driver.observe(stream.records()[i]);
   }
-  EXPECT_EQ(collect(driver, handles), collect(full, full_handles));
+  EXPECT_EQ(handles.collect(driver), full_handles.collect(full));
 }
 
 }  // namespace

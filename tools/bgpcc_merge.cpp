@@ -20,8 +20,9 @@
 // stdout after the reports.
 //
 // Archives may be raw, gzip, or bzip2 MRT (detected by magic bytes).
-// Every shipped pass runs with its default configuration; `merge`
-// rebuilds the same pass set, so the wire tag lists always line up.
+// Both commands register the standard pass set (analytics/standard.h),
+// so the wire tag lists always line up, and `merge` prints its
+// canonical report text: the same sections stream_report prints.
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -29,176 +30,15 @@
 #include <string>
 #include <vector>
 
-#include "analytics/driver.h"
-#include "analytics/passes.h"
 #include "analytics/serialize.h"
+#include "analytics/standard.h"
 #include "core/ingest.h"
-#include "core/tables.h"
 #include "netbase/error.h"
 #include "obs/metrics.h"
 
 using namespace bgpcc;
 
 namespace {
-
-// The standard pass set, in wire-tag order. `ingest` and `merge` must
-// register the identical set: the codec verifies the tag list and
-// rejects a mismatched driver with ConfigError.
-struct StandardPasses {
-  analytics::PassHandle<analytics::ClassifierPass> classifier;
-  analytics::PassHandle<analytics::PerSessionTypesPass> per_session;
-  analytics::PassHandle<analytics::TomographyPass> tomography;
-  analytics::PassHandle<analytics::CommunityStatsPass> community_stats;
-  analytics::PassHandle<analytics::DuplicateBurstPass> duplicate_burst;
-  analytics::PassHandle<analytics::AnomalyPass> anomaly;
-  analytics::PassHandle<analytics::RevealedPass> revealed;
-  analytics::PassHandle<analytics::ExplorationPass> exploration;
-  analytics::PassHandle<analytics::UsageClassificationPass> usage;
-};
-
-StandardPasses register_standard_passes(analytics::AnalysisDriver& driver) {
-  StandardPasses handles;
-  handles.classifier = driver.add(analytics::ClassifierPass{});
-  handles.per_session = driver.add(analytics::PerSessionTypesPass{});
-  handles.tomography = driver.add(analytics::TomographyPass{});
-  handles.community_stats = driver.add(analytics::CommunityStatsPass{});
-  handles.duplicate_burst = driver.add(analytics::DuplicateBurstPass{});
-  handles.anomaly = driver.add(analytics::AnomalyPass{});
-  handles.revealed = driver.add(analytics::RevealedPass{});
-  handles.exploration = driver.add(analytics::ExplorationPass{});
-  handles.usage = driver.add(analytics::UsageClassificationPass{});
-  return handles;
-}
-
-// Deterministic text projection of every report: what merge_tool_test
-// byte-compares between split and monolithic runs. Long rankings are
-// capped, which is safe to compare — both sides rank identically.
-constexpr std::size_t kTopN = 10;
-
-void print_reports(analytics::AnalysisDriver& driver,
-                   const StandardPasses& handles) {
-  auto types = driver.report(handles.classifier);
-  std::printf("== announcement types ==\n");
-  std::printf("streams: %llu\n",
-              static_cast<unsigned long long>(types.streams));
-  for (core::AnnouncementType t : core::kAllAnnouncementTypes) {
-    std::printf("%s: %llu (%s)\n", core::label(t),
-                static_cast<unsigned long long>(types.counts.count(t)),
-                core::percent(types.counts.share(t)).c_str());
-  }
-  std::printf("withdrawals: %llu  first sightings: %llu  nn w/ MED: %llu\n",
-              static_cast<unsigned long long>(types.counts.withdrawals),
-              static_cast<unsigned long long>(types.counts.first_sightings),
-              static_cast<unsigned long long>(types.counts.nn_with_med_change));
-
-  auto sessions = driver.report(handles.per_session);
-  std::printf("\n== per-session types (top %zu of %zu) ==\n", kTopN,
-              sessions.size());
-  for (std::size_t i = 0; i < sessions.size() && i < kTopN; ++i) {
-    std::printf("%s: %llu classified\n",
-                sessions[i].first.to_string().c_str(),
-                static_cast<unsigned long long>(sessions[i].second.total()));
-  }
-
-  auto tomography = driver.report(handles.tomography);
-  std::printf("\n== per-AS tomography (top %zu of %zu) ==\n", kTopN,
-              tomography.size());
-  for (std::size_t i = 0; i < tomography.size() && i < kTopN; ++i) {
-    const core::AsEvidence& e = tomography[i];
-    std::printf("AS%u: %s (on path %llu, tagged %llu, peer %llu)\n",
-                e.asn.value(), core::label(e.classification),
-                static_cast<unsigned long long>(e.on_path),
-                static_cast<unsigned long long>(e.own_namespace_tagged),
-                static_cast<unsigned long long>(e.as_peer));
-  }
-
-  auto stats = driver.report(handles.community_stats);
-  std::printf("\n== community statistics ==\n");
-  std::printf("announcements: %llu  withdrawals: %llu\n",
-              static_cast<unsigned long long>(stats.announcements),
-              static_cast<unsigned long long>(stats.withdrawals));
-  std::printf("with communities: %llu (%s)  unique values: %llu  mean "
-              "size: %.3f\n",
-              static_cast<unsigned long long>(stats.with_communities),
-              core::percent(stats.share_with_communities()).c_str(),
-              static_cast<unsigned long long>(stats.unique_communities),
-              stats.mean_communities());
-  for (std::size_t i = 0; i < stats.namespaces.size() && i < kTopN; ++i) {
-    std::printf("namespace %u: %llu distinct values\n",
-                stats.namespaces[i].asn16,
-                static_cast<unsigned long long>(
-                    stats.namespaces[i].distinct_values));
-  }
-
-  auto bursts = driver.report(handles.duplicate_burst);
-  std::printf("\n== duplicate bursts ==\n");
-  std::printf("classified: %llu  nn: %llu  bursts: %llu\n",
-              static_cast<unsigned long long>(bursts.classified),
-              static_cast<unsigned long long>(bursts.nn),
-              static_cast<unsigned long long>(bursts.bursts));
-  for (std::size_t i = 0; i < bursts.sessions.size() && i < kTopN; ++i) {
-    const auto& s = bursts.sessions[i];
-    std::printf("%s: nn %llu/%llu, longest run %llu\n",
-                s.session.to_string().c_str(),
-                static_cast<unsigned long long>(s.nn),
-                static_cast<unsigned long long>(s.classified),
-                static_cast<unsigned long long>(s.longest_run));
-  }
-
-  auto anomalies = driver.report(handles.anomaly);
-  std::printf("\n== anomalies ==\n");
-  std::printf("population nn share: mean %.6f stddev %.6f\n",
-              anomalies.population_mean_nn_share,
-              anomalies.population_stddev_nn_share);
-  std::printf("duplicate outliers: %zu\n",
-              anomalies.duplicate_outliers.size());
-  for (std::size_t i = 0;
-       i < anomalies.duplicate_outliers.size() && i < kTopN; ++i) {
-    const core::DuplicateOutlier& o = anomalies.duplicate_outliers[i];
-    std::printf("%s: nn share %.4f (%.2f sigma)\n",
-                o.session.to_string().c_str(), o.nn_share, o.sigma);
-  }
-  std::printf("novelty bursts: %zu\n", anomalies.novelty_bursts.size());
-  for (std::size_t i = 0; i < anomalies.novelty_bursts.size() && i < kTopN;
-       ++i) {
-    const core::NoveltyBurst& b = anomalies.novelty_bursts[i];
-    std::printf("%s: %llu occurrences\n", b.community.to_string().c_str(),
-                static_cast<unsigned long long>(b.occurrences));
-  }
-
-  auto revealed = driver.report(handles.revealed);
-  std::printf("\n== revealed information ==\n");
-  std::printf("unique attributes: %llu (withdraw-only %llu, announce-only "
-              "%llu, outside-only %llu, ambiguous %llu)\n",
-              static_cast<unsigned long long>(revealed.total_unique),
-              static_cast<unsigned long long>(revealed.withdrawal_only),
-              static_cast<unsigned long long>(revealed.announce_only),
-              static_cast<unsigned long long>(revealed.outside_only),
-              static_cast<unsigned long long>(revealed.ambiguous));
-
-  auto exploration = driver.report(handles.exploration);
-  std::printf("\n== community exploration ==\n");
-  std::printf("events: %zu\n", exploration.size());
-  for (std::size_t i = 0; i < exploration.size() && i < kTopN; ++i) {
-    const core::ExplorationEvent& e = exploration[i];
-    std::printf("%s %s: %d nc, %d attributes\n",
-                e.session.to_string().c_str(), e.prefix.to_string().c_str(),
-                e.nc_count, e.distinct_attributes);
-  }
-
-  auto usage = driver.report(handles.usage);
-  std::printf("\n== community usage (top %zu of %zu namespaces) ==\n", kTopN,
-              usage.size());
-  for (std::size_t i = 0; i < usage.size() && i < kTopN; ++i) {
-    const core::AsUsage& u = usage[i];
-    std::printf("namespace %u: %s (%llu occurrences, %llu values, %llu "
-                "sessions)\n",
-                u.asn16, core::label(u.profile),
-                static_cast<unsigned long long>(u.occurrences),
-                static_cast<unsigned long long>(u.distinct_values),
-                static_cast<unsigned long long>(u.sessions));
-  }
-}
 
 int usage_error() {
   std::fprintf(
@@ -242,7 +82,7 @@ int cmd_ingest(const std::vector<std::string>& args) {
   const std::string& out_path = args[0];
 
   analytics::AnalysisDriver driver;
-  StandardPasses handles = register_standard_passes(driver);
+  static_cast<void>(analytics::StandardPasses::add(driver));
   core::IngestOptions options;
   driver.attach(options);
 
@@ -269,7 +109,6 @@ int cmd_ingest(const std::vector<std::string>& args) {
     return 1;
   }
   driver.save_state(out);
-  (void)handles;
   return 0;
 }
 
@@ -287,7 +126,8 @@ int cmd_merge(const std::vector<std::string>& args) {
   if (inputs.empty()) return usage_error();
 
   analytics::AnalysisDriver driver;
-  StandardPasses handles = register_standard_passes(driver);
+  const analytics::StandardPasses standard =
+      analytics::StandardPasses::add(driver);
   for (const std::string& path : inputs) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -305,7 +145,7 @@ int cmd_merge(const std::vector<std::string>& args) {
     }
     driver.save_state(out);
   }
-  print_reports(driver, handles);
+  std::fputs(standard.collect(driver).render().c_str(), stdout);
   return 0;
 }
 
