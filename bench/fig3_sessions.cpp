@@ -4,8 +4,8 @@
 // Prints the per-session stacked counts sorted by announcement volume —
 // the paper's observation is that every session shows a different volume
 // AND a different type mix, despite watching a single beacon prefix.
-// Runs on the analytics engine: PerSessionTypesPass observes inline on
-// the ingestion shard threads, one traversal of the collector's log.
+// Runs on the analytics engine: the collector's log is ingested once and
+// PerSessionTypesPass observes the beacon prefix's records only.
 #include <cstdio>
 
 #include "analytics/driver.h"
@@ -28,11 +28,14 @@ int main() {
 
   Prefix beacon = internet.beacons().front();
   analytics::AnalysisDriver driver;
-  auto handle = driver.add(analytics::PerSessionTypesPass{beacon});
+  auto handle = driver.add(analytics::PerSessionTypesPass{});
   core::IngestOptions ingest;
   ingest.num_threads = 0;  // hardware concurrency
-  driver.attach(ingest);
-  (void)synth::ingest({&internet.network().collector("rrc00")}, ingest);
+  const core::UpdateStream stream =
+      synth::ingest({&internet.network().collector("rrc00")}, ingest).stream;
+  for (const core::UpdateRecord& record : stream.records()) {
+    if (record.prefix == beacon) driver.observe(record);
+  }
   auto per_session = driver.report(handle);
 
   std::printf("beacon prefix %s, %zu sessions\n\n",

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
                 record.attrs.as_path.to_string().c_str(),
                 record.attrs.communities.to_string().c_str());
   }
-  const core::TypeCounts& counts = classifier.counts();
+  const core::TypeCounts counts = classifier.counts();
 
   std::printf("\n%zu records, %zu announcements, %zu withdrawals, %zu "
               "sessions\n",

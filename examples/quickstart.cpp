@@ -57,7 +57,7 @@ int main() {
                 record.attrs.as_path.to_string().c_str(),
                 record.attrs.communities.to_string().c_str());
   }
-  const core::TypeCounts& counts = classifier.counts();
+  const core::TypeCounts counts = classifier.counts();
 
   std::printf("\nannouncement types:\n");
   for (core::AnnouncementType t : core::kAllAnnouncementTypes) {

@@ -49,6 +49,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "analytics/standard.h"
 #include "core/tables.h"
 #include "mrt/source.h"
@@ -177,8 +179,10 @@ int main(int argc, char** argv) {
                                      : mrt::Compression::kNone;
   const char* suffix =
       compression == mrt::Compression::kGzip ? ".mrt.gz" : ".mrt";
+  // Named by process id: concurrent runs never delete each other's dumps.
   std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "bgpcc_stream_report";
+      std::filesystem::temp_directory_path() /
+      ("bgpcc_stream_report_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   constexpr std::size_t kRotations = 4;  // dumps per collector in --follow
   std::map<std::string, std::vector<std::string>> archives;

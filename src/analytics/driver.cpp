@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "analytics/serialize.h"
+#include "core/codec.h"
 #include "netbase/error.h"
 #include "obs/pipeline_metrics.h"
 
@@ -138,11 +139,12 @@ ReportSnapshot AnalysisDriver::snapshot() {
   obs::StageTimer snapshot_timer(metrics.analysis_snapshot);
   metrics.analysis_snapshots->inc();
   // Phase 1, under the committed-window barrier: clone every per-shard
-  // state. Clones are cheap deep copies (the Pass snapshot contract), so
-  // the lock is held O(state size) — ingestion stalls at the next window
-  // boundary at most that long. The stream tables are not cloned: no
-  // report reads them.
+  // state and ledger. Clones are cheap deep copies (the Pass snapshot
+  // contract), so the lock is held O(state size) — ingestion stalls at
+  // the next window boundary at most that long. The stream cursors are
+  // not cloned: no report reads them.
   std::vector<std::vector<std::unique_ptr<detail::AnyState>>> clones;
+  std::vector<core::SessionLedger> ledgers;
   std::uint64_t epoch = 0;
   {
     obs::StageTimer clone_timer(metrics.analysis_snapshot_clone);
@@ -156,6 +158,7 @@ ReportSnapshot AnalysisDriver::snapshot() {
       copies.reserve(shard.states.size());
       for (const auto& state : shard.states) copies.push_back(state->clone());
       clones.push_back(std::move(copies));
+      if (shard.table) ledgers.push_back(shard.table->ledger());
     }
   }
   metrics.analysis_epoch->set(static_cast<std::int64_t>(epoch));
@@ -168,6 +171,9 @@ ReportSnapshot AnalysisDriver::snapshot() {
   data->states = std::move(clones.front());
   {
     obs::StageTimer merge_timer(metrics.analysis_snapshot_merge);
+    for (core::SessionLedger& ledger : ledgers) {
+      core::merge_sum(data->ledger, std::move(ledger));
+    }
     std::vector<obs::Histogram*> pass_hist;
     if (obs::enabled()) {
       pass_hist.reserve(passes_.size());
@@ -196,14 +202,12 @@ void AnalysisDriver::finalize() {
   finalized_ = true;
 }
 
-const detail::AnyState& AnalysisDriver::finalized_state(std::size_t index,
-                                                        const void* owner) {
+void AnalysisDriver::finalize_for(std::size_t index, const void* owner) {
   if (owner != this || index >= passes_.size()) {
     throw ConfigError(
         "AnalysisDriver: report() with a handle this driver did not issue");
   }
   finalize();
-  return *final_.data_->states[index];
 }
 
 // ---------------------------------------------------------------------------
@@ -222,6 +226,14 @@ void write_state_blob(serialize::Writer& w, const detail::AnyState& state) {
   std::string bytes = std::move(buffer).str();
   w.u64(bytes.size());
   w.raw(bytes.data(), bytes.size());
+}
+
+/// Reads a ledger section. A driver writes one exactly when it has
+/// stream tables, which its pass-tag list decides.
+core::SessionLedger read_ledger(serialize::Reader& r) {
+  core::SessionLedger ledger;
+  core::codec::read_value(r, ledger);
+  return ledger;
 }
 
 void read_state_blob(serialize::Reader& r, detail::AnyState& state) {
@@ -273,6 +285,7 @@ void AnalysisDriver::save_state(std::ostream& out) {
   serialize::Writer w(out);
   serialize::write_block_header(w, serialize::BlockKind::kPartialState);
   write_tags(w);
+  if (classify_) core::codec::write_value(w, final_.data_->ledger);
   for (const auto& state : final_.data_->states) write_state_blob(w, *state);
   out.flush();
   if (!out) throw DecodeError("save_state: output stream failed on flush");
@@ -290,16 +303,21 @@ void AnalysisDriver::load_state(std::istream& in) {
         "load_state: file is a bare ingest cursor, not a pass-state file");
   }
   check_tags(r);
-  if (kind == serialize::BlockKind::kPartialState) {
+  // Folds one saved ledger and state list into shard slot 0.
+  auto fold = [&] {
+    if (shards_[0].table) shards_[0].table->absorb(read_ledger(r));
     for (std::size_t p = 0; p < passes_.size(); ++p) {
       std::unique_ptr<detail::AnyState> fresh = passes_[p]->make_state();
       read_state_blob(r, *fresh);
       shards_[0].states[p]->merge(std::move(*fresh));
     }
+  };
+  if (kind == serialize::BlockKind::kPartialState) {
+    fold();
     return;
   }
   // kCheckpoint: fold every shard slot into slot 0 and drop the stream
-  // tables. Valid for combining disjoint runs; resuming needs restore()
+  // cursors. Valid for combining disjoint runs; resuming needs restore()
   // (shard fidelity).
   if (r.boolean()) {
     (void)serialize::read_ingest_checkpoint(r);  // cursor: skip
@@ -307,11 +325,7 @@ void AnalysisDriver::load_state(std::istream& in) {
   std::uint16_t shard_count = r.u16();
   for (std::uint16_t s = 0; s < shard_count; ++s) {
     (void)serialize::read_stream_table(r);
-    for (std::size_t p = 0; p < passes_.size(); ++p) {
-      std::unique_ptr<detail::AnyState> fresh = passes_[p]->make_state();
-      read_state_blob(r, *fresh);
-      shards_[0].states[p]->merge(std::move(*fresh));
-    }
+    fold();
   }
 }
 
@@ -349,6 +363,7 @@ void AnalysisDriver::checkpoint_impl(std::ostream& out,
   for (const Shard& shard : shards_) {
     serialize::write_stream_table(
         w, shard.table ? shard.table->stream_states() : no_table);
+    if (shard.table) core::codec::write_value(w, shard.table->ledger());
     for (const auto& state : shard.states) write_state_blob(w, *state);
   }
   out.flush();
@@ -414,7 +429,7 @@ void AnalysisDriver::restore_impl(std::istream& in,
   for (Shard& shard : shards_) {
     auto streams = serialize::read_stream_table(r);
     if (shard.table) {
-      shard.table->restore(std::move(streams));
+      shard.table->restore(std::move(streams), read_ledger(r));
     } else if (!streams.empty()) {
       throw DecodeError("restore: a stream table no registered pass reads");
     }

@@ -16,13 +16,12 @@
 // Pass contract (pass.h).
 //
 // Each shard slot holds one state per pass and, when a registered pass's
-// State observes core::StreamEvents (the second observe shape in
-// pass.h), one stream table: a core::Classifier. Records reach a slot
-// record-major: the table classifies the record once, then every state
-// observes it, with the event or without. The table lives as long as
-// the slot: checkpoint() writes it and restore() reads it back,
-// snapshot() never clones it and save_state() never writes it (no
-// report reads it), and finalization drops it. Typical use:
+// State reads core::StreamEvents or the ledger (pass.h), one stream
+// table: a core::Classifier. Records reach a slot record-major: the table
+// classifies and tallies the record once, then every state observes it.
+// Reports read the ledger, never the cursors: snapshot() merges the
+// slots' ledgers beside the states, and checkpoint() also writes each
+// slot's cursors. Typical use:
 //
 //   analytics::AnalysisDriver driver;
 //   auto types = driver.add(analytics::ClassifierPass{});
@@ -84,7 +83,8 @@ class ReportSnapshot {
   template <Pass P>
   [[nodiscard]] ReportOf<P> report(PassHandle<P> handle) const {
     const detail::AnyState& state = state_at(handle.index_, handle.owner_);
-    return static_cast<const detail::StateModel<P>&>(state).state().report();
+    return static_cast<const detail::StateModel<P>&>(state).report(
+        data_->ledger);
   }
 
   /// The snapshot's epoch: 1 for the issuing driver's first snapshot,
@@ -109,6 +109,8 @@ class ReportSnapshot {
     const void* owner = nullptr;
     std::uint64_t epoch = 0;
     std::vector<std::unique_ptr<detail::AnyState>> states;
+    /// The shard slots' ledgers, merged (empty without stream tables).
+    core::SessionLedger ledger;
   };
   explicit ReportSnapshot(std::shared_ptr<const Data> data)
       : data_(std::move(data)) {}
@@ -136,7 +138,8 @@ class AnalysisDriver {
   template <Pass P>
   [[nodiscard]] PassHandle<P> add(P pass) {
     ensure_can_add();
-    if constexpr (ObservesStreamEvents<typename P::State>) {
+    if constexpr (ObservesStreamEvents<typename P::State> ||
+                  ReadsLedger<typename P::State>) {
       classify_ = true;
     }
     passes_.push_back(
@@ -189,9 +192,8 @@ class AnalysisDriver {
   /// records); reports stay redeemable any number of times.
   template <Pass P>
   [[nodiscard]] ReportOf<P> report(PassHandle<P> handle) {
-    const detail::AnyState& state =
-        finalized_state(handle.index_, handle.owner_);
-    return static_cast<const detail::StateModel<P>&>(state).state().report();
+    finalize_for(handle.index_, handle.owner_);
+    return final_.report(handle);
   }
 
   // -- Versioned wire codec (analytics/serialize.h) ----------------------
@@ -203,26 +205,26 @@ class AnalysisDriver {
   // codec verifies the pass-tag list and throws ConfigError on mismatch.
 
   /// Finalizes this driver (merges all shard states, like the first
-  /// report() call) and writes the merged per-pass states as one
+  /// report() call) and writes the merged ledger and states as one
   /// kPartialState block: the `bgpcc-merge` input for split-by-collector
   /// runs. Reports stay redeemable afterwards; further observation
   /// throws ConfigError.
   void save_state(std::ostream& out);
 
-  /// Reads a kPartialState (or kCheckpoint) block and MERGES its states
-  /// into this driver, as if this driver had observed those records.
-  /// That holds for DISJOINT runs only (no session continues across the
-  /// boundary): checkpoint shard slots are folded into shard slot 0, and
-  /// a checkpoint's stream tables are decoded and discarded, so a stream
-  /// observed again afterwards would count as a new first sighting.
-  /// Resuming an interrupted run needs restore(), which keeps shard
-  /// fidelity and the tables. Callable any number of times before
+  /// Reads a kPartialState (or kCheckpoint) block and MERGES its ledger
+  /// and states into this driver, as if this driver had observed those
+  /// records. That holds for DISJOINT runs only (no session continues
+  /// across the boundary): checkpoint shard slots are folded into shard
+  /// slot 0, and a checkpoint's stream cursors are decoded and discarded,
+  /// so a stream observed again afterwards would count as a new first
+  /// sighting. Resuming an interrupted run needs restore(), which keeps
+  /// shard fidelity and the tables. Callable any number of times before
   /// report().
   void load_state(std::istream& in);
 
-  /// Writes a kCheckpoint block: every shard slot's stream table and
-  /// states, shard-faithful, so a restore()d driver continues
-  /// per-session streams in the shard slots that own them. The driver
+  /// Writes a kCheckpoint block: every shard slot's stream table (cursors
+  /// and ledger) and states, shard-faithful, so a restore()d driver
+  /// continues per-session streams in the shard slots that own them. The driver
   /// keeps running — checkpointing is a snapshot, not a finalization.
   /// Throws ConfigError once finalized.
   void checkpoint(std::ostream& out);
@@ -267,8 +269,9 @@ class AnalysisDriver {
   [[noreturn]] void throw_finalized(const char* call) const;
   /// Adopts a final snapshot and clears the live states (idempotent).
   void finalize();
-  [[nodiscard]] const detail::AnyState& finalized_state(std::size_t index,
-                                                        const void* owner);
+  /// Finalizes for a report() through the handle (`index`, `owner`),
+  /// refusing a handle this driver did not issue before finalizing.
+  void finalize_for(std::size_t index, const void* owner);
   void write_tags(serialize::Writer& w) const;
   void check_tags(serialize::Reader& r) const;
   void checkpoint_impl(std::ostream& out,
@@ -276,7 +279,8 @@ class AnalysisDriver {
   void restore_impl(std::istream& in, core::StreamingIngestor* ingestor);
 
   std::vector<std::unique_ptr<detail::AnyPass>> passes_;
-  /// Set by add() when a State observes StreamEvents: slots get tables.
+  /// Set by add() when a State reads StreamEvents or the ledger: slots
+  /// get tables, and state files carry ledger sections.
   bool classify_ = false;
   /// How many shard slots ensure_states() mints: attach() pins it to the
   /// ingestion run's resolved shard count, restore_impl() to the

@@ -9,7 +9,8 @@
 //   State::merge(State&&)          — associative combination of partial
 //                                    states (any grouping, any order)
 //   State::report() const          — projects the merged state into the
-//                                    pass's result type
+//                                    pass's result type, OR
+//   State::report(ledger) const    — the same, plus the §5 SessionLedger
 //
 // The contract that makes every execution mode equivalent: a state's
 // final merged value must depend only on (a) the multiset of records
@@ -21,18 +22,18 @@
 // materialized —
 // analytics_test asserts exactly that for every shipped pass.
 //
-// The two observe shapes: the §5 rule (compare each announcement with
-// the previous one on its (session, prefix) stream) runs once per
-// record, in the driver's stream table — one core::Classifier per shard
-// slot. A State that declares observe(record, event) receives the
-// table's core::StreamEvent (type, MED change, nn run length, withdrawal
-// since the last announcement, the replaced community set) and keeps no
-// cursor for every stream; a State that declares observe(record) never
-// sees it. The driver reads the shape from the State type at add() and
-// builds tables only when some registered State takes the event. The
-// table is driver state: checkpoint()/restore() carry it once per
-// shard, snapshot() and save_state() never copy it, and no report
-// reads it.
+// The §5 rule (compare each announcement with the previous one on its
+// (session, prefix) stream) runs once per record, in the driver's stream
+// table — one core::Classifier per shard slot. A State that declares
+// observe(record, event) receives the table's core::StreamEvent (type,
+// MED change, nn run length, withdrawal since the last announcement, the
+// replaced community set) and keeps no cursor for every stream; one that
+// declares report(const core::SessionLedger&) reads the table's
+// per-session tallies and keeps none of its own (it may observe nothing).
+// The driver reads the shape at add() and builds tables only when some
+// State takes the event or the ledger. Reports read the ledger, never
+// the cursors: snapshot(), save_state() and load_state() carry the
+// ledger alone, checkpoint() and restore() both, once per shard.
 //
 // Snapshot contract: State must additionally be copy-constructible, and
 // the copy must be a faithful, independent deep copy — epoch reporting
@@ -66,6 +67,13 @@ concept ObservesStreamEvents =
       state.observe(record, event);
     };
 
+/// A State that reports from the stream table's per-session ledger.
+template <typename S>
+concept ReadsLedger =
+    requires(const S& state, const core::SessionLedger& ledger) {
+      state.report(ledger);
+    };
+
 /// The compile-time shape of an analysis pass (see the header comment
 /// for the semantic contract the types must honor). The State must be
 /// copy-constructible: AnalysisDriver::snapshot clones per-shard states
@@ -75,17 +83,15 @@ template <typename P>
 concept Pass = std::move_constructible<P> &&
     std::copy_constructible<typename P::State> &&
     requires(const P& pass, typename P::State& state, typename P::State&& tmp,
-             const core::UpdateRecord& record, const core::StreamEvent& e) {
+             const core::UpdateRecord& record) {
       { pass.make_state() } -> std::same_as<typename P::State>;
       requires requires { state.observe(record); } ||
-                   requires { state.observe(record, e); };
+                   ObservesStreamEvents<typename P::State> ||
+                   ReadsLedger<typename P::State>;
       state.merge(std::move(tmp));
-      { std::as_const(state).report() };
+      requires ReadsLedger<typename P::State> ||
+                   requires { std::as_const(state).report(); };
     };
-
-/// The report type a pass projects to.
-template <Pass P>
-using ReportOf = decltype(std::declval<const typename P::State&>().report());
 
 /// A pass whose State additionally round-trips through the versioned wire
 /// codec (analytics/serialize.h): a pinned wire tag plus a field list,
@@ -151,7 +157,7 @@ class StateModel final : public AnyState {
                const core::StreamEvent& event) override {
     if constexpr (ObservesStreamEvents<typename P::State>) {
       state_.observe(record, event);
-    } else {
+    } else if constexpr (requires { state_.observe(record); }) {
       state_.observe(record);
     }
   }
@@ -181,7 +187,14 @@ class StateModel final : public AnyState {
   [[nodiscard]] std::unique_ptr<AnyState> clone() const override {
     return std::make_unique<StateModel>(typename P::State(state_));
   }
-  [[nodiscard]] const typename P::State& state() const { return state_; }
+  /// Projects the state, handing it the ledger when it reads one.
+  [[nodiscard]] auto report(const core::SessionLedger& ledger) const {
+    if constexpr (ReadsLedger<typename P::State>) {
+      return state_.report(ledger);
+    } else {
+      return state_.report();
+    }
+  }
 
  private:
   typename P::State state_;
@@ -209,6 +222,11 @@ class PassModel final : public AnyPass {
 };
 
 }  // namespace detail
+
+/// The report type a pass projects to.
+template <Pass P>
+using ReportOf = decltype(std::declval<const detail::StateModel<P>&>().report(
+    std::declval<const core::SessionLedger&>()));
 
 /// Typed ticket returned by AnalysisDriver::add: redeem with
 /// AnalysisDriver::report after ingestion, or against any

@@ -9,28 +9,27 @@
 namespace bgpcc::analytics {
 
 // ---------------------------------------------------------------------------
-// PerSessionTypesPass
-
-void PerSessionTypesPass::State::observe(const core::UpdateRecord& record,
-                                         const core::StreamEvent& event) {
-  if (only_prefix_ && record.prefix != *only_prefix_) return;
-  counts_[record.session].add(event);
-}
-
-void PerSessionTypesPass::State::merge(State&& other) {
-  for (const auto& [session, counts] : other.counts_) {
-    counts_[session] += counts;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // TomographyPass
 
-void TomographyPass::State::merge(State&& other) {
-  for (auto& [asn, evidence] : other.evidence_) {
-    auto [it, inserted] = evidence_.try_emplace(asn, evidence);
-    if (!inserted) it->second += evidence;
+// ---------------------------------------------------------------------------
+// PerSessionTypesPass
+
+PerSessionTypesPass::Report PerSessionTypesPass::State::report(
+    const core::SessionLedger& ledger) const {
+  Report ranking;
+  ranking.reserve(ledger.size());
+  for (const auto& [session, tally] : ledger) {
+    ranking.emplace_back(session, tally.counts);
   }
+  // Ties break by session ascending: a total order, so the ranking never
+  // depends on the sort algorithm's internals.
+  std::sort(ranking.begin(), ranking.end(), [](const auto& a, const auto& b) {
+    if (a.second.total() != b.second.total()) {
+      return a.second.total() > b.second.total();
+    }
+    return a.first < b.first;
+  });
+  return ranking;
 }
 
 // ---------------------------------------------------------------------------
@@ -96,42 +95,21 @@ CommunityStatsPass::Report CommunityStatsPass::State::report() const {
 // ---------------------------------------------------------------------------
 // DuplicateBurstPass
 
-void DuplicateBurstPass::State::observe(const core::UpdateRecord& record,
-                                        const core::StreamEvent& event) {
-  // Withdrawals and first sightings have no predecessor to duplicate.
-  if (!event.type) return;
-  Tally& tally = tallies_[record.session];
-  ++tally.classified;
-  if (*event.type != core::AnnouncementType::kNn) return;
-  ++tally.nn;
-  if (event.nn_run == options_.min_run) ++tally.bursts;
-  tally.longest_run = std::max(tally.longest_run, event.nn_run);
-}
-
-void DuplicateBurstPass::State::merge(State&& other) {
-  // Sessions are disjoint across shard states (each lives in one shard).
-  for (auto& [session, tally] : other.tallies_) {
-    auto [it, inserted] = tallies_.try_emplace(session, tally);
-    if (!inserted) {
-      it->second.classified += tally.classified;
-      it->second.nn += tally.nn;
-      it->second.bursts += tally.bursts;
-      it->second.longest_run =
-          std::max(it->second.longest_run, tally.longest_run);
-    }
-  }
-}
-
-DuplicateBurstPass::Report DuplicateBurstPass::State::report() const {
+DuplicateBurstPass::Report DuplicateBurstPass::State::report(
+    const core::SessionLedger& ledger) const {
   Report report;
-  report.sessions.reserve(tallies_.size());
-  for (const auto& [session, tally] : tallies_) {
-    report.classified += tally.classified;
-    report.nn += tally.nn;
-    report.bursts += tally.bursts;
-    report.sessions.push_back(SessionDuplicates{
-        session, tally.classified, tally.nn, tally.bursts,
-        tally.longest_run});
+  for (const auto& [session, tally] : ledger) {
+    const std::uint64_t classified = tally.counts.total();
+    // Withdrawals and first sightings have no predecessor to duplicate.
+    if (classified == 0) continue;
+    const auto found = bursts_.find(session);
+    const std::uint64_t bursts = found == bursts_.end() ? 0 : found->second;
+    const std::uint64_t nn = tally.counts.count(core::AnnouncementType::kNn);
+    report.classified += classified;
+    report.nn += nn;
+    report.bursts += bursts;
+    report.sessions.push_back(SessionDuplicates{session, classified, nn,
+                                                bursts, tally.longest_nn_run});
   }
   std::sort(report.sessions.begin(), report.sessions.end(),
             [](const SessionDuplicates& a, const SessionDuplicates& b) {
@@ -150,22 +128,10 @@ void AnomalyPass::validate_options(const core::AnomalyOptions& options) {
   }
 }
 
-void AnomalyPass::State::observe(const core::UpdateRecord& record,
-                                 const core::StreamEvent& event) {
-  counts_[record.session].add(event);
-  core::accumulate_novelty(record, options_.novelty_window, novelty_);
-}
-
-void AnomalyPass::State::merge(State&& other) {
-  for (const auto& [session, counts] : other.counts_) {
-    counts_[session] += counts;
-  }
-  core::merge_novelty(novelty_, std::move(other.novelty_));
-}
-
-AnomalyPass::Report AnomalyPass::State::report() const {
+AnomalyPass::Report AnomalyPass::State::report(
+    const core::SessionLedger& ledger) const {
   core::AnomalyReport report;
-  core::score_duplicate_outliers(counts_, options_, report);
+  core::score_duplicate_outliers(ledger, options_, report);
   report.novelty_bursts = core::finalize_novelty_bursts(novelty_, options_);
   return report;
 }

@@ -4,7 +4,8 @@
 // attribution the §5 "manual check" calls for. Every pass honors the
 // Pass contract (pass.h): state depends only on the record multiset and
 // per-session order, so inline-parallel and materialized execution
-// report identically. Five of them take the stream table's §5 events.
+// report identically. Five rest on the driver's stream table: two take
+// its §5 events and four read its per-session ledger.
 //
 // All nine States also honor the snapshot contract (pass.h): every
 // member is value-semantic (std::map / set / unordered_set / vector /
@@ -18,7 +19,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -35,9 +35,8 @@
 
 namespace bgpcc::analytics {
 
-/// §5 announcement-type classification (Table 2, Figure 2): tallies the
-/// stream table's events; shard states merge because every (session,
-/// prefix) stream lives in exactly one shard.
+/// §5 announcement-type classification (Table 2, Figure 2): the stream
+/// table's per-session ledger, summed.
 class ClassifierPass {
  public:
   /// Wire tag (serialize::PassTag::kClassifier).
@@ -53,78 +52,50 @@ class ClassifierPass {
     friend bool operator==(const Report&, const Report&) = default;
   };
 
-  /// Per-shard type tallies (see the Pass contract in pass.h).
-  /// Copy cost (snapshot contract): O(1) — fixed counters.
+  /// Holds no evidence: the ledger is the driver's (see pass.h).
+  /// Copy cost (snapshot contract): O(1).
   class State {
    public:
-    /// Tallies one record's stream event.
-    void observe(const core::UpdateRecord&, const core::StreamEvent& event) {
-      counts_.add(event);
+    /// Nothing to fold: the tallies live in the ledger.
+    void merge(State&&) {}
+    /// Sums the ledger.
+    [[nodiscard]] Report report(const core::SessionLedger& ledger) const {
+      const core::TypeCounts counts = core::sum_counts(ledger);
+      return Report{counts, counts.first_sightings};
     }
-    /// Sums another shard's tallies into this one.
-    void merge(State&& other) { counts_ += other.counts_; }
-    /// Projects the merged tallies.
-    [[nodiscard]] Report report() const {
-      return Report{counts_, counts_.first_sightings};
-    }
-    /// The serialized evidence (pass.h, SerializablePass).
-    static auto fields(auto& self) { return std::tie(self.counts_); }
-
-   private:
-    core::TypeCounts counts_;
+    /// The serialized evidence (pass.h, SerializablePass): none.
+    static auto fields(auto&) { return std::tie(); }
   };
 
   /// Mints one empty per-shard state.
   [[nodiscard]] State make_state() const { return {}; }
 };
 
-/// Figure 3: per-session type tallies, optionally restricted to one
-/// prefix. report() projects through core::rank_session_types (sorted by
-/// classified announcement count, descending).
+/// Figure 3: the stream table's ledger, ranked by classified announcements
+/// descending, then session ascending. For a one-prefix view (the Figure 3
+/// beacon), observe only that prefix's records.
 class PerSessionTypesPass {
  public:
-  /// Tallies every (session, prefix) stream.
-  PerSessionTypesPass() = default;
-  /// Tallies only records for `only_prefix` (the Figure 3 beacon view).
-  explicit PerSessionTypesPass(Prefix only_prefix)
-      : only_prefix_(only_prefix) {}
-
   /// Wire tag (serialize::PassTag::kPerSessionTypes).
   static constexpr std::uint16_t kStateTag = 2;
 
-  /// Sessions ranked by core::rank_session_types.
+  /// Sessions with their tallies, ranked.
   using Report = std::vector<std::pair<core::SessionKey, core::TypeCounts>>;
 
-  /// Per-shard map of session → type tallies (see pass.h for the
-  /// contract). Copy cost (snapshot contract): O(sessions).
+  /// Holds no evidence: the ledger is the driver's (see pass.h).
+  /// Copy cost (snapshot contract): O(1).
   class State {
    public:
-    /// Binds the state to the pass's optional prefix filter.
-    explicit State(std::optional<Prefix> only_prefix)
-        : only_prefix_(only_prefix) {}
-    /// Tallies one record's stream event for its session (filtered).
-    void observe(const core::UpdateRecord&, const core::StreamEvent&);
-    /// Sums another shard's per-session tallies into this one.
-    void merge(State&& other);
-    /// Projects the ranked per-session tallies.
-    [[nodiscard]] Report report() const {
-      return core::rank_session_types(counts_);
-    }
-    /// The serialized evidence (pass.h, SerializablePass). The prefix
-    /// filter is configuration, not evidence: the loading side
-    /// constructs the pass with the same only_prefix.
-    static auto fields(auto& self) { return std::tie(self.counts_); }
-
-   private:
-    std::optional<Prefix> only_prefix_;
-    std::map<core::SessionKey, core::TypeCounts> counts_;
+    /// Nothing to fold: the tallies live in the ledger.
+    void merge(State&&) {}
+    /// Ranks the ledger's sessions.
+    [[nodiscard]] Report report(const core::SessionLedger& ledger) const;
+    /// The serialized evidence (pass.h, SerializablePass): none.
+    static auto fields(auto&) { return std::tie(); }
   };
 
-  /// Mints one per-shard state carrying the prefix filter.
-  [[nodiscard]] State make_state() const { return State{only_prefix_}; }
-
- private:
-  std::optional<Prefix> only_prefix_;
+  /// Mints one per-shard state.
+  [[nodiscard]] State make_state() const { return {}; }
 };
 
 /// §7 per-AS community-behavior tomography (core/tomography) as a Pass:
@@ -156,7 +127,9 @@ class TomographyPass {
       core::accumulate_community_evidence(record, evidence_);
     }
     /// Sums another shard's evidence counters into this one.
-    void merge(State&& other);
+    void merge(State&& other) {
+      core::merge_sum(evidence_, std::move(other.evidence_));
+    }
     /// Applies the thresholds and projects per-AS behavior labels.
     [[nodiscard]] Report report() const {
       return core::finalize_community_behavior(evidence_, options_);
@@ -357,36 +330,33 @@ class DuplicateBurstPass {
     friend bool operator==(const Report&, const Report&) = default;
   };
 
-  /// Per-shard per-session tallies (see pass.h).
-  /// Copy cost (snapshot contract): O(sessions).
+  /// Per-shard burst counts per session; the other tallies are the
+  /// ledger's (see pass.h). Copy cost (snapshot contract): O(sessions).
   class State {
    public:
     /// Binds the state to the pass's burst threshold.
     explicit State(const DuplicateBurstOptions& options)
         : options_(options) {}
-    /// Tallies one record's stream event for its session.
-    void observe(const core::UpdateRecord&, const core::StreamEvent&);
-    /// Folds another shard's tallies into this one.
-    void merge(State&& other);
-    /// Projects the totals and the per-session ranking.
-    [[nodiscard]] Report report() const;
+    /// Counts a burst when an nn run reaches min_run.
+    void observe(const core::UpdateRecord& record,
+                 const core::StreamEvent& event) {
+      if (event.nn_run != 0 && event.nn_run == options_.min_run) {
+        ++bursts_[record.session];
+      }
+    }
+    /// Sums another shard's burst counts into this one.
+    void merge(State&& other) {
+      core::merge_sum(bursts_, std::move(other.bursts_));
+    }
+    /// Projects the totals and every typed session's row, ranked.
+    [[nodiscard]] Report report(const core::SessionLedger& ledger) const;
     /// The serialized evidence (pass.h, SerializablePass). min_run is
     /// configuration.
-    static auto fields(auto& self) { return std::tie(self.tallies_); }
+    static auto fields(auto& self) { return std::tie(self.bursts_); }
 
    private:
-    struct Tally {
-      std::uint64_t classified = 0;
-      std::uint64_t nn = 0;
-      std::uint64_t bursts = 0;
-      std::uint64_t longest_run = 0;
-      static auto fields(auto& self) {
-        return std::tie(self.classified, self.nn, self.bursts,
-                        self.longest_run);
-      }
-    };
     DuplicateBurstOptions options_;
-    std::map<core::SessionKey, Tally> tallies_;
+    std::map<core::SessionKey, std::uint64_t> bursts_;
   };
 
   /// Mints one per-shard state carrying the burst threshold.
@@ -396,10 +366,10 @@ class DuplicateBurstPass {
   DuplicateBurstOptions options_;
 };
 
-/// §7 anomaly detection (core/anomaly) as a Pass: per-session type
-/// tallies plus the bucketed novelty evidence accumulate per shard;
-/// merge sums both; the leave-one-out sigma scoring and burst-episode
-/// scan run once in report(). Streaming-windowed by construction — the
+/// §7 anomaly detection (core/anomaly) as a Pass: the bucketed novelty
+/// evidence accumulates per shard and merge sums it; report() runs the
+/// burst-episode scan and the leave-one-out sigma scoring of the stream
+/// table's per-session ledger once. Streaming-windowed by construction — the
 /// per-shard state carries across window cuts, so multi-month compressed
 /// archives get the same report as a materialized batch.
 class AnomalyPass {
@@ -418,30 +388,30 @@ class AnomalyPass {
   /// Duplicate outliers + novelty bursts (core::AnomalyReport).
   using Report = core::AnomalyReport;
 
-  /// Per-shard anomaly evidence (see pass.h for the contract).
-  /// Copy cost (snapshot contract): O(sessions + novelty buckets).
+  /// Per-shard novelty evidence (see pass.h for the contract).
+  /// Copy cost (snapshot contract): O(novelty buckets).
   class State {
    public:
     /// Binds the state to the pass's detection thresholds.
     explicit State(const core::AnomalyOptions& options) : options_(options) {}
-    /// Accumulates one record into its session's tally and the novelty
-    /// buckets.
-    void observe(const core::UpdateRecord&, const core::StreamEvent&);
-    /// Sums another shard's tallies and novelty evidence into this one.
-    void merge(State&& other);
-    /// Runs the sigma scoring and burst-episode scan over the merged
-    /// evidence.
-    [[nodiscard]] Report report() const;
+    /// Accumulates one record into the novelty buckets.
+    void observe(const core::UpdateRecord& record) {
+      core::accumulate_novelty(record, options_.novelty_window, novelty_);
+    }
+    /// Sums another shard's novelty evidence into this one.
+    void merge(State&& other) {
+      core::merge_novelty(novelty_, std::move(other.novelty_));
+    }
+    /// Runs the sigma scoring over the ledger and the burst-episode scan
+    /// over the merged novelty evidence.
+    [[nodiscard]] Report report(const core::SessionLedger& ledger) const;
     /// The serialized evidence (pass.h, SerializablePass). The novelty
     /// bucket width is configuration and must match across save and load
     /// (bucket indexes are window-relative).
-    static auto fields(auto& self) {
-      return std::tie(self.counts_, self.novelty_);
-    }
+    static auto fields(auto& self) { return std::tie(self.novelty_); }
 
    private:
     core::AnomalyOptions options_;
-    std::map<core::SessionKey, core::TypeCounts> counts_;
     core::NoveltyEvidence novelty_;
   };
 

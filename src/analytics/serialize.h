@@ -10,9 +10,9 @@
 // Format (documented field-by-field in docs/FORMATS.md):
 //
 //   block   := magic u32 | version u16 | kind u8 | payload
-//   payload := pass-state list (kPartialState), per-shard stream tables
-//              + states (kCheckpoint), or framing cursor + cleaning carry
-//              (kIngestCursor)
+//   payload := ledger + pass-state list (kPartialState), per-shard
+//              stream tables + ledgers + states (kCheckpoint), or framing
+//              cursor + cleaning carry (kIngestCursor)
 //
 // All integers are big-endian (network order), matching the BGP/MRT
 // codecs. Everything inside the blocks is encoded by core/codec.h: its
@@ -43,11 +43,11 @@ inline constexpr std::uint32_t kMagic = 0x42475043;
 /// version" checklist in docs/FORMATS.md); readers reject other versions
 /// with DecodeError instead of misparsing.
 ///
-/// v4: the stream table section gained the withdrawn bit and pass tag 8
-/// carries only the exploration runs in flight. Older blocks are
-/// rejected — checkpoints are transient crash/resume state, not
-/// long-lived archives.
-inline constexpr std::uint16_t kFormatVersion = 4;
+/// v5: the stream table's per-session ledger travels once per partial
+/// state and once per checkpoint shard, and pass tags 1, 2, 5 and 6 drop
+/// the tallies it holds. Older blocks are rejected — checkpoints are
+/// transient crash/resume state, not long-lived archives.
+inline constexpr std::uint16_t kFormatVersion = 5;
 
 /// What a serialized block contains (the byte after magic + version).
 enum class BlockKind : std::uint8_t {

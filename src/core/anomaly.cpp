@@ -36,18 +36,9 @@ void accumulate_novelty(const UpdateRecord& record, Duration novelty_window,
 }
 
 void merge_novelty(NoveltyEvidence& into, NoveltyEvidence&& from) {
+  into.merge(from);
   for (auto& [community, buckets] : from) {
-    auto [cit, fresh] = into.try_emplace(community, std::move(buckets));
-    if (fresh) continue;
-    for (auto& [index, bucket] : buckets) {
-      auto [bit, inserted] = cit->second.try_emplace(index, bucket);
-      if (!inserted) {
-        bit->second.count += bucket.count;
-        if (bucket.earliest < bit->second.earliest) {
-          bit->second.earliest = bucket.earliest;
-        }
-      }
-    }
+    merge_sum(into[community], std::move(buckets));
   }
 }
 
@@ -91,12 +82,13 @@ std::vector<NoveltyBurst> finalize_novelty_bursts(
   return bursts;
 }
 
-void score_duplicate_outliers(
-    const std::map<SessionKey, TypeCounts>& tallies,
-    const AnomalyOptions& options, AnomalyReport& report) {
+void score_duplicate_outliers(const SessionLedger& ledger,
+                              const AnomalyOptions& options,
+                              AnomalyReport& report) {
   std::vector<DuplicateOutlier> sessions;
   double sum = 0.0;
-  for (const auto& [key, counts] : tallies) {
+  for (const auto& [key, tally] : ledger) {
+    const TypeCounts& counts = tally.counts;
     if (counts.total() < options.min_classified) continue;
     DuplicateOutlier entry;
     entry.session = key;

@@ -10,13 +10,14 @@
 //    after a quiet gap) and immediately arrive in volume — the
 //    community-based anomaly signal of CommunityWatch (Giotsas 2018).
 //
-// Both detectors are split into accumulate / merge / finalize kernels
-// (mirroring core/tomography) so analytics::AnomalyPass can run them
-// per-shard on the ingestion worker threads and merge associatively:
-// the accumulated evidence depends only on the multiset of records and
-// per-session order, never on cross-session interleaving.
+// The novelty detector is split into accumulate / merge / finalize
+// kernels (mirroring core/tomography) so analytics::AnomalyPass can run
+// it per-shard and merge associatively; the duplicate detector scores the
+// stream table's ledger (core/classifier.h). Either way the evidence
+// depends only on the multiset of records and per-session order.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <tuple>
@@ -83,6 +84,12 @@ struct NoveltyBucket {
   /// Earliest occurrence observed in the bucket.
   Timestamp earliest;
   friend bool operator==(const NoveltyBucket&, const NoveltyBucket&) = default;
+  /// Sums the counts and keeps the earlier occurrence.
+  NoveltyBucket& operator+=(const NoveltyBucket& other) {
+    count += other.count;
+    earliest = std::min(earliest, other.earliest);
+    return *this;
+  }
   /// The wire form (core/codec.h write_value): count, then earliest.
   static auto fields(auto& self) { return std::tie(self.count, self.earliest); }
 };
@@ -125,7 +132,7 @@ void merge_novelty(NoveltyEvidence& into, NoveltyEvidence&& from);
 // Duplicate-outlier kernel.
 
 /// Applies eligibility (min_classified) and leave-one-out sigma scoring to
-/// per-session type tallies, filling `report`'s population stats and
+/// a stream table's ledger, filling `report`'s population stats and
 /// duplicate_outliers (sigma descending, session ascending). Defined
 /// small-population behavior: n == 0 eligible sessions reports zero
 /// stats and no outliers; n == 1 reports that session's share as the
@@ -133,8 +140,8 @@ void merge_novelty(NoveltyEvidence& into, NoveltyEvidence&& from);
 /// population to deviate from); n == 2 scores each session against the
 /// other alone (a zero-stddev remainder makes any exceedance infinitely
 /// surprising, reported as sigma 1e6).
-void score_duplicate_outliers(
-    const std::map<SessionKey, TypeCounts>& tallies,
-    const AnomalyOptions& options, AnomalyReport& report);
+void score_duplicate_outliers(const SessionLedger& ledger,
+                              const AnomalyOptions& options,
+                              AnomalyReport& report);
 
 }  // namespace bgpcc::core

@@ -56,13 +56,19 @@ void TypeCounts::add(const StreamEvent& event) {
   }
 }
 
+SessionTally& SessionTally::operator+=(const SessionTally& other) {
+  counts += other.counts;
+  longest_nn_run = std::max(longest_nn_run, other.longest_nn_run);
+  return *this;
+}
+
 StreamEvent Classifier::advance(const UpdateRecord& record) {
   StreamEvent event;
   event.withdrawal = !record.announcement;
   if (event.withdrawal) {
     auto it = last_.find(std::make_pair(record.session, record.prefix));
     if (it != last_.end()) it->second.withdrawn = true;
-    counts_.add(event);
+    ledger_[record.session].counts.add(event);
     return event;
   }
   auto [it, first] =
@@ -84,7 +90,9 @@ StreamEvent Classifier::advance(const UpdateRecord& record) {
     prev.nn_run = event.type == AnnouncementType::kNn ? prev.nn_run + 1 : 0;
     event.nn_run = prev.nn_run;
   }
-  counts_.add(event);
+  SessionTally& tally = ledger_[record.session];
+  tally.counts.add(event);
+  tally.longest_nn_run = std::max(tally.longest_nn_run, event.nn_run);
   if (path_changed) prev.as_path = record.attrs.as_path;
   if (comm_changed) {
     // Swap before assign: the replaced set moves into the slot the event
@@ -98,24 +106,15 @@ StreamEvent Classifier::advance(const UpdateRecord& record) {
   return event;
 }
 
-void Classifier::restore(StreamStates streams) {
-  last_ = std::move(streams);
-  counts_ = TypeCounts{};
+TypeCounts sum_counts(const SessionLedger& ledger) {
+  TypeCounts sum;
+  for (const auto& [session, tally] : ledger) sum += tally.counts;
+  return sum;
 }
 
-std::vector<std::pair<SessionKey, TypeCounts>> rank_session_types(
-    const std::map<SessionKey, TypeCounts>& sessions) {
-  std::vector<std::pair<SessionKey, TypeCounts>> out(sessions.begin(),
-                                                     sessions.end());
-  // Ties break by session ascending: a total order, so the ranking never
-  // depends on the sort algorithm's internals.
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.second.total() != b.second.total()) {
-      return a.second.total() > b.second.total();
-    }
-    return a.first < b.first;
-  });
-  return out;
+void Classifier::restore(StreamStates streams, SessionLedger ledger) {
+  last_ = std::move(streams);
+  ledger_ = std::move(ledger);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,15 +180,10 @@ void accumulate_usage(const UpdateRecord& record, UsageEvidence& evidence) {
 }
 
 void merge_usage(UsageEvidence& into, UsageEvidence&& from) {
-  for (const auto& [value, count] : from.value_occurrences) {
-    into.value_occurrences[value] += count;
-  }
+  merge_sum(into.value_occurrences, std::move(from.value_occurrences));
+  into.namespace_sessions.merge(from.namespace_sessions);
   for (auto& [asn16, sessions] : from.namespace_sessions) {
-    auto [it, fresh] =
-        into.namespace_sessions.try_emplace(asn16, std::move(sessions));
-    if (!fresh) {
-      it->second.insert(sessions.begin(), sessions.end());
-    }
+    into.namespace_sessions[asn16].merge(sessions);
   }
 }
 

@@ -94,6 +94,36 @@ struct TypeCounts {
   }
 };
 
+/// One session's §5 tallies: its TypeCounts plus the longest run of
+/// consecutive nn announcements on any of its streams.
+struct SessionTally {
+  TypeCounts counts;
+  std::uint64_t longest_nn_run = 0;
+
+  /// Sums the counts and keeps the longer run.
+  SessionTally& operator+=(const SessionTally& other);
+  friend bool operator==(const SessionTally&, const SessionTally&) = default;
+  /// The wire form (core/codec.h write_value): counts, then the run.
+  static auto fields(auto& self) {
+    return std::tie(self.counts, self.longest_nn_run);
+  }
+};
+
+/// Per-session tallies of one stream table: the evidence Table 2, Figure 3,
+/// the §6 duplicate bursts and the §7 duplicate outliers report from.
+using SessionLedger = std::map<SessionKey, SessionTally>;
+
+/// The tallies of every session in `ledger`, summed.
+[[nodiscard]] TypeCounts sum_counts(const SessionLedger& ledger);
+
+/// Folds map `from` into `into`: keys `into` lacks move over (partial
+/// evidence mostly holds disjoint keys), shared keys add (+=) values.
+template <class Map>
+void merge_sum(Map& into, Map&& from) {
+  into.merge(from);
+  for (const auto& [key, value] : from) into[key] += value;
+}
+
 /// Streaming classifier; feed records in chronological order per session.
 /// analytics::AnalysisDriver keeps one per shard: the stream table.
 class Classifier {
@@ -120,8 +150,9 @@ class Classifier {
   using StreamStates = std::map<std::pair<SessionKey, Prefix>, StreamState>;
 
   /// Classifies an announcement against the stream's previous one and
-  /// tallies the event; withdrawals are tallied and mark the stream's
-  /// cursor withdrawn, its attributes untouched.
+  /// tallies the event in its session's ledger entry; withdrawals are
+  /// tallied and mark the stream's cursor withdrawn, its attributes
+  /// untouched.
   StreamEvent advance(const UpdateRecord& record);
 
   /// advance() for plain loops: the type alone, nullopt for withdrawals
@@ -130,29 +161,31 @@ class Classifier {
     return advance(record).type;
   }
 
-  [[nodiscard]] const TypeCounts& counts() const { return counts_; }
+  /// The tallies of every session, summed.
+  [[nodiscard]] TypeCounts counts() const { return sum_counts(ledger_); }
+
+  /// The per-session tallies.
+  [[nodiscard]] const SessionLedger& ledger() const { return ledger_; }
 
   /// The live per-stream comparison cursors (checkpoint serialization).
   [[nodiscard]] const StreamStates& stream_states() const { return last_; }
 
-  /// Replaces the per-stream comparison cursors — the checkpoint/restore
-  /// hook for the driver's stream table, whose tallies nothing reads.
-  /// The restored classifier classifies exactly as the saved one would;
-  /// its tallies restart at zero.
-  void restore(StreamStates streams);
+  /// Replaces the per-stream comparison cursors and the ledger — the
+  /// checkpoint/restore hook for the driver's stream table. The restored
+  /// classifier classifies and tallies exactly as the saved one would.
+  void restore(StreamStates streams, SessionLedger ledger);
+
+  /// Folds the ledger of a disjoint run into this one (load_state).
+  void absorb(SessionLedger&& ledger) {
+    merge_sum(ledger_, std::move(ledger));
+  }
 
  private:
   StreamStates last_;
-  TypeCounts counts_;
+  SessionLedger ledger_;
   /// The set the last community change replaced (the event points here).
   CommunitySet replaced_;
 };
-
-/// Projects per-session tallies into the Figure-3 ranking (sorted by
-/// classified announcement count descending, then session ascending): the
-/// report projection of analytics::PerSessionTypesPass.
-[[nodiscard]] std::vector<std::pair<SessionKey, TypeCounts>>
-rank_session_types(const std::map<SessionKey, TypeCounts>& sessions);
 
 // ---------------------------------------------------------------------------
 // Per-AS community usage classification, following Krenc et al.,

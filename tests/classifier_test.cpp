@@ -121,6 +121,28 @@ TEST(Classifier, MedChangeTrackedWithinNn) {
   EXPECT_EQ(c.counts().nn_with_med_change, 1u);
 }
 
+// A restored stream table continues its per-session tallies where the
+// saved one stopped, as well as its classifications.
+TEST(Classifier, RestoreKeepsPerSessionTallies) {
+  Classifier saved;
+  saved.classify(make_record("100 200", "100:1", 0));
+  saved.classify(make_record("100 200", "100:1", 1));
+  saved.classify(make_record("", "", 2, false));
+  Classifier restored;
+  restored.restore(saved.stream_states(), saved.ledger());
+  EXPECT_EQ(restored.ledger(), saved.ledger());
+  for (Classifier* c : {&saved, &restored}) {
+    EXPECT_EQ(c->classify(make_record("100 200", "100:1", 3)),
+              AnnouncementType::kNn);
+  }
+  EXPECT_EQ(restored.ledger(), saved.ledger());
+  const SessionTally& tally = restored.ledger().at(session_a());
+  EXPECT_EQ(tally.counts.count(AnnouncementType::kNn), 2u);
+  EXPECT_EQ(tally.counts.first_sightings, 1u);
+  EXPECT_EQ(tally.counts.withdrawals, 1u);
+  EXPECT_EQ(tally.longest_nn_run, 2u);
+}
+
 TEST(Classifier, SharesSumToOne) {
   Classifier c;
   c.classify(make_record("100 200", "100:1"));
@@ -188,9 +210,15 @@ TEST(PerSessionTypes, SortedByVolumeAndFilteredByPrefix) {
   other.prefix = Prefix::from_string("10.0.0.0/8");
   stream.add(other);
 
-  auto per_session = test::run_pass(
-      analytics::PerSessionTypesPass{Prefix::from_string("84.205.64.0/24")},
-      stream);
+  // The Figure 3 view: only the target prefix's records are observed.
+  UpdateStream target;
+  for (const UpdateRecord& record : stream.records()) {
+    if (record.prefix == Prefix::from_string("84.205.64.0/24")) {
+      target.add(record);
+    }
+  }
+  auto per_session =
+      test::run_pass(analytics::PerSessionTypesPass{}, target);
   ASSERT_EQ(per_session.size(), 2u);
   EXPECT_EQ(per_session[0].first.peer_asn, Asn(20205));
   EXPECT_EQ(per_session[0].second.count(AnnouncementType::kNc), 2u);

@@ -4,13 +4,12 @@
 // no engine and no encoding, or from its MRT archive on disk.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "core/ingest.h"
 #include "log_reference.h"
 #include "run_pass.h"
 #include "synth/ingest.h"
 #include "synth/labtopo.h"
+#include "test_dir.h"
 
 namespace bgpcc {
 namespace {
@@ -30,12 +29,12 @@ TEST(Integration, MrtRoundTripPreservesClassification) {
   core::TypeCounts direct_counts =
       test::run_pass(analytics::ClassifierPass{}, direct).counts;
 
-  std::string path = ::testing::TempDir() + "/bgpcc_integration.mrt";
-  collector.write_mrt(path);
-  core::UpdateStream from_disk = core::ingest_mrt_file("C1", path).stream;
+  const test::TestDir archive("integration", ".mrt");
+  collector.write_mrt(archive.path());
+  core::UpdateStream from_disk =
+      core::ingest_mrt_file("C1", archive.path()).stream;
   core::TypeCounts disk_counts =
       test::run_pass(analytics::ClassifierPass{}, from_disk).counts;
-  std::remove(path.c_str());
 
   ASSERT_EQ(from_disk.size(), direct.size());
   for (core::AnnouncementType type : core::kAllAnnouncementTypes) {
@@ -57,10 +56,10 @@ TEST(Integration, SecondGranularityMrtNeedsCleaning) {
   (void)experiment.run();
 
   sim::RouteCollector& collector = experiment.network().collector("C1");
-  std::string path = ::testing::TempDir() + "/bgpcc_integration_1s.mrt";
-  collector.write_mrt(path, /*extended_time=*/false);
-  core::UpdateStream stream = core::ingest_mrt_file("C1", path).stream;
-  std::remove(path.c_str());
+  const test::TestDir archive("integration", ".mrt");
+  collector.write_mrt(archive.path(), /*extended_time=*/false);
+  core::UpdateStream stream =
+      core::ingest_mrt_file("C1", archive.path()).stream;
 
   // All records collapse onto whole seconds...
   for (const core::UpdateRecord& record : stream.records()) {

@@ -66,11 +66,12 @@ TEST(SerializePrimitives, BigEndianLayoutsArePinned) {
   EXPECT_EQ(w.bytes_written(), 15u);
 }
 
-// The v4 layouts, byte for byte: a ClassifierPass partial state (tag 1
-// carries its nine counters and nothing else), a one-stream table section
-// of a checkpoint (v4: the withdrawn bit) and an ExplorationPass partial
-// state holding one run in flight (v4: no per-stream cursors).
-TEST(SerializePrimitives, V4LayoutsArePinned) {
+// The v5 layouts, byte for byte: a ClassifierPass partial state (v5: the
+// ledger section, then an empty tag 1 payload), a one-stream table
+// section of a checkpoint and the ledger section that follows it, and an
+// ExplorationPass partial state holding one run in flight (v5: after the
+// ledger section).
+TEST(SerializePrimitives, V5LayoutsArePinned) {
   core::UpdateRecord record;
   record.session =
       core::SessionKey{"rrc00", Asn(65001), IpAddress::v4(10, 0, 0, 1)};
@@ -110,7 +111,8 @@ TEST(SerializePrimitives, V4LayoutsArePinned) {
   const std::vector<unsigned char> changed_comms = {
       0x00, 0x00, 0x00, 0x02, 0xFD, 0xE9, 0x00, 0x01, 0xFD, 0xE9, 0x00, 0x02};
 
-  // Tag 1: first sighting, then an nc (communities change).
+  // Tag 1: first sighting, then an nc (communities change). The ledger
+  // holds the tallies; the pass's own payload is empty.
   AnalysisDriver driver;
   (void)driver.add(ClassifierPass{});
   driver.observe(record);
@@ -118,11 +120,13 @@ TEST(SerializePrimitives, V4LayoutsArePinned) {
   std::ostringstream partial;
   driver.save_state(partial);
   EXPECT_EQ(as_bytes(partial.str()),
-            cat({{0x42, 0x47, 0x50, 0x43, 0x00, 0x04, 0x01},  // header v4
+            cat({{0x42, 0x47, 0x50, 0x43, 0x00, 0x05, 0x01},  // header v5
                  {0x00, 0x01, 0x00, 0x01},                     // tag 1 only
-                 u64(72),                                      // blob length
+                 u64(1), session,                     // ledger: one session
                  u64(0), u64(0), u64(1), u64(0), u64(0), u64(0),  // pc..xn
-                 u64(1), u64(0), u64(0)}));  // first, withdrawals, nn+MED
+                 u64(1), u64(0), u64(0),  // first, withdrawals, nn+MED
+                 u64(0),                  // longest nn run
+                 u64(0)}));               // blob length: no payload
 
   // Table section: three identical announcements leave nn run 2; the
   // withdrawal after them sets the withdrawn bit.
@@ -140,6 +144,14 @@ TEST(SerializePrimitives, V4LayoutsArePinned) {
                  {0x00},    // no MED
                  u64(2),    // nn run
                  {0x01}}));  // withdrawn
+  std::ostringstream ledger;
+  serialize::Writer lw(ledger);
+  core::codec::write_value(lw, table.ledger());
+  EXPECT_EQ(as_bytes(ledger.str()),
+            cat({u64(1), session,                                // one session
+                 u64(0), u64(0), u64(0), u64(2), u64(0), u64(0),  // pc..xn
+                 u64(1), u64(1), u64(0),  // first, withdrawals, nn+MED
+                 u64(2)}));               // longest nn run
 
   // Tag 8: the nc inside the default withdraw phase (02:00 UTC) opens a
   // run that is still in flight at save time.
@@ -156,8 +168,11 @@ TEST(SerializePrimitives, V4LayoutsArePinned) {
     return u64(static_cast<std::uint64_t>(t.unix_micros()));
   };
   EXPECT_EQ(as_bytes(runs.str()),
-            cat({{0x42, 0x47, 0x50, 0x43, 0x00, 0x04, 0x01},  // header v4
+            cat({{0x42, 0x47, 0x50, 0x43, 0x00, 0x05, 0x01},  // header v5
                  {0x00, 0x01, 0x00, 0x08},                     // tag 8 only
+                 u64(1), session,                     // ledger: one session
+                 u64(0), u64(0), u64(1), u64(0), u64(0), u64(0),  // pc..xn
+                 u64(1), u64(0), u64(0), u64(0),  // first, wdr, MED, run
                  u64(117),                                     // blob length
                  u64(1),                                       // one run
                  session, prefix, path,                        // its event
@@ -799,6 +814,16 @@ std::string reencode(const std::string& bytes,
   return out.str();
 }
 
+/// The ledger section of a stream table that classified `records`.
+std::string ledger_section(const std::vector<core::UpdateRecord>& records) {
+  core::Classifier table;
+  for (const core::UpdateRecord& record : records) (void)table.advance(record);
+  std::ostringstream out;
+  serialize::Writer w(out);
+  core::codec::write_value(w, table.ledger());
+  return out.str();
+}
+
 /// The one state payload of `pass` after it observes `records`, and its
 /// check: decode into a fresh state and re-encode.
 template <class P>
@@ -810,8 +835,20 @@ void expect_pass_payload_canonical(P pass,
   for (const core::UpdateRecord& record : records) driver.observe(record);
   std::ostringstream file;
   driver.save_state(file);
-  // Header (7), pass count (2), tag (2), blob length (8), payload.
-  const std::string payload = file.str().substr(19);
+  // Header (7), pass count (2), tag (2), the ledger section when the pass
+  // rests on the stream table, blob length (8), payload.
+  std::size_t offset = 19;
+  using S = typename P::State;
+  if constexpr (ObservesStreamEvents<S> || ReadsLedger<S>) {
+    offset += ledger_section(records).size();
+  }
+  const std::string payload = file.str().substr(offset);
+  if constexpr (std::is_same_v<P, ClassifierPass> ||
+                std::is_same_v<P, PerSessionTypesPass>) {
+    EXPECT_EQ(payload, "") << "tag " << P::kStateTag << ": the ledger holds "
+                           << "its evidence";
+    return;
+  }
   ASSERT_GT(payload.size(), 8u) << "tag " << P::kStateTag;
 
   std::size_t config_end = 0;
@@ -841,7 +878,11 @@ TEST(SerializeCanonical, EveryPassPayloadByteIsCheckedOrCanonical) {
   expect_pass_payload_canonical(PerSessionTypesPass{}, records);
   expect_pass_payload_canonical(TomographyPass{}, records);
   expect_pass_payload_canonical(CommunityStatsPass{}, records);
-  expect_pass_payload_canonical(DuplicateBurstPass{}, records);
+  // Four repeats of the first announcement: the first changes its
+  // stream back, the other three are the nn burst tag 5 serializes.
+  std::vector<core::UpdateRecord> bursty = records;
+  bursty.insert(bursty.end(), 4, records.front());
+  expect_pass_payload_canonical(DuplicateBurstPass{}, bursty);
   expect_pass_payload_canonical(AnomalyPass{}, records);
   expect_pass_payload_canonical(RevealedPass{}, records);
   expect_pass_payload_canonical(ExplorationPass{}, records);
@@ -863,6 +904,17 @@ TEST(SerializeCanonical, StreamTableByteIsCheckedOrCanonical) {
         [&](serialize::Reader& r) { streams = serialize::read_stream_table(r); },
         [&](serialize::Writer& w) { serialize::write_stream_table(w, streams); });
   });
+}
+
+TEST(SerializeCanonical, LedgerSectionByteIsCheckedOrCanonical) {
+  expect_checked_or_canonical(
+      ledger_section(canonical_fixture()), [](const std::string& bytes) {
+        core::SessionLedger ledger;
+        return reencode(
+            bytes,
+            [&](serialize::Reader& r) { core::codec::read_value(r, ledger); },
+            [&](serialize::Writer& w) { core::codec::write_value(w, ledger); });
+      });
 }
 
 TEST(SerializeCanonical, CursorBlockByteIsCheckedOrCanonical) {

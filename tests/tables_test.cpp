@@ -1,10 +1,10 @@
 // Unit tests: table/number formatting.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "core/tables.h"
+#include "test_dir.h"
 
 namespace bgpcc::core {
 namespace {
@@ -65,7 +65,8 @@ TEST(Csv, EscapesCells) {
 }
 
 TEST(Csv, QuotesDirtyCellsOnDisk) {
-  std::string path = ::testing::TempDir() + "/bgpcc_tables_quoting.csv";
+  const test::TestDir csv("tables", ".csv");
+  const std::string& path = csv.path();
   write_csv(path, {"communities", "note"},
             {{"65000:1 65000:2", "a,b"}, {"x", "he said \"go\""}});
   std::ifstream in(path);
@@ -76,11 +77,11 @@ TEST(Csv, QuotesDirtyCellsOnDisk) {
   EXPECT_EQ(line, "65000:1 65000:2,\"a,b\"");
   std::getline(in, line);
   EXPECT_EQ(line, "x,\"he said \"\"go\"\"\"");
-  std::remove(path.c_str());
 }
 
 TEST(Csv, WritesRows) {
-  std::string path = ::testing::TempDir() + "/bgpcc_tables_test.csv";
+  const test::TestDir csv("tables", ".csv");
+  const std::string& path = csv.path();
   write_csv(path, {"h1", "h2"}, {{"1", "2"}, {"3", "4"}});
   std::ifstream in(path);
   std::string line;
@@ -90,7 +91,6 @@ TEST(Csv, WritesRows) {
   EXPECT_EQ(line, "1,2");
   std::getline(in, line);
   EXPECT_EQ(line, "3,4");
-  std::remove(path.c_str());
 }
 
 }  // namespace

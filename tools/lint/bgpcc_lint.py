@@ -19,10 +19,13 @@ load-bearing invariants statically, before any test runs:
       State declares kStateTag (unique, and a serialize::PassTag value
       when the enum is in view), the full State interface
       (observe/merge/report plus the static fields() list its save and
-      load derive from), make_state, a
+      load derive from; a report(const core::SessionLedger&) stands in
+      for observe, as in the Pass concept), make_state, a
       copy-constructible State (the snapshot contract), and no State
-      member holding a core::Classifier (the §5 comparison runs once, in
-      the driver's stream table; passes read its StreamEvent).
+      member holding a core::Classifier or a SessionKey-keyed map of
+      TypeCounts (the §5 comparison and its per-session tally run once,
+      in the driver's stream table; passes read its StreamEvent and its
+      ledger).
   S1  DecodeError-path completeness: decode functions never bypass the
       serialize::Reader primitives with raw stream reads, and never
       pre-size allocations from an unvalidated wire-read count.
@@ -172,7 +175,8 @@ CHECK_INVENTORY = {
     "H1": "lock, allocation, container growth, or throw in a lock-free "
           "hot path",
     "P1": "pass-contract conformance (kStateTag, State interface, "
-          "copyable State, make_state, no private Classifier)",
+          "copyable State, make_state, no private Classifier or "
+          "per-session tally)",
     "S1": "decode path bypasses the Reader primitives or pre-sizes from "
           "an unvalidated wire count",
     "L1": "measurement layer (netbase/bgp/mrt/obs/core/analytics) "
@@ -218,6 +222,7 @@ class ClassInfo:
     path: str
     members: dict = field(default_factory=dict)   # name -> type text
     methods: set = field(default_factory=set)     # declared method names
+    reads_ledger: bool = False  # declares report(... SessionLedger ...)
     body: str = ""
     start_line: int = 0
     decl_lines: dict = field(default_factory=dict)  # member -> line
@@ -474,7 +479,7 @@ def parse_scopes(model):
                 if not qual and stack and stack[-1]["kind"] == "class":
                     # Inline member-function definition: register it on
                     # the class so contract checks see it.
-                    stack[-1]["info"].methods.add(name)
+                    add_method(stack[-1]["info"], name, scope[3])
                 if qual:
                     cp = cp + ("::" if cp else "") + qual
                 fn = Function(
@@ -620,7 +625,7 @@ def record_class_member(info, head, line):
         elif ch == "(" and depth == 0:
             named = find_name_before_paren(h2[:idx])
             if named:
-                info.methods.add(named[0])
+                add_method(info, named[0], h2[idx:])
             return
     # Data member: last identifier (before any array suffix) is the name.
     m = re.search(r"([A-Za-z_]\w*)\s*(\[[^\]]*\]\s*)*$", h2)
@@ -924,6 +929,19 @@ NONCOPYABLE_MEMBER_RE = re.compile(
 STATE_REQUIRED_METHODS = ("observe", "merge", "report", "fields")
 
 
+# P1: a State member tallying §5 types per session duplicates the stream
+# table's ledger.
+SESSION_TALLY_MEMBER_RE = re.compile(
+    r"\bmap\s*<\s*[\w:]*\bSessionKey\s*,\s*[\w:]*\bTypeCounts\s*>")
+
+
+def add_method(info, name, params):
+    """Registers a declared or defined method on its class."""
+    info.methods.add(name)
+    if name == "report" and re.search(r"\bSessionLedger\b", params):
+        info.reads_ledger = True
+
+
 def check_p1(project, model, findings):
     seen_tags = {}
     for path, info in model.classes.items():
@@ -964,7 +982,8 @@ def check_p1(project, model, findings):
                 f"pass '{leaf}' declares no make_state() — the driver "
                 f"mints one State per shard through it"))
         missing = [m for m in STATE_REQUIRED_METHODS
-                   if m not in state.methods]
+                   if m not in state.methods and
+                   not (m == "observe" and state.reads_ledger)]
         if missing:
             findings.append(Finding(
                 model.path, state.start_line, "P1",
@@ -973,8 +992,9 @@ def check_p1(project, model, findings):
                 f"merge/report plus a static fields() list, from which "
                 f"checkpointing derives save and load"))
         for mname, mtype in state.members.items():
-            if not mname.startswith("using ") and \
-                    CLASSIFIER_MEMBER_RE.search(mtype):
+            if mname.startswith("using "):
+                continue
+            if CLASSIFIER_MEMBER_RE.search(mtype):
                 findings.append(Finding(
                     model.path, state.decl_lines.get(
                         mname, state.start_line), "P1",
@@ -982,6 +1002,14 @@ def check_p1(project, model, findings):
                     f"core::Classifier ('{mtype}') — take the driver's "
                     f"per-shard stream table's verdict instead: declare "
                     f"observe(record, const core::StreamEvent&)"))
+            elif SESSION_TALLY_MEMBER_RE.search(mtype):
+                findings.append(Finding(
+                    model.path, state.decl_lines.get(
+                        mname, state.start_line), "P1",
+                    f"pass '{leaf}' State member '{mname}' tallies §5 "
+                    f"types per session ('{mtype}') — the driver's stream "
+                    f"table keeps that ledger once: declare "
+                    f"report(const core::SessionLedger&)"))
         if state.deleted_copy_ctor:
             findings.append(Finding(
                 model.path, state.start_line, "P1",
