@@ -25,9 +25,9 @@
 // The §5 rule (compare each announcement with the previous one on its
 // (session, prefix) stream) runs once per record, in the driver's stream
 // table — one core::Classifier per shard slot. A State that declares
-// observe(record, event) receives the table's core::StreamEvent (type,
-// MED change, nn run length, withdrawal since the last announcement, the
-// replaced community set) and keeps no cursor for every stream; one that
+// observe(record, event) receives the table's core::StreamEvent (type, nn
+// run length, withdrawal since the last announcement, the replaced
+// community set) and keeps no cursor for every stream; one that
 // declares report(const core::SessionLedger&) reads the table's
 // per-session tallies and keeps none of its own (it may observe nothing).
 // The driver reads the shape at add() and builds tables only when some

@@ -36,9 +36,18 @@ void accumulate_novelty(const UpdateRecord& record, Duration novelty_window,
 }
 
 void merge_novelty(NoveltyEvidence& into, NoveltyEvidence&& from) {
-  into.merge(from);
   for (auto& [community, buckets] : from) {
-    merge_sum(into[community], std::move(buckets));
+    auto [cit, fresh] = into.try_emplace(community, std::move(buckets));
+    if (fresh) continue;
+    for (auto& [index, bucket] : buckets) {
+      auto [bit, inserted] = cit->second.try_emplace(index, bucket);
+      if (!inserted) {
+        bit->second.count += bucket.count;
+        if (bucket.earliest < bit->second.earliest) {
+          bit->second.earliest = bucket.earliest;
+        }
+      }
+    }
   }
 }
 

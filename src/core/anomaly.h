@@ -17,7 +17,6 @@
 // depends only on the multiset of records and per-session order.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <tuple>
@@ -84,12 +83,6 @@ struct NoveltyBucket {
   /// Earliest occurrence observed in the bucket.
   Timestamp earliest;
   friend bool operator==(const NoveltyBucket&, const NoveltyBucket&) = default;
-  /// Sums the counts and keeps the earlier occurrence.
-  NoveltyBucket& operator+=(const NoveltyBucket& other) {
-    count += other.count;
-    earliest = std::min(earliest, other.earliest);
-    return *this;
-  }
   /// The wire form (core/codec.h write_value): count, then earliest.
   static auto fields(auto& self) { return std::tie(self.count, self.earliest); }
 };

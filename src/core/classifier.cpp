@@ -43,19 +43,6 @@ TypeCounts& TypeCounts::operator+=(const TypeCounts& other) {
   return *this;
 }
 
-void TypeCounts::add(const StreamEvent& event) {
-  if (event.withdrawal) {
-    ++withdrawals;
-  } else if (!event.type) {
-    ++first_sightings;
-  } else {
-    add(*event.type);
-    if (*event.type == AnnouncementType::kNn && event.med_changed) {
-      ++nn_with_med_change;
-    }
-  }
-}
-
 SessionTally& SessionTally::operator+=(const SessionTally& other) {
   counts += other.counts;
   longest_nn_run = std::max(longest_nn_run, other.longest_nn_run);
@@ -65,10 +52,11 @@ SessionTally& SessionTally::operator+=(const SessionTally& other) {
 StreamEvent Classifier::advance(const UpdateRecord& record) {
   StreamEvent event;
   event.withdrawal = !record.announcement;
+  SessionTally& tally = ledger_[record.session];
   if (event.withdrawal) {
     auto it = last_.find(std::make_pair(record.session, record.prefix));
     if (it != last_.end()) it->second.withdrawn = true;
-    ledger_[record.session].counts.add(event);
+    ++tally.counts.withdrawals;
     return event;
   }
   auto [it, first] =
@@ -77,9 +65,10 @@ StreamEvent Classifier::advance(const UpdateRecord& record) {
   // A first sighting has no predecessor: untyped, cursor takes everything.
   bool path_changed = first || prev.as_path != record.attrs.as_path;
   bool comm_changed = first || prev.communities != record.attrs.communities;
-  if (!first) {
+  if (first) {
+    ++tally.counts.first_sightings;
+  } else {
     event.after_withdrawal = prev.withdrawn;
-    event.med_changed = prev.med != record.attrs.med;
     if (!path_changed) {
       event.type = comm_changed ? AnnouncementType::kNc : AnnouncementType::kNn;
     } else if (record.attrs.as_path.prepending_only_change_from(prev.as_path)) {
@@ -87,12 +76,14 @@ StreamEvent Classifier::advance(const UpdateRecord& record) {
     } else {
       event.type = comm_changed ? AnnouncementType::kPc : AnnouncementType::kPn;
     }
+    tally.counts.add(*event.type);
     prev.nn_run = event.type == AnnouncementType::kNn ? prev.nn_run + 1 : 0;
+    if (prev.nn_run > 0 && prev.med != record.attrs.med) {
+      ++tally.counts.nn_with_med_change;
+    }
     event.nn_run = prev.nn_run;
+    tally.longest_nn_run = std::max(tally.longest_nn_run, prev.nn_run);
   }
-  SessionTally& tally = ledger_[record.session];
-  tally.counts.add(event);
-  tally.longest_nn_run = std::max(tally.longest_nn_run, event.nn_run);
   if (path_changed) prev.as_path = record.attrs.as_path;
   if (comm_changed) {
     // Swap before assign: the replaced set moves into the slot the event
@@ -181,9 +172,12 @@ void accumulate_usage(const UpdateRecord& record, UsageEvidence& evidence) {
 
 void merge_usage(UsageEvidence& into, UsageEvidence&& from) {
   merge_sum(into.value_occurrences, std::move(from.value_occurrences));
-  into.namespace_sessions.merge(from.namespace_sessions);
   for (auto& [asn16, sessions] : from.namespace_sessions) {
-    into.namespace_sessions[asn16].merge(sessions);
+    auto [it, fresh] =
+        into.namespace_sessions.try_emplace(asn16, std::move(sessions));
+    if (!fresh) {
+      it->second.insert(sessions.begin(), sessions.end());
+    }
   }
 }
 

@@ -48,8 +48,6 @@ struct StreamEvent {
   /// nullopt for withdrawals and first sightings.
   std::optional<AnnouncementType> type;
   bool withdrawal = false;
-  /// Typed announcements: the MED differs from the predecessor's.
-  bool med_changed = false;
   /// Consecutive nn announcements on the stream ending with this one (0
   /// unless nn); withdrawals neither extend nor break a run.
   std::uint64_t nn_run = 0;
@@ -76,7 +74,6 @@ struct TypeCounts {
   void add(AnnouncementType type) {
     ++counts[static_cast<std::size_t>(type)];
   }
-  void add(const StreamEvent& event);
   [[nodiscard]] std::uint64_t count(AnnouncementType type) const {
     return counts[static_cast<std::size_t>(type)];
   }
@@ -116,12 +113,14 @@ using SessionLedger = std::map<SessionKey, SessionTally>;
 /// The tallies of every session in `ledger`, summed.
 [[nodiscard]] TypeCounts sum_counts(const SessionLedger& ledger);
 
-/// Folds map `from` into `into`: keys `into` lacks move over (partial
-/// evidence mostly holds disjoint keys), shared keys add (+=) values.
+/// Folds map `from` into `into`: values of keys `into` lacks move over,
+/// values of shared keys add (+=). One lookup per key of `from`.
 template <class Map>
 void merge_sum(Map& into, Map&& from) {
-  into.merge(from);
-  for (const auto& [key, value] : from) into[key] += value;
+  for (auto& [key, value] : from) {
+    auto [it, inserted] = into.try_emplace(key, std::move(value));
+    if (!inserted) it->second += value;
+  }
 }
 
 /// Streaming classifier; feed records in chronological order per session.
