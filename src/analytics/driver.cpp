@@ -1,7 +1,6 @@
 #include "analytics/driver.h"
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -212,46 +211,42 @@ void AnalysisDriver::finalize_for(std::size_t index, const void* owner) {
 
 // ---------------------------------------------------------------------------
 // Wire codec plumbing. Each state travels as a length-prefixed blob: the
-// writer serializes into a scratch buffer to learn the length; the reader
-// decodes in place and verifies it consumed exactly the declared bytes,
-// so a codec/layout mismatch surfaces as DecodeError at the offending
-// pass instead of desynchronizing every pass after it.
+// writer patches the length in once the state is encoded; the reader
+// decodes it through a sub-reader of exactly the declared bytes and
+// requires all of them consumed, so a codec/layout mismatch surfaces as
+// DecodeError at the offending pass instead of reading into the next.
 
 namespace {
 
-void write_state_blob(serialize::Writer& w, const detail::AnyState& state) {
-  std::ostringstream buffer;
-  serialize::Writer blob(buffer);
-  state.save(blob);
-  std::string bytes = std::move(buffer).str();
-  w.u64(bytes.size());
-  w.raw(bytes.data(), bytes.size());
+void write_state_blob(ByteWriter& w, const detail::AnyState& state) {
+  const std::size_t at = w.placeholder<std::uint64_t>();
+  state.save(w);
+  w.patch(at, static_cast<std::uint64_t>(w.size() - at - 8));
 }
 
 /// Reads a ledger section. A driver writes one exactly when it has
 /// stream tables, which its pass-tag list decides.
-core::SessionLedger read_ledger(serialize::Reader& r) {
+core::SessionLedger read_ledger(ByteReader& r) {
   core::SessionLedger ledger;
   core::codec::read_value(r, ledger);
   return ledger;
 }
 
-void read_state_blob(serialize::Reader& r, detail::AnyState& state) {
-  std::uint64_t declared = r.u64();
-  std::uint64_t before = r.bytes_read();
-  state.load(r);
-  std::uint64_t consumed = r.bytes_read() - before;
-  if (consumed != declared) {
+void read_state_blob(ByteReader& r, detail::AnyState& state) {
+  const std::uint64_t declared = r.u64();
+  ByteReader blob = r.sub(declared);
+  state.load(blob);
+  if (!blob.empty()) {
     throw DecodeError("state blob declared " + std::to_string(declared) +
                       " bytes but decoding consumed " +
-                      std::to_string(consumed) +
+                      std::to_string(declared - blob.remaining()) +
                       " — mismatched pass configuration or corrupt file");
   }
 }
 
 }  // namespace
 
-void AnalysisDriver::write_tags(serialize::Writer& w) const {
+void AnalysisDriver::write_tags(ByteWriter& w) const {
   if (passes_.size() > 0xFFFF) {
     throw ConfigError("AnalysisDriver: more than 65535 passes");
   }
@@ -259,7 +254,7 @@ void AnalysisDriver::write_tags(serialize::Writer& w) const {
   for (const auto& pass : passes_) w.u16(pass->state_tag());
 }
 
-void AnalysisDriver::check_tags(serialize::Reader& r) const {
+void AnalysisDriver::check_tags(ByteReader& r) const {
   std::uint16_t count = r.u16();
   if (count != passes_.size()) {
     throw ConfigError(
@@ -282,11 +277,13 @@ void AnalysisDriver::check_tags(serialize::Reader& r) const {
 
 void AnalysisDriver::save_state(std::ostream& out) {
   finalize();
-  serialize::Writer w(out);
+  ByteWriter w;
   serialize::write_block_header(w, serialize::BlockKind::kPartialState);
   write_tags(w);
+  serialize::flush_to(out, w);
   if (classify_) core::codec::write_value(w, final_.data_->ledger);
   for (const auto& state : final_.data_->states) write_state_blob(w, *state);
+  serialize::flush_to(out, w);
   out.flush();
   if (!out) throw DecodeError("save_state: output stream failed on flush");
 }
@@ -296,7 +293,8 @@ void AnalysisDriver::load_state(std::istream& in) {
   std::lock_guard<std::mutex> lock(window_mutex_);
   if (finalized_) throw_finalized("load_state()");
   ensure_states();
-  serialize::Reader r(in);
+  const std::vector<std::uint8_t> bytes = serialize::drain(in);
+  ByteReader r(bytes);
   serialize::BlockKind kind = serialize::read_block_header(r);
   if (kind == serialize::BlockKind::kIngestCursor) {
     throw DecodeError(
@@ -314,19 +312,22 @@ void AnalysisDriver::load_state(std::istream& in) {
   };
   if (kind == serialize::BlockKind::kPartialState) {
     fold();
-    return;
+  } else {
+    // kCheckpoint: fold every shard slot into slot 0 and drop the stream
+    // cursors. Valid for combining disjoint runs; resuming needs
+    // restore() (shard fidelity).
+    bool has_cursor = false;
+    core::codec::read_value(r, has_cursor);
+    if (has_cursor) {
+      (void)serialize::read_ingest_checkpoint(r);  // cursor: skip
+    }
+    std::uint16_t shard_count = r.u16();
+    for (std::uint16_t s = 0; s < shard_count; ++s) {
+      (void)serialize::read_stream_table(r);
+      fold();
+    }
   }
-  // kCheckpoint: fold every shard slot into slot 0 and drop the stream
-  // cursors. Valid for combining disjoint runs; resuming needs restore()
-  // (shard fidelity).
-  if (r.boolean()) {
-    (void)serialize::read_ingest_checkpoint(r);  // cursor: skip
-  }
-  std::uint16_t shard_count = r.u16();
-  for (std::uint16_t s = 0; s < shard_count; ++s) {
-    (void)serialize::read_stream_table(r);
-    fold();
-  }
+  serialize::expect_end(r);
 }
 
 void AnalysisDriver::checkpoint(std::ostream& out) {
@@ -351,20 +352,24 @@ void AnalysisDriver::checkpoint_impl(std::ostream& out,
   std::lock_guard<std::mutex> lock(window_mutex_);
   if (finalized_) throw_finalized("checkpoint()");
   ensure_states();
-  serialize::Writer w(out);
+  // One section at a time (header, then each shard slot) through one
+  // reused buffer: no buffer holds the whole checkpoint.
+  ByteWriter w;
   serialize::write_block_header(w, serialize::BlockKind::kCheckpoint);
   write_tags(w);
-  w.boolean(ingestor != nullptr);
+  core::codec::write_value(w, ingestor != nullptr);
   if (ingestor != nullptr) {
     serialize::write_ingest_checkpoint(w, ingestor->checkpoint_state());
   }
   w.u16(static_cast<std::uint16_t>(shards_.size()));
+  serialize::flush_to(out, w);
   const core::Classifier::StreamStates no_table;
   for (const Shard& shard : shards_) {
     serialize::write_stream_table(
         w, shard.table ? shard.table->stream_states() : no_table);
     if (shard.table) core::codec::write_value(w, shard.table->ledger());
     for (const auto& state : shard.states) write_state_blob(w, *state);
+    serialize::flush_to(out, w);
   }
   out.flush();
   if (!out) throw DecodeError("checkpoint: output stream failed on flush");
@@ -387,10 +392,12 @@ void AnalysisDriver::restore_impl(std::istream& in,
   // irrecoverable here; anything observed before restore is discarded.
   std::lock_guard<std::mutex> lock(window_mutex_);
   if (finalized_) throw_finalized("restore()");
-  serialize::Reader r(in);
+  const std::vector<std::uint8_t> bytes = serialize::drain(in);
+  ByteReader r(bytes);
   serialize::read_block_header(r, serialize::BlockKind::kCheckpoint);
   check_tags(r);
-  bool has_cursor = r.boolean();
+  bool has_cursor = false;
+  core::codec::read_value(r, has_cursor);
   if (ingestor != nullptr && !has_cursor) {
     throw ConfigError(
         "AnalysisDriver: checkpoint carries no ingest cursor (it was "
@@ -435,6 +442,7 @@ void AnalysisDriver::restore_impl(std::istream& in,
     }
     for (auto& state : shard.states) read_state_blob(r, *state);
   }
+  serialize::expect_end(r);
 }
 
 }  // namespace bgpcc::analytics

@@ -272,8 +272,8 @@ class AnalysisDriver {
   /// Finalizes for a report() through the handle (`index`, `owner`),
   /// refusing a handle this driver did not issue before finalizing.
   void finalize_for(std::size_t index, const void* owner);
-  void write_tags(serialize::Writer& w) const;
-  void check_tags(serialize::Reader& r) const;
+  void write_tags(ByteWriter& w) const;
+  void check_tags(ByteReader& r) const;
   void checkpoint_impl(std::ostream& out,
                        const core::StreamingIngestor* ingestor);
   void restore_impl(std::istream& in, core::StreamingIngestor* ingestor);

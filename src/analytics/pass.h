@@ -128,10 +128,10 @@ class AnyState {
   virtual void merge(AnyState&& other) = 0;
   /// Serializes the state through the wire codec; ConfigError when the
   /// pass does not model SerializablePass.
-  virtual void save(serialize::Writer& writer) const = 0;
+  virtual void save(ByteWriter& writer) const = 0;
   /// Restores a freshly minted state from the wire codec; ConfigError
   /// when the pass does not model SerializablePass.
-  virtual void load(serialize::Reader& reader) = 0;
+  virtual void load(ByteReader& reader) = 0;
   /// Deep-copies the state (the Pass concept requires copy-constructible
   /// States). Epoch reporting clones every per-shard state under the
   /// committed-window barrier and merges the clones, leaving the
@@ -164,7 +164,7 @@ class StateModel final : public AnyState {
   void merge(AnyState&& other) override {
     state_.merge(std::move(static_cast<StateModel&>(other).state_));
   }
-  void save(serialize::Writer& writer) const override {
+  void save(ByteWriter& writer) const override {
     if constexpr (SerializablePass<P>) {
       core::codec::write_value(writer, state_);
     } else {
@@ -174,7 +174,7 @@ class StateModel final : public AnyState {
           "kStateTag + a fields() list (analytics/pass.h) to checkpoint");
     }
   }
-  void load(serialize::Reader& reader) override {
+  void load(ByteReader& reader) override {
     if constexpr (SerializablePass<P>) {
       core::codec::read_value(reader, state_);
     } else {

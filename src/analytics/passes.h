@@ -238,10 +238,10 @@ class CommunityStatsPass {
     struct Histogram {
       std::vector<std::uint64_t> buckets;
       /// u64 bucket count, then the buckets (core/codec.h write_value).
-      static void write_wire(auto& w, const Histogram& histogram) {
+      static void write_wire(ByteWriter& w, const Histogram& histogram) {
         core::codec::write_value(w, histogram.buckets);
       }
-      static void read_wire(auto& r, Histogram& histogram) {
+      static void read_wire(ByteReader& r, Histogram& histogram) {
         std::uint64_t size = r.u64();
         if (size != histogram.buckets.size()) {
           throw ConfigError(

@@ -3,6 +3,7 @@
 #include <array>
 #include <istream>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "core/codec.h"
@@ -12,93 +13,44 @@ namespace bgpcc::analytics {
 namespace serialize {
 
 // ---------------------------------------------------------------------------
-// Primitive writer/reader.
+// Stream plumbing.
 
-namespace {
-
-/// The big-endian bytes of `v`.
-template <class T>
-std::array<std::uint8_t, sizeof(T)> big_endian(T v) {
-  std::array<std::uint8_t, sizeof(T)> out{};
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    out[sizeof(T) - 1 - i] = static_cast<std::uint8_t>(v >> (8 * i));
+std::vector<std::uint8_t> drain(std::istream& in) {
+  std::vector<std::uint8_t> bytes;
+  std::array<char, 1 << 16> chunk{};
+  while (in.read(chunk.data(), chunk.size()) || in.gcount() > 0) {
+    bytes.insert(bytes.end(), chunk.begin(), chunk.begin() + in.gcount());
   }
-  return out;
+  if (in.bad()) throw DecodeError("state file: read failed (stream error)");
+  return bytes;
 }
 
-/// Reads sizeof(T) bytes as one big-endian integer.
-template <class T>
-T read_big_endian(Reader& r) {
-  std::array<std::uint8_t, sizeof(T)> bytes{};
-  r.raw(bytes.data(), bytes.size());
-  T v = 0;
-  for (std::uint8_t b : bytes) v = static_cast<T>((v << 8) | b);
-  return v;
-}
-
-}  // namespace
-
-void Writer::raw(const void* data, std::size_t size) {
-  out_.write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(size));
-  if (!out_) {
+void flush_to(std::ostream& out, ByteWriter& w) {
+  out.write(reinterpret_cast<const char*>(w.data().data()),
+            static_cast<std::streamsize>(w.size()));
+  if (!out) {
     throw DecodeError("state serialization: write failed (stream error)");
   }
-  written_ += size;
+  w.clear();
 }
 
-void Writer::u8(std::uint8_t v) { raw(&v, 1); }
-
-void Writer::u16(std::uint16_t v) { raw(big_endian(v).data(), sizeof(v)); }
-
-void Writer::u32(std::uint32_t v) { raw(big_endian(v).data(), sizeof(v)); }
-
-void Writer::u64(std::uint64_t v) { raw(big_endian(v).data(), sizeof(v)); }
-
-void Writer::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-void Writer::boolean(bool v) { core::codec::write_value(*this, v); }
-
-void Writer::str(std::string_view s) { core::codec::write_bytes(*this, s); }
-
-void Reader::raw(void* data, std::size_t size) {
-  in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-  if (static_cast<std::size_t>(in_.gcount()) != size) {
-    throw DecodeError("truncated state blob");
+void expect_end(const ByteReader& r) {
+  if (!r.empty()) {
+    throw DecodeError("bgpcc state file: " + std::to_string(r.remaining()) +
+                      " bytes after the end of its block");
   }
-  read_ += size;
-}
-
-std::uint8_t Reader::u8() { return read_big_endian<std::uint8_t>(*this); }
-
-std::uint16_t Reader::u16() { return read_big_endian<std::uint16_t>(*this); }
-
-std::uint32_t Reader::u32() { return read_big_endian<std::uint32_t>(*this); }
-
-std::uint64_t Reader::u64() { return read_big_endian<std::uint64_t>(*this); }
-
-std::int64_t Reader::i64() { return static_cast<std::int64_t>(u64()); }
-
-bool Reader::boolean() {
-  bool v = false;
-  core::codec::read_value(*this, v);
-  return v;
-}
-
-std::string Reader::str() {
-  return core::codec::read_bytes<std::string>(*this);
 }
 
 // ---------------------------------------------------------------------------
 // Block header.
 
-void write_block_header(Writer& w, BlockKind kind) {
+void write_block_header(ByteWriter& w, BlockKind kind) {
   w.u32(kMagic);
   w.u16(kFormatVersion);
   w.u8(static_cast<std::uint8_t>(kind));
 }
 
-BlockKind read_block_header(Reader& r) {
+BlockKind read_block_header(ByteReader& r) {
   std::uint32_t magic = r.u32();
   if (magic != kMagic) {
     throw DecodeError("not a bgpcc state file (bad magic)");
@@ -118,7 +70,7 @@ BlockKind read_block_header(Reader& r) {
   return static_cast<BlockKind>(kind);
 }
 
-void read_block_header(Reader& r, BlockKind expected) {
+void read_block_header(ByteReader& r, BlockKind expected) {
   BlockKind kind = read_block_header(r);
   if (kind != expected) {
     throw DecodeError(
@@ -129,7 +81,8 @@ void read_block_header(Reader& r, BlockKind expected) {
 }
 
 std::vector<PassTag> read_state_tags(std::istream& in) {
-  Reader r(in);
+  const std::vector<std::uint8_t> bytes = drain(in);
+  ByteReader r(bytes);
   BlockKind kind = read_block_header(r);
   if (kind == BlockKind::kIngestCursor) {
     throw DecodeError(
@@ -155,24 +108,27 @@ std::vector<PassTag> read_state_tags(std::istream& in) {
 // Stream table and ingest cursor codecs. The pass States have no codec
 // here: pass.h derives theirs from each State's field list.
 
-void write_stream_table(Writer& w,
+void write_stream_table(ByteWriter& w,
                         const core::Classifier::StreamStates& streams) {
   core::codec::write_value(w, streams);
 }
 
-core::Classifier::StreamStates read_stream_table(Reader& r) {
+core::Classifier::StreamStates read_stream_table(ByteReader& r) {
   core::Classifier::StreamStates streams;
   core::codec::read_value(r, streams);
   return streams;
 }
 
-void write_ingest_checkpoint(Writer& w, const core::IngestCheckpoint& state) {
+void write_ingest_checkpoint(ByteWriter& w,
+                             const core::IngestCheckpoint& state) {
   using core::codec::write_value;
   write_block_header(w, BlockKind::kIngestCursor);
   write_value(w, state.chunk_records);
   // The source list is counted in a u32, not the generic u64.
   w.u32(static_cast<std::uint32_t>(state.collectors.size()));
-  for (const std::string& collector : state.collectors) w.str(collector);
+  for (const std::string& collector : state.collectors) {
+    write_value(w, collector);
+  }
   write_value(w, state.cursor);
   // v2: the run's resolved shard count travels explicitly (it shapes the
   // carry below AND the restorer's engine — num_threads=0 resolution is
@@ -187,7 +143,7 @@ void write_ingest_checkpoint(Writer& w, const core::IngestCheckpoint& state) {
   write_value(w, state.stats);
 }
 
-core::IngestCheckpoint read_ingest_checkpoint(Reader& r) {
+core::IngestCheckpoint read_ingest_checkpoint(ByteReader& r) {
   using core::codec::read_value;
   read_block_header(r, BlockKind::kIngestCursor);
   core::IngestCheckpoint out;
@@ -196,7 +152,7 @@ core::IngestCheckpoint read_ingest_checkpoint(Reader& r) {
   // block, so the allocation is bounded by the bytes actually present.
   std::uint32_t collector_count = r.u32();
   for (std::uint32_t i = 0; i < collector_count; ++i) {
-    out.collectors.push_back(r.str());
+    read_value(r, out.collectors.emplace_back());
   }
   read_value(r, out.cursor);
   std::uint64_t resolved_shards = r.u64();

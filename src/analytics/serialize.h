@@ -14,25 +14,27 @@
 //              stream tables + ledgers + states (kCheckpoint), or framing
 //              cursor + cleaning carry (kIngestCursor)
 //
-// All integers are big-endian (network order), matching the BGP/MRT
-// codecs. Everything inside the blocks is encoded by core/codec.h: its
-// leaf value codecs (session, prefix, AS path, community set, ...),
-// shared with the spill-run format, and its generic write_value /
-// read_value, which derive each pass State's, the stream table's and the
-// cursor's bytes from their field lists. Decoding is bounds-checked end to end: truncated input,
-// a bad magic, an unknown version, or a pass-tag mismatch throw
-// DecodeError (never UB) — serialize_test drives the same adversarial
-// battery the gz/bz2 sources get.
+// All integers are big-endian (network order). The bytes are written
+// and read by netbase's ByteWriter/ByteReader, the coder of the BGP, MRT
+// and spill-run formats too; everything inside the blocks is encoded by
+// core/codec.h: its leaf value codecs (session, prefix, AS path,
+// community set, ...) and its generic write_value / read_value, which
+// derive each pass State's, the stream table's and the cursor's bytes
+// from their field lists. Writers encode a section at a time into one
+// ByteWriter and hand it to the std::ostream; readers take the whole
+// std::istream into one buffer. Decoding is bounds-checked end to end:
+// truncated input, trailing bytes, a bad magic, an unknown version, or a
+// pass-tag mismatch throw DecodeError (never UB) — serialize_test drives
+// the same adversarial battery the gz/bz2 sources get.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/classifier.h"
 #include "core/ingest.h"
+#include "netbase/bytes.h"
 
 namespace bgpcc::analytics::serialize {
 
@@ -76,103 +78,48 @@ enum class PassTag : std::uint16_t {
   kUsageClassification = 9,
 };
 
-/// Big-endian primitive encoder over a std::ostream. Throws DecodeError
-/// when the underlying stream fails (disk full, broken pipe), so a
-/// silently truncated checkpoint can never be mistaken for a good one.
-class Writer {
- public:
-  /// Binds to a caller-owned output stream (must outlive the writer).
-  explicit Writer(std::ostream& out) : out_(out) {}
+/// The whole remaining content of `in`: a state file is decoded from one
+/// buffer, so every blob is read through a bounded ByteReader::sub and
+/// nothing may follow the block. DecodeError when the stream fails.
+[[nodiscard]] std::vector<std::uint8_t> drain(std::istream& in);
 
-  /// Writes one byte.
-  void u8(std::uint8_t v);
-  /// Writes a 16-bit big-endian integer.
-  void u16(std::uint16_t v);
-  /// Writes a 32-bit big-endian integer.
-  void u32(std::uint32_t v);
-  /// Writes a 64-bit big-endian integer.
-  void u64(std::uint64_t v);
-  /// Writes a 64-bit signed integer (two's complement, big-endian).
-  void i64(std::int64_t v);
-  /// Writes a bool as one byte (0 or 1).
-  void boolean(bool v);
-  /// Writes a length-prefixed (u32) byte string. Throws ConfigError past
-  /// core::codec::kMaxStringBytes, the cap Reader::str enforces.
-  void str(std::string_view s);
-  /// Writes raw bytes with no length prefix.
-  void raw(const void* data, std::size_t size);
+/// Hands `w`'s bytes to `out` and empties `w` for the next section.
+/// Throws DecodeError when the stream fails (disk full, broken pipe), so
+/// a silently truncated checkpoint can never be mistaken for a good one.
+void flush_to(std::ostream& out, ByteWriter& w);
 
-  /// Total bytes written so far (payload sizing).
-  [[nodiscard]] std::uint64_t bytes_written() const { return written_; }
-
- private:
-  std::ostream& out_;
-  std::uint64_t written_ = 0;
-};
-
-/// Big-endian primitive decoder over a std::istream. Every read checks
-/// for truncation and throws DecodeError on underrun; length prefixes
-/// are sanity-capped so corrupt input cannot trigger huge allocations.
-class Reader {
- public:
-  /// Binds to a caller-owned input stream (must outlive the reader).
-  explicit Reader(std::istream& in) : in_(in) {}
-
-  /// Reads one byte.
-  [[nodiscard]] std::uint8_t u8();
-  /// Reads a 16-bit big-endian integer.
-  [[nodiscard]] std::uint16_t u16();
-  /// Reads a 32-bit big-endian integer.
-  [[nodiscard]] std::uint32_t u32();
-  /// Reads a 64-bit big-endian integer.
-  [[nodiscard]] std::uint64_t u64();
-  /// Reads a 64-bit signed integer.
-  [[nodiscard]] std::int64_t i64();
-  /// Reads a bool byte: 0 or 1, anything else throws DecodeError.
-  [[nodiscard]] bool boolean();
-  /// Reads a length-prefixed (u32) byte string. Throws DecodeError past
-  /// core::codec::kMaxStringBytes (1 MiB; no field in the format comes
-  /// close).
-  [[nodiscard]] std::string str();
-  /// Reads exactly `size` raw bytes.
-  void raw(void* data, std::size_t size);
-
-  /// Total bytes consumed so far (payload-size verification).
-  [[nodiscard]] std::uint64_t bytes_read() const { return read_; }
-
- private:
-  std::istream& in_;
-  std::uint64_t read_ = 0;
-};
+/// Throws DecodeError unless `r` is exhausted: a state file ends with
+/// its block.
+void expect_end(const ByteReader& r);
 
 /// Writes the common block header: magic, format version, kind.
-void write_block_header(Writer& w, BlockKind kind);
+void write_block_header(ByteWriter& w, BlockKind kind);
 
 /// Reads and validates a block header; throws DecodeError on a bad
 /// magic or an unsupported format version. Returns the block kind.
-[[nodiscard]] BlockKind read_block_header(Reader& r);
+[[nodiscard]] BlockKind read_block_header(ByteReader& r);
 
 /// Same, additionally requiring `expected` (DecodeError otherwise).
-void read_block_header(Reader& r, BlockKind expected);
+void read_block_header(ByteReader& r, BlockKind expected);
 
-/// Peeks the pass-tag list of a partial-state or checkpoint file: reads
-/// the header and the tag list, consuming the stream up to the first
-/// state payload. `bgpcc-merge` uses this to reconstruct a matching
-/// driver before re-reading the file for real.
+/// The pass-tag list of a partial-state or checkpoint file: reads the
+/// whole stream and decodes the header and the tag list (`bgpcc-merge
+/// tags` prints it).
 [[nodiscard]] std::vector<PassTag> read_state_tags(std::istream& in);
 
 /// Serializes one shard's stream table: the kCheckpoint table section.
-void write_stream_table(Writer& w,
+void write_stream_table(ByteWriter& w,
                         const core::Classifier::StreamStates& streams);
 
 /// Decodes a stream table section (DecodeError on corruption).
-[[nodiscard]] core::Classifier::StreamStates read_stream_table(Reader& r);
+[[nodiscard]] core::Classifier::StreamStates read_stream_table(ByteReader& r);
 
 /// Serializes a resumable ingestion snapshot as a kIngestCursor block.
-void write_ingest_checkpoint(Writer& w, const core::IngestCheckpoint& state);
+void write_ingest_checkpoint(ByteWriter& w,
+                             const core::IngestCheckpoint& state);
 
 /// Decodes a kIngestCursor block (header included). Throws DecodeError
 /// on truncation or corruption.
-[[nodiscard]] core::IngestCheckpoint read_ingest_checkpoint(Reader& r);
+[[nodiscard]] core::IngestCheckpoint read_ingest_checkpoint(ByteReader& r);
 
 }  // namespace bgpcc::analytics::serialize

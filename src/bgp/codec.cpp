@@ -14,7 +14,7 @@ constexpr std::uint16_t kAsTrans = 23456;
 
 void write_header(ByteWriter& w, MessageType type) {
   for (int i = 0; i < 16; ++i) w.u8(kMarkerByte);
-  (void)w.placeholder_u16();  // length, patched by finish_message()
+  (void)w.placeholder<std::uint16_t>();  // length, patched by finish_message()
   w.u8(static_cast<std::uint8_t>(type));
 }
 
@@ -23,7 +23,7 @@ std::vector<std::uint8_t> finish_message(ByteWriter&& w) {
     throw DecodeError("BGP message exceeds 4096 bytes: " +
                       std::to_string(w.size()));
   }
-  w.patch_u16(16, static_cast<std::uint16_t>(w.size()));
+  w.patch(16, static_cast<std::uint16_t>(w.size()));
   return std::move(w).take();
 }
 
@@ -216,12 +216,12 @@ std::vector<std::uint8_t> encode_update(const UpdateMessage& update,
   ByteWriter w;
   write_header(w, MessageType::kUpdate);
 
-  std::size_t withdrawn_len_at = w.placeholder_u16();
+  std::size_t withdrawn_len_at = w.placeholder<std::uint16_t>();
   std::size_t before = w.size();
   for (const Prefix& p : withdrawn_v4) write_wire_prefix(w, p);
-  w.patch_u16(withdrawn_len_at, static_cast<std::uint16_t>(w.size() - before));
+  w.patch(withdrawn_len_at, static_cast<std::uint16_t>(w.size() - before));
 
-  std::size_t attrs_len_at = w.placeholder_u16();
+  std::size_t attrs_len_at = w.placeholder<std::uint16_t>();
   before = w.size();
   if (update.attrs) {
     const PathAttributes& a = *update.attrs;
@@ -268,7 +268,7 @@ std::vector<std::uint8_t> encode_update(const UpdateMessage& update,
     }
   }
   if (!withdrawn_v6.empty()) encode_mp_unreach(w, withdrawn_v6);
-  w.patch_u16(attrs_len_at, static_cast<std::uint16_t>(w.size() - before));
+  w.patch(attrs_len_at, static_cast<std::uint16_t>(w.size() - before));
 
   for (const Prefix& p : announced_v4) write_wire_prefix(w, p);
 

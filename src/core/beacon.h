@@ -18,6 +18,7 @@
 
 #include "core/classifier.h"
 #include "core/stream.h"
+#include "netbase/bytes.h"
 #include "netbase/error.h"
 
 namespace bgpcc::core {
@@ -79,12 +80,12 @@ struct PhaseBuckets {
 
   /// The wire form (core/codec.h write_value): one bitmask byte, 1
   /// announce, 2 withdraw, 4 outside. A reader refuses any other bit.
-  static void write_wire(auto& w, const PhaseBuckets& buckets) {
+  static void write_wire(ByteWriter& w, const PhaseBuckets& buckets) {
     w.u8(static_cast<std::uint8_t>((buckets.announce ? 1 : 0) |
                                    (buckets.withdraw ? 2 : 0) |
                                    (buckets.outside ? 4 : 0)));
   }
-  static void read_wire(auto& r, PhaseBuckets& buckets) {
+  static void read_wire(ByteReader& r, PhaseBuckets& buckets) {
     std::uint8_t mask = r.u8();
     if (mask > 7) throw DecodeError("corrupt encoding: phase bitmask above 7");
     buckets = PhaseBuckets{(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0};

@@ -1,12 +1,11 @@
-// The value codecs both bgpcc binary formats share, written once as
-// function templates over the big-endian coder: serialize::Writer/Reader
-// (std::ostream/istream) for checkpoints and partial states, and netbase
-// ByteWriter/ByteReader (one buffer per record) for spilled window runs.
-// A coder provides u8/u16/u32/u64 and raw(data, size); a reader throws
-// DecodeError on underrun. The readers cap every size before allocating
-// and rethrow value-type ParseErrors as DecodeError, so corrupt input
-// ends in DecodeError, never UB. A layout change here is a checkpoint
-// format change: bump serialize::kFormatVersion (docs/FORMATS.md).
+// The value codecs both bgpcc binary formats share: the state files
+// (checkpoints, partial states, ingest cursors; analytics/serialize.h)
+// and the spilled window runs. Both encode through netbase's one coder,
+// ByteWriter/ByteReader; a ByteReader throws DecodeError on underrun.
+// The readers cap every size before allocating and rethrow value-type
+// ParseErrors as DecodeError, so corrupt input ends in DecodeError,
+// never UB. A layout change here is a checkpoint format change: bump
+// serialize::kFormatVersion (docs/FORMATS.md).
 //
 // On top of the leaf codecs sits one generic pair, write_value and
 // read_value, which derives the wire form of a type from its shape:
@@ -36,6 +35,7 @@
 
 #include "bgp/attributes.h"
 #include "core/cleaning.h"
+#include "netbase/bytes.h"
 #include "netbase/error.h"
 
 namespace bgpcc::core::codec {
@@ -47,7 +47,7 @@ namespace bgpcc::core::codec {
 inline constexpr std::size_t kMaxStringBytes = std::size_t{1} << 20;
 
 /// u32 length + raw bytes, for a std::string(_view) or byte vector.
-void write_bytes(auto& w, const auto& bytes) {
+void write_bytes(ByteWriter& w, const auto& bytes) {
   if (bytes.size() > kMaxStringBytes) {
     throw ConfigError("encoded field exceeds the " +
                       std::to_string(kMaxStringBytes) + "-byte cap");
@@ -57,7 +57,7 @@ void write_bytes(auto& w, const auto& bytes) {
 }
 
 template <class Bytes>
-Bytes read_bytes(auto& r) {
+Bytes read_bytes(ByteReader& r) {
   std::uint32_t size = r.u32();
   if (size > kMaxStringBytes) {
     throw DecodeError("corrupt encoding: oversized length prefix");
@@ -68,13 +68,13 @@ Bytes read_bytes(auto& r) {
 }
 
 /// u8 size (4 or 16) + network-order bytes.
-void write_ip(auto& w, const IpAddress& ip) {
+inline void write_ip(ByteWriter& w, const IpAddress& ip) {
   auto bytes = ip.bytes();
   w.u8(static_cast<std::uint8_t>(bytes.size()));
   w.raw(bytes.data(), bytes.size());
 }
 
-IpAddress read_ip(auto& r) {
+inline IpAddress read_ip(ByteReader& r) {
   std::uint8_t size = r.u8();
   if (size != 4 && size != 16) {
     throw DecodeError("corrupt encoding: bad address size");
@@ -87,12 +87,12 @@ IpAddress read_ip(auto& r) {
 
 /// Address + u8 length. A reader refuses host bits past the length: a
 /// Prefix never holds them.
-void write_prefix(auto& w, const Prefix& prefix) {
+inline void write_prefix(ByteWriter& w, const Prefix& prefix) {
   write_ip(w, prefix.address());
   w.u8(static_cast<std::uint8_t>(prefix.length()));
 }
 
-Prefix read_prefix(auto& r) {
+inline Prefix read_prefix(ByteReader& r) {
   IpAddress address = read_ip(r);
   std::uint8_t length = r.u8();
   Prefix prefix;
@@ -108,19 +108,19 @@ Prefix read_prefix(auto& r) {
 }
 
 /// Collector string + u32 peer ASN + peer address.
-void write_session(auto& w, const SessionKey& session) {
+inline void write_session(ByteWriter& w, const SessionKey& session) {
   write_bytes(w, session.collector);
   w.u32(session.peer_asn.value());
   write_ip(w, session.peer_address);
 }
 
-SessionKey read_session(auto& r) {
+inline SessionKey read_session(ByteReader& r) {
   return SessionKey{read_bytes<std::string>(r), Asn(r.u32()), read_ip(r)};
 }
 
 /// u32 segment count, then per segment u8 type + u32 ASN count (1 to
 /// 255: an AsPath holds no empty segment) + ASNs.
-void write_aspath(auto& w, const AsPath& path) {
+inline void write_aspath(ByteWriter& w, const AsPath& path) {
   const auto& segments = path.segments();
   w.u32(static_cast<std::uint32_t>(segments.size()));
   for (const AsPathSegment& segment : segments) {
@@ -130,7 +130,7 @@ void write_aspath(auto& w, const AsPath& path) {
   }
 }
 
-AsPath read_aspath(auto& r) {
+inline AsPath read_aspath(ByteReader& r) {
   std::uint32_t segment_count = r.u32();
   std::vector<AsPathSegment> segments;
   segments.reserve(std::min<std::uint32_t>(segment_count, 64));
@@ -163,12 +163,12 @@ AsPath read_aspath(auto& r) {
 
 /// u32 count + raw u32 values, strictly ascending (a reader refuses a
 /// repeated or out-of-order value).
-void write_communities(auto& w, const CommunitySet& set) {
+inline void write_communities(ByteWriter& w, const CommunitySet& set) {
   w.u32(static_cast<std::uint32_t>(set.size()));
   for (Community c : set) w.u32(c.raw());
 }
 
-CommunitySet read_communities(auto& r) {
+inline CommunitySet read_communities(ByteReader& r) {
   std::uint32_t count = r.u32();
   CommunitySet out;
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -212,7 +212,7 @@ const auto& key_of(const auto& element) {
 
 /// Writes `v` in the wire form its type derives (see the header comment).
 template <class T>
-void write_value(auto& w, const T& v) {
+void write_value(ByteWriter& w, const T& v) {
   if constexpr (requires { T::write_wire(w, v); }) {
     T::write_wire(w, v);
   } else if constexpr (std::is_same_v<T, bool>) {
@@ -279,12 +279,12 @@ void write_value(auto& w, const T& v) {
 }
 
 template <class T>
-void read_value(auto& r, T& out);
+void read_value(ByteReader& r, T& out);
 
 /// One element of an ordered container: the key (or, for a KeyedByValue
 /// map, the value it derives from) first.
 template <class T>
-typename T::value_type read_element(auto& r) {
+typename T::value_type read_element(ByteReader& r) {
   if constexpr (KeyedByValue<T>) {
     typename T::mapped_type value;
     read_value(r, value);
@@ -310,7 +310,7 @@ typename T::value_type read_element(auto& r) {
 /// Counts are never used to pre-size: a corrupt count runs into the end
 /// of the input instead of into a huge allocation.
 template <class T>
-void read_value(auto& r, T& out) {
+void read_value(ByteReader& r, T& out) {
   if constexpr (requires { T::read_wire(r, out); }) {
     T::read_wire(r, out);
   } else if constexpr (std::is_same_v<T, bool>) {
@@ -395,7 +395,7 @@ void read_value(auto& r, T& out) {
 
 /// Every PathAttributes field, in declaration order (docs/FORMATS.md,
 /// "Spill-run format").
-void write_attributes(auto& w, const PathAttributes& attrs) {
+inline void write_attributes(ByteWriter& w, const PathAttributes& attrs) {
   w.u8(static_cast<std::uint8_t>(attrs.origin));
   write_aspath(w, attrs.as_path);
   write_ip(w, attrs.next_hop);
@@ -422,7 +422,7 @@ void write_attributes(auto& w, const PathAttributes& attrs) {
   }
 }
 
-PathAttributes read_attributes(auto& r) {
+inline PathAttributes read_attributes(ByteReader& r) {
   PathAttributes out;
   std::uint8_t origin = r.u8();
   if (origin > static_cast<std::uint8_t>(Origin::kIncomplete)) {
@@ -453,7 +453,7 @@ PathAttributes read_attributes(auto& r) {
 
 /// u64 seq, u64 time (unix micros), session, prefix, u8 announcement,
 /// attributes.
-void write_seq_record(auto& w, const SeqRecord& sr) {
+inline void write_seq_record(ByteWriter& w, const SeqRecord& sr) {
   const UpdateRecord& record = sr.record;
   w.u64(sr.seq);
   w.u64(static_cast<std::uint64_t>(record.time.unix_micros()));
@@ -463,7 +463,7 @@ void write_seq_record(auto& w, const SeqRecord& sr) {
   write_attributes(w, record.attrs);
 }
 
-SeqRecord read_seq_record(auto& r) {
+inline SeqRecord read_seq_record(ByteReader& r) {
   SeqRecord out;
   out.seq = r.u64();
   out.record.time =

@@ -491,14 +491,13 @@ class RunStore {
       ByteWriter frame;
       for (const SeqRecord& sr : run) {
         frame.clear();
-        frame.u32(0);  // the record's length, patched below
+        const std::size_t at = frame.placeholder<std::uint32_t>();
         codec::write_seq_record(frame, sr);
-        const std::size_t size = frame.size() - 4;
+        const std::size_t size = frame.size() - at - 4;
         if (size > kMaxSpillRecordBytes) {
           throw ConfigError("record too large to spill");
         }
-        frame.patch_u16(0, static_cast<std::uint16_t>(size >> 16));
-        frame.patch_u16(2, static_cast<std::uint16_t>(size));
+        frame.patch(at, static_cast<std::uint32_t>(size));
         out.write(reinterpret_cast<const char*>(frame.data().data()),
                   static_cast<std::streamsize>(frame.size()));
       }

@@ -73,17 +73,6 @@ void ByteWriter::bytes(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-std::size_t ByteWriter::placeholder_u16() {
-  std::size_t offset = buf_.size();
-  u16(0);
-  return offset;
-}
-
-void ByteWriter::patch_u16(std::size_t offset, std::uint16_t v) {
-  buf_.at(offset) = static_cast<std::uint8_t>(v >> 8);
-  buf_.at(offset + 1) = static_cast<std::uint8_t>(v & 0xff);
-}
-
 std::string to_hex(std::span<const std::uint8_t> data) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;

@@ -1,8 +1,11 @@
-// Bounds-checked big-endian byte readers/writers used by the BGP and MRT
-// wire codecs. All multi-byte integers on the wire are network byte order.
+// Bounds-checked big-endian byte readers/writers: the one coder of every
+// bgpcc binary format — the BGP and MRT wire codecs, the spill runs and
+// the state files (core/codec.h). All multi-byte integers on the wire
+// are network byte order.
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -61,7 +64,7 @@ class ByteReader {
 /// Append-only big-endian byte buffer builder.
 ///
 /// Length fields that are only known after the payload is serialized are
-/// handled with placeholder()/patch_u16().
+/// handled with placeholder<T>()/patch().
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
@@ -74,10 +77,22 @@ class ByteWriter {
     bytes({static_cast<const std::uint8_t*>(data), n});
   }
 
-  /// Reserves a 2-byte slot (written as zero) and returns its offset for a
-  /// later patch_u16() once the enclosed payload length is known.
-  [[nodiscard]] std::size_t placeholder_u16();
-  void patch_u16(std::size_t offset, std::uint16_t v);
+  /// Reserves a sizeof(T)-byte slot (written as zero) and returns its
+  /// offset for a later patch() once the enclosed payload length is known.
+  template <std::unsigned_integral T>
+  [[nodiscard]] std::size_t placeholder() {
+    std::size_t offset = buf_.size();
+    buf_.resize(offset + sizeof(T));
+    return offset;
+  }
+  /// Writes `v` big-endian over the slot placeholder<T>() returned.
+  template <std::unsigned_integral T>
+  void patch(std::size_t offset, T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      buf_.at(offset + i) =
+          static_cast<std::uint8_t>(v >> (8 * (sizeof(T) - 1 - i)));
+    }
+  }
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }

@@ -25,9 +25,11 @@
 #include "analytics/standard.h"
 #include "archive_gen.h"
 #include "core/cleaning.h"
+#include "core/codec.h"
 #include "core/ingest.h"
 #include "core/registry.h"
 #include "core/stream.h"
+#include "netbase/bytes.h"
 #include "netbase/error.h"
 
 namespace bgpcc::analytics {
@@ -344,10 +346,10 @@ TEST(CheckpointResume, TruncatedCheckpointThrowsDecodeError) {
     (void)table.advance(record);
   }
   ASSERT_GT(table.stream_states().size(), 0u);
-  std::ostringstream section_out;
-  serialize::Writer section_writer(section_out);
+  ByteWriter section_writer;
   serialize::write_stream_table(section_writer, table.stream_states());
-  const std::string section = section_out.str();
+  const std::string section(section_writer.data().begin(),
+                            section_writer.data().end());
   const std::size_t begin = 7 + 2 + 2 + 1 + 2;
   ASSERT_EQ(ckpt.substr(begin, section.size()), section);
 
@@ -391,17 +393,16 @@ TEST(CheckpointResume, OrphanStreamTableThrowsDecodeError) {
   (void)table.advance(record);
 
   auto checkpoint_with = [](const core::Classifier::StreamStates& streams) {
-    std::ostringstream out;
-    serialize::Writer w(out);
+    ByteWriter w;
     serialize::write_block_header(w, serialize::BlockKind::kCheckpoint);
     w.u16(1);                         // one pass,
     w.u16(TomographyPass::kStateTag);  // which reads no stream events
-    w.boolean(false);                 // no ingest cursor
+    core::codec::write_value(w, false);  // no ingest cursor
     w.u16(1);                         // one shard slot
     serialize::write_stream_table(w, streams);
     w.u64(8);  // the tomography blob: an empty AS list
     w.u64(0);
-    return out.str();
+    return std::string(w.data().begin(), w.data().end());
   };
   auto restore = [](const std::string& bytes) {
     AnalysisDriver driver;

@@ -201,10 +201,10 @@ TEST(CodecMalformed, DuplicateAttributeRejected) {
   // Hand-build an update with ORIGIN twice.
   ByteWriter w;
   for (int i = 0; i < 16; ++i) w.u8(0xff);
-  auto len_at = w.placeholder_u16();
+  auto len_at = w.placeholder<std::uint16_t>();
   w.u8(2);           // UPDATE
   w.u16(0);          // withdrawn length
-  auto attrs_at = w.placeholder_u16();
+  auto attrs_at = w.placeholder<std::uint16_t>();
   std::size_t before = w.size();
   for (int i = 0; i < 2; ++i) {
     w.u8(0x40);
@@ -212,8 +212,8 @@ TEST(CodecMalformed, DuplicateAttributeRejected) {
     w.u8(1);
     w.u8(0);
   }
-  w.patch_u16(attrs_at, static_cast<std::uint16_t>(w.size() - before));
-  w.patch_u16(len_at, static_cast<std::uint16_t>(w.size()));
+  w.patch(attrs_at, static_cast<std::uint16_t>(w.size() - before));
+  w.patch(len_at, static_cast<std::uint16_t>(w.size()));
   auto data = std::move(w).take();
   EXPECT_THROW((void)decode_update(data), DecodeError);
 }

@@ -1,5 +1,5 @@
 // bgpcc-lint fixture: S1 must fire — decode paths that bypass the
-// Reader primitives or trust a wire count before validating it.
+// ByteReader primitives or trust a wire count before validating it.
 #include <cstdint>
 #include <istream>
 #include <string>
@@ -7,14 +7,14 @@
 
 namespace fixture {
 
-struct Reader {
+struct ByteReader {
   std::uint32_t u32();
   std::uint64_t u64();
 };
 
 class BadState {
  public:
-  void load(Reader& r) {
+  void load(ByteReader& r) {
     // BAD: pre-sizing from an unvalidated wire-read count — corrupt
     // input can drive a multi-gigabyte allocation before any
     // DecodeError fires.
@@ -33,6 +33,15 @@ class BadState {
 // garbage instead of a DecodeError.
 void read_header(std::istream& in, char* buf) {
   in.read(buf, 16);
+}
+
+// BAD: not named load or read_*, but it takes a ByteReader&, so it is a
+// decode function all the same.
+std::vector<std::uint64_t> decode_counts(ByteReader& r) {
+  std::uint64_t n = r.u64();
+  std::vector<std::uint64_t> counts;
+  counts.resize(n);
+  return counts;
 }
 
 }  // namespace fixture

@@ -1,16 +1,21 @@
 // bgpcc-lint fixture: the clean twin of s1_bad.cc — wire counts are
-// sanity-capped before they size anything (the serialize.cpp idiom).
+// sanity-capped before they size anything (the core/codec.h idiom).
 // S1 must stay silent.
 #include <algorithm>
 #include <cstdint>
+#include <istream>
 #include <stdexcept>
 #include <vector>
 
 namespace fixture {
 
-struct Reader {
+class ByteReader {
+ public:
   std::uint32_t u32();
   std::uint64_t u64();
+  // The primitives themselves are exempt: they are what decode
+  // functions go through.
+  void read_from(std::istream& in, char* buf) { in.read(buf, 16); }
 };
 
 struct DecodeError : std::runtime_error {
@@ -19,7 +24,7 @@ struct DecodeError : std::runtime_error {
 
 class CleanState {
  public:
-  void load(Reader& r) {
+  void load(ByteReader& r) {
     std::uint32_t count = r.u32();
     // The cap comes before any allocation sized by the count.
     if (count > (1u << 16)) {
@@ -31,7 +36,7 @@ class CleanState {
     }
   }
 
-  void load_segments(Reader& r) {
+  void load_segments(ByteReader& r) {
     std::uint32_t n = r.u32();
     // A std::min clamp also counts as a bound.
     segments_.reserve(std::min<std::uint32_t>(n, 64));

@@ -1,6 +1,8 @@
 // Unit tests: netbase (addresses, prefixes, ASNs, bytes, time).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "netbase/asn.h"
 #include "netbase/bytes.h"
 #include "netbase/error.h"
@@ -200,12 +202,26 @@ TEST(ByteReader, SubReaderIsBounded) {
 
 TEST(ByteWriter, PatchU16) {
   ByteWriter w;
-  std::size_t at = w.placeholder_u16();
+  std::size_t at = w.placeholder<std::uint16_t>();
   w.u32(0xdeadbeef);
-  w.patch_u16(at, 4);
+  w.patch(at, std::uint16_t{4});
   EXPECT_EQ(w.data()[0], 0x00);
   EXPECT_EQ(w.data()[1], 0x04);
   EXPECT_EQ(to_hex({w.data().data(), w.data().size()}), "0004deadbeef");
+}
+
+// One placeholder/patch pair serves every length width: the BGP codec's
+// u16 lengths, the spill frames' u32 and the state blobs' u64.
+TEST(ByteWriter, PatchIsWidthGeneric) {
+  ByteWriter w;
+  std::size_t frame = w.placeholder<std::uint32_t>();
+  std::size_t blob = w.placeholder<std::uint64_t>();
+  w.u8(0xee);
+  w.patch(frame, std::uint32_t{0x01020304});
+  w.patch(blob, std::uint64_t{0x05060708090a0b0c});
+  EXPECT_EQ(to_hex({w.data().data(), w.data().size()}),
+            "0102030405060708090a0b0cee");
+  EXPECT_THROW(w.patch(w.size() - 1, std::uint16_t{0}), std::out_of_range);
 }
 
 TEST(ByteWriter, RawAndClear) {

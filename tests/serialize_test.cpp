@@ -10,6 +10,8 @@
 //    version, cross-driver tag mismatches, bare-cursor misuse, and a
 //    corrupt length prefix all throw DecodeError/ConfigError — never UB
 //    (the ASan/UBSan CI jobs run this suite);
+//  - state files: a trailing byte, a blob length off by one and an
+//    output stream that fails mid-write all throw DecodeError;
 //  - canonical bytes: every pass payload, a stream table section and a
 //    cursor block, cut at every byte and flipped at every byte, either
 //    throw or decode to a value that re-encodes to the same bytes.
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +35,7 @@
 #include "core/ingest.h"
 #include "core/registry.h"
 #include "core/stream.h"
+#include "netbase/bytes.h"
 #include "netbase/error.h"
 
 namespace bgpcc::analytics {
@@ -45,17 +49,35 @@ using core::StreamingIngestor;
 using core::archgen::allocated_registry;
 using core::archgen::ArchiveGenerator;
 
+/// The bytes `w` holds, as a string (the fixtures compare strings).
+std::string str(const ByteWriter& w) {
+  return {w.data().begin(), w.data().end()};
+}
+
+/// A reader over `bytes`, which must outlive it.
+ByteReader reader_of(const std::string& bytes) {
+  return ByteReader({reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                     bytes.size()});
+}
+
+/// Decodes one value of type T through the generic codec.
+template <class T>
+T read_as(ByteReader& r) {
+  T value{};
+  core::codec::read_value(r, value);
+  return value;
+}
+
 // ---------------------------------------------------------------------------
 // Primitives.
 
 TEST(SerializePrimitives, BigEndianLayoutsArePinned) {
-  std::ostringstream out;
-  serialize::Writer w(out);
+  ByteWriter w;
   w.u8(0xAB);
   w.u16(0x1234);
   w.u32(0xDEADBEEF);
   w.u64(0x0102030405060708ULL);
-  std::string bytes = out.str();
+  std::string bytes = str(w);
   ASSERT_EQ(bytes.size(), 15u);
   const unsigned char expected[] = {0xAB, 0x12, 0x34, 0xDE, 0xAD,
                                     0xBE, 0xEF, 0x01, 0x02, 0x03,
@@ -63,7 +85,7 @@ TEST(SerializePrimitives, BigEndianLayoutsArePinned) {
   for (std::size_t i = 0; i < sizeof(expected); ++i) {
     EXPECT_EQ(static_cast<unsigned char>(bytes[i]), expected[i]) << i;
   }
-  EXPECT_EQ(w.bytes_written(), 15u);
+  EXPECT_EQ(w.size(), 15u);
 }
 
 // The v5 layouts, byte for byte: a ClassifierPass partial state (v5: the
@@ -135,19 +157,17 @@ TEST(SerializePrimitives, V5LayoutsArePinned) {
   core::UpdateRecord withdrawal = record;
   withdrawal.announcement = false;
   (void)table.advance(withdrawal);
-  std::ostringstream section;
-  serialize::Writer w(section);
+  ByteWriter w;
   serialize::write_stream_table(w, table.stream_states());
-  EXPECT_EQ(as_bytes(section.str()),
+  EXPECT_EQ(as_bytes(str(w)),
             cat({u64(1),  // one stream
                  session, prefix, path, comms,
                  {0x00},    // no MED
                  u64(2),    // nn run
                  {0x01}}));  // withdrawn
-  std::ostringstream ledger;
-  serialize::Writer lw(ledger);
+  ByteWriter lw;
   core::codec::write_value(lw, table.ledger());
-  EXPECT_EQ(as_bytes(ledger.str()),
+  EXPECT_EQ(as_bytes(str(lw)),
             cat({u64(1), session,                                // one session
                  u64(0), u64(0), u64(0), u64(2), u64(0), u64(0),  // pc..xn
                  u64(1), u64(1), u64(0),  // first, withdrawals, nn+MED
@@ -183,45 +203,42 @@ TEST(SerializePrimitives, V5LayoutsArePinned) {
 }
 
 TEST(SerializePrimitives, RoundtripAllTypes) {
-  std::ostringstream out;
-  serialize::Writer w(out);
+  using core::codec::write_value;
+  ByteWriter w;
   w.u8(7);
   w.u16(65535);
   w.u32(0x80000001u);
   w.u64(~0ULL);
-  w.i64(-123456789012345LL);
-  w.boolean(true);
-  w.boolean(false);
-  w.str("collector.example");
-  w.str("");
+  write_value(w, std::int64_t{-123456789012345LL});
+  write_value(w, true);
+  write_value(w, false);
+  write_value(w, std::string("collector.example"));
+  write_value(w, std::string());
 
-  std::istringstream in(out.str());
-  serialize::Reader r(in);
+  ByteReader r(w.data());
   EXPECT_EQ(r.u8(), 7u);
   EXPECT_EQ(r.u16(), 65535u);
   EXPECT_EQ(r.u32(), 0x80000001u);
   EXPECT_EQ(r.u64(), ~0ULL);
-  EXPECT_EQ(r.i64(), -123456789012345LL);
-  EXPECT_TRUE(r.boolean());
-  EXPECT_FALSE(r.boolean());
-  EXPECT_EQ(r.str(), "collector.example");
-  EXPECT_EQ(r.str(), "");
-  EXPECT_EQ(r.bytes_read(), w.bytes_written());
+  EXPECT_EQ(read_as<std::int64_t>(r), -123456789012345LL);
+  EXPECT_TRUE(read_as<bool>(r));
+  EXPECT_FALSE(read_as<bool>(r));
+  EXPECT_EQ(read_as<std::string>(r), "collector.example");
+  EXPECT_EQ(read_as<std::string>(r), "");
+  EXPECT_EQ(r.position(), w.size());
 }
 
 TEST(SerializePrimitives, TruncatedReadThrows) {
-  std::istringstream in(std::string("\x01\x02", 2));
-  serialize::Reader r(in);
+  const std::uint8_t bytes[] = {0x01, 0x02};
+  ByteReader r(bytes);
   EXPECT_THROW((void)r.u32(), DecodeError);
 }
 
 TEST(SerializePrimitives, OversizedStringLengthThrows) {
-  std::ostringstream out;
-  serialize::Writer w(out);
+  ByteWriter w;
   w.u32(0x7FFFFFFF);  // a corrupt length prefix, not followed by data
-  std::istringstream in(out.str());
-  serialize::Reader r(in);
-  EXPECT_THROW((void)r.str(), DecodeError);
+  ByteReader r(w.data());
+  EXPECT_THROW((void)read_as<std::string>(r), DecodeError);
 }
 
 // The writer and the reader share one string cap: a string of exactly
@@ -229,63 +246,52 @@ TEST(SerializePrimitives, OversizedStringLengthThrows) {
 // later when a checkpoint is restored.
 TEST(SerializePrimitives, StringCapIsSharedByWriterAndReader) {
   const std::string at_cap(core::codec::kMaxStringBytes, 'c');
-  std::ostringstream out;
-  serialize::Writer w(out);
-  w.str(at_cap);
-  std::istringstream in(out.str());
-  serialize::Reader r(in);
-  EXPECT_EQ(r.str(), at_cap);
+  ByteWriter w;
+  core::codec::write_value(w, at_cap);
+  ByteReader r(w.data());
+  EXPECT_EQ(read_as<std::string>(r), at_cap);
 
-  std::ostringstream over_out;
-  serialize::Writer over(over_out);
-  EXPECT_THROW(over.str(at_cap + "c"), ConfigError);
-  EXPECT_EQ(over.bytes_written(), 0u);
+  ByteWriter over;
+  EXPECT_THROW(core::codec::write_value(over, at_cap + "c"), ConfigError);
+  EXPECT_EQ(over.size(), 0u);
 }
 
 TEST(SerializeHeader, BadMagicAndVersionThrow) {
   {
-    std::istringstream in("NOPE....");
-    serialize::Reader r(in);
+    const std::string bytes = "NOPE....";
+    ByteReader r = reader_of(bytes);
     EXPECT_THROW((void)serialize::read_block_header(r), DecodeError);
   }
   {
-    std::ostringstream out;
-    serialize::Writer w(out);
+    ByteWriter w;
     w.u32(serialize::kMagic);
     w.u16(serialize::kFormatVersion + 1);  // a future format
     w.u8(1);
-    std::istringstream in(out.str());
-    serialize::Reader r(in);
+    ByteReader r(w.data());
     EXPECT_THROW((void)serialize::read_block_header(r), DecodeError);
   }
   {
-    std::ostringstream out;
-    serialize::Writer w(out);
+    ByteWriter w;
     w.u32(serialize::kMagic);
     w.u16(1);  // the retired v1 layout (no cursor shard count): rejected
     w.u8(1);
-    std::istringstream in(out.str());
-    serialize::Reader r(in);
+    ByteReader r(w.data());
     EXPECT_THROW((void)serialize::read_block_header(r), DecodeError);
   }
   {
-    std::ostringstream out;
-    serialize::Writer w(out);
+    ByteWriter w;
     w.u32(serialize::kMagic);
     w.u16(3);  // the retired v3 layout (no withdrawn bit): rejected
     w.u8(2);
-    std::istringstream in(out.str());
-    serialize::Reader r(in);
+    ByteReader r(w.data());
     EXPECT_THROW((void)serialize::read_block_header(r), DecodeError);
   }
   {
-    std::ostringstream out;
-    serialize::Writer w(out);
+    ByteWriter w;
     w.u32(serialize::kMagic);
     w.u16(serialize::kFormatVersion);
     w.u8(99);  // unknown block kind
-    std::istringstream in(out.str());
-    serialize::Reader r(in);
+    ByteReader r(w.data());
     EXPECT_THROW((void)serialize::read_block_header(r), DecodeError);
   }
 }
@@ -529,16 +535,15 @@ TEST(SerializeRobustness, BareIngestCursorIsRejected) {
   core::IngestCheckpoint cursor;
   cursor.chunk_records = 4096;
   cursor.carry.resize(core::kIngestShards);
-  std::ostringstream out;
-  serialize::Writer w(out);
+  ByteWriter w;
   serialize::write_ingest_checkpoint(w, cursor);
 
   AnalysisDriver driver;
   (void)StandardPasses::add(driver);
-  std::istringstream in(out.str());
+  std::istringstream in(str(w));
   EXPECT_THROW(driver.load_state(in), DecodeError);
 
-  std::istringstream tags_in(out.str());
+  std::istringstream tags_in(str(w));
   EXPECT_THROW((void)serialize::read_state_tags(tags_in), DecodeError);
 }
 
@@ -558,11 +563,9 @@ TEST(SerializeRobustness, IngestCheckpointRoundtrips) {
   cursor.cleaning.late_records = 5;
   cursor.stats.raw_records = 99;
 
-  std::ostringstream out;
-  serialize::Writer w(out);
+  ByteWriter w;
   serialize::write_ingest_checkpoint(w, cursor);
-  std::istringstream in(out.str());
-  serialize::Reader r(in);
+  ByteReader r(w.data());
   core::IngestCheckpoint back = serialize::read_ingest_checkpoint(r);
 
   EXPECT_EQ(back.chunk_records, cursor.chunk_records);
@@ -589,17 +592,15 @@ TEST(SerializeRobustness, CursorWithManySourcesRoundtrips) {
     cursor.collectors.push_back(std::to_string(i));
   }
   cursor.carry.resize(core::kIngestShards);
-  std::ostringstream out;
-  serialize::Writer w(out);
+  ByteWriter w;
   serialize::write_ingest_checkpoint(w, cursor);
-  std::istringstream in(out.str());
-  serialize::Reader r(in);
+  ByteReader r(w.data());
   EXPECT_EQ(serialize::read_ingest_checkpoint(r).collectors,
             cursor.collectors);
-  EXPECT_EQ(r.bytes_read(), w.bytes_written());
+  EXPECT_EQ(r.position(), w.size());
 }
 
-void write_nine_counts(serialize::Writer& w, std::uint64_t nc) {
+void write_nine_counts(ByteWriter& w, std::uint64_t nc) {
   for (int i = 0; i < 9; ++i) w.u64(i == 2 ? nc : 0);
 }
 
@@ -608,41 +609,37 @@ void write_nine_counts(serialize::Writer& w, std::uint64_t nc) {
 TEST(SerializeRobustness, RepeatedSessionKeyThrows) {
   const core::SessionKey session{"rrc00", Asn(65001),
                                  IpAddress::v4(10, 0, 0, 1)};
-  std::ostringstream payload_out;
-  serialize::Writer payload(payload_out);
+  ByteWriter payload;
   payload.u64(2);
   core::codec::write_session(payload, session);
   write_nine_counts(payload, 1);
   core::codec::write_session(payload, session);
   write_nine_counts(payload, 2);
 
-  std::ostringstream file;
-  serialize::Writer w(file);
+  ByteWriter w;
   serialize::write_block_header(w, serialize::BlockKind::kPartialState);
   w.u16(1);
   w.u16(static_cast<std::uint16_t>(serialize::PassTag::kPerSessionTypes));
-  w.u64(payload.bytes_written());
-  w.raw(payload_out.str().data(), payload_out.str().size());
+  w.u64(payload.size());
+  w.bytes(payload.data());
 
   AnalysisDriver driver;
   (void)driver.add(PerSessionTypesPass{});
-  std::istringstream in(file.str());
+  std::istringstream in(str(w));
   EXPECT_THROW(driver.load_state(in), DecodeError);
 }
 
 // An AsPath holds no empty segment, so an encoded one is corruption (the
 // decoded path would drop it and re-encode to other bytes).
 TEST(SerializeRobustness, EmptyAsPathSegmentThrows) {
-  std::ostringstream out;
-  serialize::Writer w(out);
+  ByteWriter w;
   w.u32(2);  // two segments
   w.u8(2);   // a sequence
   w.u32(0);  // of no ASNs
   w.u8(2);
   w.u32(1);
   w.u32(65001);
-  std::istringstream in(out.str());
-  serialize::Reader r(in);
+  ByteReader r(w.data());
   EXPECT_THROW((void)core::codec::read_aspath(r), DecodeError);
 }
 
@@ -655,14 +652,12 @@ TEST(SerializeRobustness, NonBinaryWithdrawnByteThrows) {
   record.attrs.as_path = AsPath::sequence({Asn(65001)});
   core::Classifier table;
   (void)table.advance(record);
-  std::ostringstream out;
-  serialize::Writer w(out);
+  ByteWriter w;
   serialize::write_stream_table(w, table.stream_states());
-  std::string bytes = out.str();
+  std::string bytes = str(w);
   ASSERT_EQ(bytes.back(), '\x00');  // withdrawn: the entry's last byte
   bytes.back() = '\x02';
-  std::istringstream in(bytes);
-  serialize::Reader r(in);
+  ByteReader r = reader_of(bytes);
   EXPECT_THROW((void)serialize::read_stream_table(r), DecodeError);
 }
 
@@ -672,13 +667,11 @@ TEST(SerializeRobustness, IngestCursorShardFieldIsValidated) {
   core::IngestCheckpoint cursor;
   cursor.chunk_records = 1024;
   cursor.carry.resize(8);
-  std::ostringstream out;
-  serialize::Writer w(out);
+  ByteWriter w;
   serialize::write_ingest_checkpoint(w, cursor);
-  std::string bytes = out.str();
+  std::string bytes = str(w);
   {
-    std::istringstream in(bytes);
-    serialize::Reader r(in);
+    ByteReader r = reader_of(bytes);
     EXPECT_EQ(serialize::read_ingest_checkpoint(r).carry.size(), 8u);
   }
 
@@ -692,8 +685,7 @@ TEST(SerializeRobustness, IngestCursorShardFieldIsValidated) {
   ASSERT_EQ(bytes[kCarryCount - 1], '\x08');  // resolved count, low byte
   ASSERT_EQ(bytes[kCarryCount + 7], '\x08');  // carry count, low byte
   bytes[kCarryCount + 7] = '\x04';
-  std::istringstream in(bytes);
-  serialize::Reader r(in);
+  ByteReader r = reader_of(bytes);
   EXPECT_THROW((void)serialize::read_ingest_checkpoint(r), DecodeError);
 }
 
@@ -800,28 +792,23 @@ void expect_checked_or_canonical(
 /// Decodes one payload with `read`, requiring every byte consumed (the
 /// driver's state-blob rule), and re-encodes it with `write`.
 std::string reencode(const std::string& bytes,
-                     const std::function<void(serialize::Reader&)>& read,
-                     const std::function<void(serialize::Writer&)>& write) {
-  std::istringstream in(bytes);
-  serialize::Reader r(in);
+                     const std::function<void(ByteReader&)>& read,
+                     const std::function<void(ByteWriter&)>& write) {
+  ByteReader r = reader_of(bytes);
   read(r);
-  if (r.bytes_read() != bytes.size()) {
-    throw DecodeError("payload not consumed exactly");
-  }
-  std::ostringstream out;
-  serialize::Writer w(out);
+  if (!r.empty()) throw DecodeError("payload not consumed exactly");
+  ByteWriter w;
   write(w);
-  return out.str();
+  return str(w);
 }
 
 /// The ledger section of a stream table that classified `records`.
 std::string ledger_section(const std::vector<core::UpdateRecord>& records) {
   core::Classifier table;
   for (const core::UpdateRecord& record : records) (void)table.advance(record);
-  std::ostringstream out;
-  serialize::Writer w(out);
+  ByteWriter w;
   core::codec::write_value(w, table.ledger());
-  return out.str();
+  return str(w);
 }
 
 /// The one state payload of `pass` after it observes `records`, and its
@@ -866,8 +853,8 @@ void expect_pass_payload_canonical(P pass,
       [&pass](const std::string& bytes) {
         auto state = pass.make_state();
         return reencode(
-            bytes, [&](serialize::Reader& r) { core::codec::read_value(r, state); },
-            [&](serialize::Writer& w) { core::codec::write_value(w, state); });
+            bytes, [&](ByteReader& r) { core::codec::read_value(r, state); },
+            [&](ByteWriter& w) { core::codec::write_value(w, state); });
       },
       config_end);
 }
@@ -894,15 +881,14 @@ TEST(SerializeCanonical, StreamTableByteIsCheckedOrCanonical) {
   for (const core::UpdateRecord& record : canonical_fixture()) {
     (void)table.advance(record);
   }
-  std::ostringstream out;
-  serialize::Writer w(out);
+  ByteWriter w;
   serialize::write_stream_table(w, table.stream_states());
-  expect_checked_or_canonical(out.str(), [](const std::string& bytes) {
+  expect_checked_or_canonical(str(w), [](const std::string& bytes) {
     core::Classifier::StreamStates streams;
     return reencode(
         bytes,
-        [&](serialize::Reader& r) { streams = serialize::read_stream_table(r); },
-        [&](serialize::Writer& w) { serialize::write_stream_table(w, streams); });
+        [&](ByteReader& r) { streams = serialize::read_stream_table(r); },
+        [&](ByteWriter& w) { serialize::write_stream_table(w, streams); });
   });
 }
 
@@ -912,8 +898,8 @@ TEST(SerializeCanonical, LedgerSectionByteIsCheckedOrCanonical) {
         core::SessionLedger ledger;
         return reencode(
             bytes,
-            [&](serialize::Reader& r) { core::codec::read_value(r, ledger); },
-            [&](serialize::Writer& w) { core::codec::write_value(w, ledger); });
+            [&](ByteReader& r) { core::codec::read_value(r, ledger); },
+            [&](ByteWriter& w) { core::codec::write_value(w, ledger); });
       });
 }
 
@@ -931,16 +917,132 @@ TEST(SerializeCanonical, CursorBlockByteIsCheckedOrCanonical) {
   cursor.cleaning.late_records = 5;
   cursor.stats.raw_records = 99;
   cursor.stats.windows = 3;
-  std::ostringstream out;
-  serialize::Writer w(out);
+  ByteWriter w;
   serialize::write_ingest_checkpoint(w, cursor);
-  expect_checked_or_canonical(out.str(), [](const std::string& bytes) {
+  expect_checked_or_canonical(str(w), [](const std::string& bytes) {
     core::IngestCheckpoint back;
     return reencode(
         bytes,
-        [&](serialize::Reader& r) { back = serialize::read_ingest_checkpoint(r); },
-        [&](serialize::Writer& w) { serialize::write_ingest_checkpoint(w, back); });
+        [&](ByteReader& r) { back = serialize::read_ingest_checkpoint(r); },
+        [&](ByteWriter& w) { serialize::write_ingest_checkpoint(w, back); });
   });
+}
+
+// ---------------------------------------------------------------------------
+// State files: the block is the whole file, each blob is its declared
+// bytes, and a failed write is never a good checkpoint.
+
+/// A driver with the standard passes over the canonical fixture.
+void observe_fixture(AnalysisDriver& driver) {
+  (void)StandardPasses::add(driver);
+  for (const core::UpdateRecord& record : canonical_fixture()) {
+    driver.observe(record);
+  }
+}
+
+TEST(SerializeStateFile, TrailingByteIsRefused) {
+  const std::string state = small_state();
+  AnalysisDriver live;
+  observe_fixture(live);
+  std::ostringstream checkpoint;
+  live.checkpoint(checkpoint);
+  const std::string ckpt = checkpoint.str();
+
+  for (const std::string* file : {&state, &ckpt}) {
+    for (const std::string& bytes : {*file, *file + '\0'}) {
+      AnalysisDriver driver;
+      (void)StandardPasses::add(driver);
+      std::istringstream in(bytes);
+      if (bytes.size() == file->size()) {
+        EXPECT_NO_THROW(driver.load_state(in));
+      } else {
+        EXPECT_THROW(driver.load_state(in), DecodeError);
+      }
+    }
+  }
+  AnalysisDriver restored;
+  (void)StandardPasses::add(restored);
+  std::istringstream in(ckpt + 'x');
+  EXPECT_THROW(restored.restore(in), DecodeError);
+}
+
+/// `bytes` with the big-endian u64 at `at` moved by `delta`.
+std::string shift_u64(std::string bytes, std::size_t at, int delta) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    value = (value << 8) | static_cast<unsigned char>(bytes[at + i]);
+  }
+  value += static_cast<std::uint64_t>(static_cast<std::int64_t>(delta));
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<char>(value >> (8 * (7 - i)));
+  }
+  return bytes;
+}
+
+// A blob length one short makes its pass's decoder run out of bytes; one
+// long leaves a byte unread. Either way the offending pass throws
+// DecodeError: its decoder never reads into the next pass's bytes.
+TEST(SerializeStateFile, BlobLengthOffByOneThrowsDecodeError) {
+  const std::string state = small_state();
+  ByteReader walk = reader_of(state);
+  walk.skip(7 + 2 + 2 * 9);  // header, pass count, nine tags
+  (void)read_as<core::SessionLedger>(walk);
+  std::size_t blobs = 0;
+  while (!walk.empty()) {
+    const std::size_t at = walk.position();
+    walk.skip(walk.u64());
+    ++blobs;
+    for (int delta : {-1, 1}) {
+      AnalysisDriver driver;
+      (void)StandardPasses::add(driver);
+      std::istringstream in(shift_u64(state, at, delta));
+      EXPECT_THROW(driver.load_state(in), DecodeError)
+          << "blob " << blobs << " delta " << delta;
+    }
+  }
+  EXPECT_EQ(blobs, 9u);
+}
+
+/// A stream buffer that takes `budget` bytes, then refuses every write.
+class FailingBuffer : public std::streambuf {
+ public:
+  explicit FailingBuffer(std::size_t budget) : budget_(budget) {}
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (budget_ == 0) return traits_type::eof();
+    --budget_;
+    return traits_type::not_eof(ch);
+  }
+
+ private:
+  std::size_t budget_;
+};
+
+// The stream fails in the header section, inside a shard slot, and on
+// the last byte: every one is a DecodeError, never a short good file.
+TEST(SerializeStateFile, FailingOutputStreamThrowsDecodeError) {
+  AnalysisDriver driver;
+  observe_fixture(driver);
+  std::ostringstream whole;
+  driver.checkpoint(whole);
+  const std::size_t size = whole.str().size();
+  for (std::size_t budget : {std::size_t{0}, std::size_t{8}, size / 2,
+                             size - 1}) {
+    FailingBuffer buffer(budget);
+    std::ostream out(&buffer);
+    EXPECT_THROW(driver.checkpoint(out), DecodeError) << "budget " << budget;
+  }
+
+  std::ostringstream saved;
+  driver.save_state(saved);
+  const std::size_t saved_size = saved.str().size();
+  for (std::size_t budget : {std::size_t{0}, std::size_t{8}, saved_size / 2,
+                             saved_size - 1}) {
+    FailingBuffer buffer(budget);
+    std::ostream out(&buffer);
+    EXPECT_THROW(driver.save_state(out), DecodeError) << "budget " << budget;
+  }
 }
 
 }  // namespace

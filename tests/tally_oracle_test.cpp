@@ -3,12 +3,16 @@
 // nn runs, recomputed from the paper's text over a flat record vector and
 // a plain map of the last announcement per (collector, peer, prefix). It
 // never calls core::Classifier, and has its own prepending-only test.
+// Beside it, a community oracle recounts Table 1's community rows and
+// Fig 4's namespaces (announcements, withdrawals, values, the
+// communities-per-announcement histogram) without CommunityStatsPass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -100,6 +104,53 @@ std::map<SessionKey, OracleTally> oracle(
   return tallies;
 }
 
+/// CommunityStatsPass's default bucket count: 0 to 15 communities, then
+/// one bucket for 16 or more.
+constexpr std::size_t kBuckets = 17;
+
+/// Table 1's community rows and Fig 4's namespaces, recounted from the
+/// records with plain counters, an ordered value set and a fixed
+/// histogram.
+analytics::CommunityStatsPass::Report community_oracle(
+    const std::vector<UpdateRecord>& records) {
+  analytics::CommunityStatsPass::Report out;
+  out.communities_per_announcement.assign(kBuckets, 0);
+  std::set<std::uint32_t> values;
+  for (const UpdateRecord& r : records) {
+    if (!r.announcement) {
+      ++out.withdrawals;
+      continue;
+    }
+    ++out.announcements;
+    std::size_t carried = 0;
+    for (Community c : r.attrs.communities) {
+      ++carried;
+      values.insert(c.raw());
+    }
+    out.community_occurrences += carried;
+    if (carried > 0) ++out.with_communities;
+    ++out.communities_per_announcement[std::min(carried, kBuckets - 1)];
+  }
+  out.unique_communities = values.size();
+  // Fig 4: distinct values per 16-bit namespace, most values first and
+  // ties by namespace.
+  std::map<std::uint16_t, std::uint64_t> per_namespace;
+  for (std::uint32_t value : values) {
+    ++per_namespace[static_cast<std::uint16_t>(value >> 16)];
+  }
+  for (const auto& [asn16, distinct] : per_namespace) {
+    out.namespaces.push_back({asn16, distinct});
+  }
+  std::sort(out.namespaces.begin(), out.namespaces.end(),
+            [](const auto& a, const auto& b) {
+              if (a.distinct_values != b.distinct_values) {
+                return a.distinct_values > b.distinct_values;
+              }
+              return a.asn16 < b.asn16;
+            });
+  return out;
+}
+
 void expect_reports_match_oracle(const std::vector<UpdateRecord>& records) {
   ASSERT_FALSE(records.empty());
   const std::map<SessionKey, OracleTally> expected = oracle(records);
@@ -108,7 +159,11 @@ void expect_reports_match_oracle(const std::vector<UpdateRecord>& records) {
   auto types = driver.add(analytics::ClassifierPass{});
   auto sessions = driver.add(analytics::PerSessionTypesPass{});
   auto duplicates = driver.add(analytics::DuplicateBurstPass{});
+  auto communities = driver.add(analytics::CommunityStatsPass{kBuckets});
   for (const UpdateRecord& record : records) driver.observe(record);
+
+  // Table 1's community rows and Fig 4, field by field.
+  EXPECT_EQ(driver.report(communities), community_oracle(records));
 
   // Table 2 is the sum over sessions; §6 sums the typed sessions' rows.
   TypeCounts sum;
@@ -156,11 +211,11 @@ void expect_reports_match_oracle(const std::vector<UpdateRecord>& records) {
   }
 }
 
-/// An announcement of the Fig 3 beacon prefix, or a withdrawal when
-/// `path` is empty.
+/// An announcement of the Fig 3 beacon prefix carrying `communities`
+/// values in two namespaces, or a withdrawal when `path` is empty.
 UpdateRecord record(const SessionKey& session, const std::string& path,
                     std::optional<std::uint32_t> med = std::nullopt,
-                    bool community = false) {
+                    std::uint16_t communities = 0) {
   UpdateRecord r;
   r.session = session;
   r.prefix = Prefix::from_string("84.205.64.0/24");
@@ -168,13 +223,18 @@ UpdateRecord record(const SessionKey& session, const std::string& path,
   if (!r.announcement) return r;
   r.attrs.as_path = AsPath::from_string(path);
   r.attrs.med = med;
-  if (community) r.attrs.communities.add(Community::of(3356, 2001));
+  for (std::uint16_t i = 0; i < communities; ++i) {
+    const std::uint16_t asn16 = i % 3 == 0 ? 174 : 3356;
+    r.attrs.communities.add(
+        Community::of(asn16, static_cast<std::uint16_t>(2001 + i)));
+  }
   return r;
 }
 
 // Hand-built shapes: a session that only withdraws, an nn run straddling
-// a withdrawal, prepending with and without a community change, and a
-// MED-only change.
+// a withdrawal, prepending with and without a community change, a
+// MED-only change, and attributes of 15, 16 and 20 communities (the last
+// histogram bucket and the one below it).
 TEST(TallyOracle, EdgeCasesMatchReports) {
   const SessionKey a{"rrc00", Asn(20205), IpAddress::from_string("192.0.2.1")};
   const SessionKey b{"rrc01", Asn(3333), IpAddress::from_string("192.0.2.2")};
@@ -186,9 +246,12 @@ TEST(TallyOracle, EdgeCasesMatchReports) {
       record(a, ""),                            // withdrawal inside the run
       record(a, p, 10), record(a, p, 10),       // nn runs 3 and 4
       record(a, "20205 20205 3356 12654", 10),  // xn
-      record(a, p, 10, true),                   // xc
-      record(a, "20205 174 12654", 10, true),   // pn
+      record(a, p, 10, 1),                      // xc
+      record(a, "20205 174 12654", 10, 1),      // pn
       record(a, p, 10),                         // pc
+      record(b, p, std::nullopt, 20),           // b's first sighting
+      record(b, p, std::nullopt, 16),           // nc
+      record(b, p, std::nullopt, 15),           // nc
       record(b, ""),
   });
 }

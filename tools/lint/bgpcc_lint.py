@@ -27,8 +27,8 @@ load-bearing invariants statically, before any test runs:
       in the driver's stream table; passes read its StreamEvent and its
       ledger).
   S1  DecodeError-path completeness: decode functions never bypass the
-      serialize::Reader primitives with raw stream reads, and never
-      pre-size allocations from an unvalidated wire-read count.
+      ByteReader primitives with raw stream reads, and never pre-size
+      allocations from an unvalidated wire-read count.
   L1  layering: a file in the measurement layers (netbase, bgp, mrt,
       obs, core, analytics) never includes a simulator header (sim/,
       router/, synth/) — simulated collectors reach the engine as MRT
@@ -151,7 +151,7 @@ HOT_PATH_FORBIDDEN = (
     (re.compile(r"(?<!\w)throw\b"), "throws (allocates, cold path)"),
 )
 
-# S1: decode functions must go through the Reader primitives.
+# S1: decode functions must go through the ByteReader primitives.
 RAW_STREAM_READ_RE = re.compile(r"\.\s*(read|get|getline|peek|ignore)\s*\(")
 WIRE_READ_RE = re.compile(r"\b(\w+)\s*=[^=;]*?\.\s*(u32|u64|i64)\s*\(\s*\)")
 WIRE_READ_DECL_RE = re.compile(
@@ -177,7 +177,7 @@ CHECK_INVENTORY = {
     "P1": "pass-contract conformance (kStateTag, State interface, "
           "copyable State, make_state, no private Classifier or "
           "per-session tally)",
-    "S1": "decode path bypasses the Reader primitives or pre-sizes from "
+    "S1": "decode path bypasses the ByteReader primitives or pre-sizes from "
           "an unvalidated wire count",
     "L1": "measurement layer (netbase/bgp/mrt/obs/core/analytics) "
           "includes a sim/, router/ or synth/ header",
@@ -1030,7 +1030,7 @@ def check_p1(project, model, findings):
 
 
 def is_decode_function(fn):
-    if re.search(r"\bReader\s*&", fn.params):
+    if re.search(r"\bByteReader\s*&", fn.params):
         return True
     return fn.name == "load" or fn.name.startswith("read_")
 
@@ -1040,7 +1040,7 @@ def check_s1(project, model, findings):
         if not is_decode_function(fn):
             continue
         cls_leaf = fn.class_path.rsplit("::", 1)[-1] if fn.class_path else ""
-        if cls_leaf in ("Reader", "Writer"):
+        if cls_leaf in ("ByteReader", "ByteWriter"):
             continue  # the primitives themselves
         # (a) raw stream reads bypassing the primitives.
         for m in RAW_STREAM_READ_RE.finditer(fn.body):
@@ -1048,7 +1048,7 @@ def check_s1(project, model, findings):
             findings.append(Finding(
                 model.path, line, "S1",
                 f"decode function '{fn.name}' calls .{m.group(1)}() on a "
-                f"stream directly — go through the serialize::Reader "
+                f"stream directly — go through the ByteReader "
                 f"primitives so truncation throws DecodeError"))
         # (b) pre-sized allocation from an unvalidated wire count.
         tainted = {}
