@@ -1,6 +1,8 @@
 #include "analytics/driver.h"
 
 #include <cstdint>
+#include <istream>
+#include <ostream>
 #include <string>
 #include <utility>
 
@@ -218,6 +220,27 @@ void AnalysisDriver::finalize_for(std::size_t index, const void* owner) {
 
 namespace {
 
+/// Hands `w`'s bytes (one section) to `out` and empties `w` for the next.
+/// Throws DecodeError when the stream fails (disk full, broken pipe), so
+/// a silently truncated checkpoint can never be mistaken for a good one.
+void flush_to(std::ostream& out, ByteWriter& w) {
+  out.write(reinterpret_cast<const char*>(w.data().data()),
+            static_cast<std::streamsize>(w.size()));
+  if (!out) {
+    throw DecodeError("state serialization: write failed (stream error)");
+  }
+  w.clear();
+}
+
+/// Throws DecodeError unless `r` is exhausted: a state file ends with
+/// its block.
+void expect_end(const ByteReader& r) {
+  if (!r.empty()) {
+    throw DecodeError("bgpcc state file: " + std::to_string(r.remaining()) +
+                      " bytes after the end of its block");
+  }
+}
+
 void write_state_blob(ByteWriter& w, const detail::AnyState& state) {
   const std::size_t at = w.placeholder<std::uint64_t>();
   state.save(w);
@@ -280,10 +303,10 @@ void AnalysisDriver::save_state(std::ostream& out) {
   ByteWriter w;
   serialize::write_block_header(w, serialize::BlockKind::kPartialState);
   write_tags(w);
-  serialize::flush_to(out, w);
+  flush_to(out, w);
   if (classify_) core::codec::write_value(w, final_.data_->ledger);
   for (const auto& state : final_.data_->states) write_state_blob(w, *state);
-  serialize::flush_to(out, w);
+  flush_to(out, w);
   out.flush();
   if (!out) throw DecodeError("save_state: output stream failed on flush");
 }
@@ -327,7 +350,7 @@ void AnalysisDriver::load_state(std::istream& in) {
       fold();
     }
   }
-  serialize::expect_end(r);
+  expect_end(r);
 }
 
 void AnalysisDriver::checkpoint(std::ostream& out) {
@@ -362,14 +385,14 @@ void AnalysisDriver::checkpoint_impl(std::ostream& out,
     serialize::write_ingest_checkpoint(w, ingestor->checkpoint_state());
   }
   w.u16(static_cast<std::uint16_t>(shards_.size()));
-  serialize::flush_to(out, w);
+  flush_to(out, w);
   const core::Classifier::StreamStates no_table;
   for (const Shard& shard : shards_) {
     serialize::write_stream_table(
         w, shard.table ? shard.table->stream_states() : no_table);
     if (shard.table) core::codec::write_value(w, shard.table->ledger());
     for (const auto& state : shard.states) write_state_blob(w, *state);
-    serialize::flush_to(out, w);
+    flush_to(out, w);
   }
   out.flush();
   if (!out) throw DecodeError("checkpoint: output stream failed on flush");
@@ -442,7 +465,7 @@ void AnalysisDriver::restore_impl(std::istream& in,
     }
     for (auto& state : shard.states) read_state_blob(r, *state);
   }
-  serialize::expect_end(r);
+  expect_end(r);
 }
 
 }  // namespace bgpcc::analytics

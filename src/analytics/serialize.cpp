@@ -2,7 +2,6 @@
 
 #include <array>
 #include <istream>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -13,7 +12,7 @@ namespace bgpcc::analytics {
 namespace serialize {
 
 // ---------------------------------------------------------------------------
-// Stream plumbing.
+// Reading a whole state file.
 
 std::vector<std::uint8_t> drain(std::istream& in) {
   std::vector<std::uint8_t> bytes;
@@ -23,22 +22,6 @@ std::vector<std::uint8_t> drain(std::istream& in) {
   }
   if (in.bad()) throw DecodeError("state file: read failed (stream error)");
   return bytes;
-}
-
-void flush_to(std::ostream& out, ByteWriter& w) {
-  out.write(reinterpret_cast<const char*>(w.data().data()),
-            static_cast<std::streamsize>(w.size()));
-  if (!out) {
-    throw DecodeError("state serialization: write failed (stream error)");
-  }
-  w.clear();
-}
-
-void expect_end(const ByteReader& r) {
-  if (!r.empty()) {
-    throw DecodeError("bgpcc state file: " + std::to_string(r.remaining()) +
-                      " bytes after the end of its block");
-  }
 }
 
 // ---------------------------------------------------------------------------

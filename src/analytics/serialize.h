@@ -83,15 +83,6 @@ enum class PassTag : std::uint16_t {
 /// nothing may follow the block. DecodeError when the stream fails.
 [[nodiscard]] std::vector<std::uint8_t> drain(std::istream& in);
 
-/// Hands `w`'s bytes to `out` and empties `w` for the next section.
-/// Throws DecodeError when the stream fails (disk full, broken pipe), so
-/// a silently truncated checkpoint can never be mistaken for a good one.
-void flush_to(std::ostream& out, ByteWriter& w);
-
-/// Throws DecodeError unless `r` is exhausted: a state file ends with
-/// its block.
-void expect_end(const ByteReader& r);
-
 /// Writes the common block header: magic, format version, kind.
 void write_block_header(ByteWriter& w, BlockKind kind);
 

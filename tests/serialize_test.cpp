@@ -980,8 +980,9 @@ std::string shift_u64(std::string bytes, std::size_t at, int delta) {
 }
 
 // A blob length one short makes its pass's decoder run out of bytes; one
-// long leaves a byte unread. Either way the offending pass throws
-// DecodeError: its decoder never reads into the next pass's bytes.
+// long leaves a byte unread (or, for the last blob, runs past the file).
+// Either way the offending pass throws DecodeError: its decoder never
+// reads into the next pass's bytes.
 TEST(SerializeStateFile, BlobLengthOffByOneThrowsDecodeError) {
   const std::string state = small_state();
   ByteReader walk = reader_of(state);
