@@ -40,8 +40,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,34 +59,18 @@ using namespace bgpcc;
 
 namespace {
 
-/// Renders the global metric registry to the --metrics target: "-" is
-/// stdout (always Prometheus text), a path ending in .json gets the
-/// JSON rendering, anything else the Prometheus text format. File
-/// targets are rewritten whole on every emit, like a scrape endpoint.
+/// Renders the global metric registry to the --metrics target
+/// (obs::write_metrics). File targets are rewritten whole on every emit,
+/// like a scrape endpoint.
 class MetricsEmitter {
  public:
-  explicit MetricsEmitter(std::string target)
-      : target_(std::move(target)),
-        json_(target_.size() > 5 &&
-              target_.compare(target_.size() - 5, 5, ".json") == 0) {}
+  explicit MetricsEmitter(std::string target) : target_(std::move(target)) {}
 
   void emit() {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (target_ == "-") {
-      obs::render_prometheus(std::cout);
-      std::cout.flush();
-      return;
-    }
-    std::ofstream out(target_, std::ios::trunc);
-    if (!out) {
+    if (!obs::write_metrics(target_)) {
       std::fprintf(stderr, "stream_report: cannot write metrics to %s\n",
                    target_.c_str());
-      return;
-    }
-    if (json_) {
-      obs::render_json(out);
-    } else {
-      obs::render_prometheus(out);
     }
   }
 
@@ -120,7 +102,6 @@ class MetricsEmitter {
 
  private:
   std::string target_;
-  bool json_;
   std::mutex mutex_;  // emit() runs from the ticker and the main thread
   std::thread ticker_;
   std::mutex stop_mutex_;

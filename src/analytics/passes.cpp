@@ -45,15 +45,12 @@ void CommunityStatsPass::State::observe(const core::UpdateRecord& record) {
   std::size_t count = communities.size();
   occurrences_ += count;
   if (count > 0) ++with_communities_;
-  std::vector<std::uint64_t>& buckets = histogram_.buckets;
-  ++buckets[std::min(count, buckets.size() - 1)];
+  ++histogram_.buckets[std::min(count, Histogram::kBuckets - 1)];
   for (Community c : communities) values_.insert(c.raw());
 }
 
 void CommunityStatsPass::State::merge(State&& other) {
-  // Histogram sizes match: every state of one pass is minted with the
-  // same bucket count.
-  for (std::size_t i = 0; i < histogram_.buckets.size(); ++i) {
+  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
     histogram_.buckets[i] += other.histogram_.buckets[i];
   }
   announcements_ += other.announcements_;

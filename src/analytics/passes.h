@@ -15,6 +15,8 @@
 // evidence size — each State's doc comment below states that bound.
 // That is what lets AnalysisDriver::snapshot clone shard states under
 // the committed-window barrier without stalling ingestion.
+// Values the paper fixes once (histogram size, burst length, usage
+// ranges, tomography fractions) are constants, not pass options.
 #pragma once
 
 #include <cstdint>
@@ -102,9 +104,9 @@ class PerSessionTypesPass {
 /// evidence counters sum across shards; thresholds apply at report().
 class TomographyPass {
  public:
-  /// Default thresholds (core::TomographyOptions).
+  /// Default evidence floor (core::TomographyOptions).
   TomographyPass() = default;
-  /// Custom inference thresholds.
+  /// Custom evidence floor.
   explicit TomographyPass(core::TomographyOptions options)
       : options_(options) {}
 
@@ -119,7 +121,7 @@ class TomographyPass {
   /// struct per observed AS.
   class State {
    public:
-    /// Binds the state to the pass's thresholds.
+    /// Binds the state to the pass's evidence floor.
     explicit State(const core::TomographyOptions& options)
         : options_(options) {}
     /// Accumulates one record's community evidence.
@@ -134,8 +136,8 @@ class TomographyPass {
     [[nodiscard]] Report report() const {
       return core::finalize_community_behavior(evidence_, options_);
     }
-    /// The serialized evidence (pass.h, SerializablePass). Thresholds
-    /// are configuration: only the counters travel.
+    /// The serialized evidence (pass.h, SerializablePass). The evidence
+    /// floor is configuration: only the counters travel.
     static auto fields(auto& self) { return std::tie(self.evidence_); }
 
    private:
@@ -143,7 +145,7 @@ class TomographyPass {
     std::map<Asn, core::AsEvidence> evidence_;
   };
 
-  /// Mints one per-shard state carrying the thresholds.
+  /// Mints one per-shard state carrying the evidence floor.
   [[nodiscard]] State make_state() const { return State{options_}; }
 
  private:
@@ -155,11 +157,6 @@ class TomographyPass {
 /// namespace and the communities-per-announcement distribution.
 class CommunityStatsPass {
  public:
-  /// Announcements carrying >= histogram_buckets-1 communities land in
-  /// the last (overflow) bucket.
-  explicit CommunityStatsPass(std::size_t histogram_buckets = 17)
-      : histogram_buckets_(histogram_buckets < 2 ? 2 : histogram_buckets) {}
-
   /// Wire tag (serialize::PassTag::kCommunityStats).
   static constexpr std::uint16_t kStateTag = 4;
 
@@ -189,7 +186,7 @@ class CommunityStatsPass {
     /// Distinct values per namespace, sorted by count desc, asn16 asc.
     std::vector<NamespaceCount> namespaces;
     /// histogram[k] = announcements carrying exactly k communities
-    /// (last bucket: >= size-1).
+    /// (last bucket: >= 16).
     std::vector<std::uint64_t> communities_per_announcement;
     /// Mean communities per announcement (0 when no announcements).
     [[nodiscard]] double mean_communities() const {
@@ -214,9 +211,6 @@ class CommunityStatsPass {
   /// the fixed-size histogram.
   class State {
    public:
-    /// Sizes the histogram to the pass's configured bucket count.
-    explicit State(std::size_t histogram_buckets)
-        : histogram_{std::vector<std::uint64_t>(histogram_buckets, 0)} {}
     /// Accumulates one record's community attribute.
     void observe(const core::UpdateRecord& record);
     /// Unions value sets and sums histograms/counters.
@@ -232,23 +226,21 @@ class CommunityStatsPass {
     }
 
    private:
-    /// Announcements per community count. Its size is configuration, so
-    /// a reader refuses (ConfigError) a saved histogram of another size:
-    /// merging mismatched histograms would index out of bounds.
+    /// Announcements per community count; announcements carrying
+    /// kBuckets-1 or more communities land in the last bucket.
     struct Histogram {
-      std::vector<std::uint64_t> buckets;
-      /// u64 bucket count, then the buckets (core/codec.h write_value).
+      static constexpr std::size_t kBuckets = 17;
+      std::vector<std::uint64_t> buckets =
+          std::vector<std::uint64_t>(kBuckets);
+      /// u64 bucket count, then the buckets. Any count but kBuckets is a
+      /// corrupt file.
       static void write_wire(ByteWriter& w, const Histogram& histogram) {
         core::codec::write_value(w, histogram.buckets);
       }
       static void read_wire(ByteReader& r, Histogram& histogram) {
-        std::uint64_t size = r.u64();
-        if (size != histogram.buckets.size()) {
-          throw ConfigError(
-              "CommunityStatsPass: saved state has " + std::to_string(size) +
-              " histogram buckets, this pass is configured with " +
-              std::to_string(histogram.buckets.size()) +
-              " — load with the original histogram_buckets");
+        if (r.u64() != kBuckets) {
+          throw DecodeError("CommunityStatsPass: histogram is not " +
+                            std::to_string(kBuckets) + " buckets");
         }
         for (std::uint64_t& bucket : histogram.buckets) bucket = r.u64();
       }
@@ -261,20 +253,8 @@ class CommunityStatsPass {
     std::uint64_t occurrences_ = 0;
   };
 
-  /// Mints one per-shard state with the configured histogram size.
-  [[nodiscard]] State make_state() const { return State{histogram_buckets_}; }
-
- private:
-  std::size_t histogram_buckets_;
-};
-
-/// Knobs for duplicate-burst attribution.
-struct DuplicateBurstOptions {
-  /// Consecutive attribute-identical (nn) announcements on one
-  /// (session, prefix) stream that constitute a burst. Withdrawals do not
-  /// break a run (StreamEvent::nn_run: they don't reset comparison state,
-  /// and Figure 5's duplicates straddle withdrawal phases).
-  std::uint64_t min_run = 3;
+  /// Mints one empty per-shard state.
+  [[nodiscard]] State make_state() const { return {}; }
 };
 
 /// Duplicate (nn) burst attribution: which sessions emit the paper's
@@ -283,12 +263,6 @@ struct DuplicateBurstOptions {
 /// and Figure 5's cleaned-then-re-announced duplicates.
 class DuplicateBurstPass {
  public:
-  /// Default burst threshold (DuplicateBurstOptions).
-  DuplicateBurstPass() = default;
-  /// Custom burst threshold.
-  explicit DuplicateBurstPass(DuplicateBurstOptions options)
-      : options_(options) {}
-
   /// Wire tag (serialize::PassTag::kDuplicateBurst).
   static constexpr std::uint16_t kStateTag = 5;
 
@@ -300,7 +274,7 @@ class DuplicateBurstPass {
     std::uint64_t classified = 0;
     /// Attribute-identical (nn) announcements.
     std::uint64_t nn = 0;
-    /// Runs of >= min_run consecutive nn announcements.
+    /// Runs of >= State::kMinRun consecutive nn announcements.
     std::uint64_t bursts = 0;
     /// Longest consecutive nn run observed.
     std::uint64_t longest_run = 0;
@@ -321,7 +295,7 @@ class DuplicateBurstPass {
     std::uint64_t classified = 0;
     /// Attribute-identical (nn) announcements, all sessions.
     std::uint64_t nn = 0;
-    /// Bursts (runs of >= min_run), all sessions.
+    /// Bursts (runs of >= State::kMinRun), all sessions.
     std::uint64_t bursts = 0;
     /// Sorted by nn count desc, session asc (total order: stable across
     /// platforms).
@@ -334,13 +308,15 @@ class DuplicateBurstPass {
   /// ledger's (see pass.h). Copy cost (snapshot contract): O(sessions).
   class State {
    public:
-    /// Binds the state to the pass's burst threshold.
-    explicit State(const DuplicateBurstOptions& options)
-        : options_(options) {}
-    /// Counts a burst when an nn run reaches min_run.
+    /// Consecutive attribute-identical (nn) announcements on one
+    /// (session, prefix) stream that constitute a burst. Withdrawals do
+    /// not break a run (StreamEvent::nn_run: they don't reset comparison
+    /// state, and Figure 5's duplicates straddle withdrawal phases).
+    static constexpr std::uint64_t kMinRun = 3;
+    /// Counts a burst when an nn run reaches kMinRun.
     void observe(const core::UpdateRecord& record,
                  const core::StreamEvent& event) {
-      if (event.nn_run != 0 && event.nn_run == options_.min_run) {
+      if (event.nn_run == kMinRun) {
         ++bursts_[record.session];
       }
     }
@@ -350,20 +326,15 @@ class DuplicateBurstPass {
     }
     /// Projects the totals and every typed session's row, ranked.
     [[nodiscard]] Report report(const core::SessionLedger& ledger) const;
-    /// The serialized evidence (pass.h, SerializablePass). min_run is
-    /// configuration.
+    /// The serialized evidence (pass.h, SerializablePass).
     static auto fields(auto& self) { return std::tie(self.bursts_); }
 
    private:
-    DuplicateBurstOptions options_;
     std::map<core::SessionKey, std::uint64_t> bursts_;
   };
 
-  /// Mints one per-shard state carrying the burst threshold.
-  [[nodiscard]] State make_state() const { return State{options_}; }
-
- private:
-  DuplicateBurstOptions options_;
+  /// Mints one empty per-shard state.
+  [[nodiscard]] State make_state() const { return {}; }
 };
 
 /// §7 anomaly detection (core/anomaly) as a Pass: the bucketed novelty
@@ -559,9 +530,9 @@ class ExplorationPass {
 /// sessions carrying each 16-bit namespace.
 class UsageClassificationPass {
  public:
-  /// Default heuristic knobs (core::UsageOptions).
+  /// Default evidence floor (core::UsageOptions).
   UsageClassificationPass() = default;
-  /// Custom heuristic knobs.
+  /// Custom evidence floor.
   explicit UsageClassificationPass(core::UsageOptions options)
       : options_(options) {}
 
@@ -576,7 +547,7 @@ class UsageClassificationPass {
   /// per-value occurrence counts and per-namespace session sets.
   class State {
    public:
-    /// Binds the state to the pass's heuristic knobs.
+    /// Binds the state to the pass's evidence floor.
     explicit State(const core::UsageOptions& options) : options_(options) {}
     /// Accumulates one record's community usage evidence.
     void observe(const core::UpdateRecord& record) {
@@ -590,8 +561,8 @@ class UsageClassificationPass {
     [[nodiscard]] Report report() const {
       return core::finalize_usage(evidence_, options_);
     }
-    /// The serialized evidence (pass.h, SerializablePass). Heuristic
-    /// knobs are configuration; per-value counts and per-namespace
+    /// The serialized evidence (pass.h, SerializablePass). The evidence
+    /// floor is configuration; per-value counts and per-namespace
     /// session sets are the serialized evidence.
     static auto fields(auto& self) { return std::tie(self.evidence_); }
 
@@ -600,7 +571,7 @@ class UsageClassificationPass {
     core::UsageEvidence evidence_;
   };
 
-  /// Mints one per-shard state carrying the knobs.
+  /// Mints one per-shard state carrying the evidence floor.
   [[nodiscard]] State make_state() const { return State{options_}; }
 
  private:

@@ -143,8 +143,12 @@ const char* label(UsageProfile profile) {
   return "??";
 }
 
-CommunityUsage classify_community_usage(Community community,
-                                        const UsageOptions& options) {
+CommunityUsage classify_community_usage(Community community) {
+  constexpr std::uint16_t kTeValueMax = 100;
+  constexpr std::uint16_t kCountryMin = 500;
+  constexpr std::uint16_t kCountryMax = 999;
+  constexpr std::uint16_t kCityMin = 2000;
+  constexpr std::uint16_t kCityMax = 3999;
   if (community.is_well_known()) {
     return community.raw() == Community::kBlackholeRaw
                ? CommunityUsage::kBlackhole
@@ -152,11 +156,9 @@ CommunityUsage classify_community_usage(Community community,
   }
   std::uint16_t value = community.value16();
   if (value == 666) return CommunityUsage::kBlackhole;
-  if (value < options.te_value_max) {
-    return CommunityUsage::kTrafficEngineering;
-  }
-  if ((value >= options.country_min && value <= options.country_max) ||
-      (value >= options.city_min && value <= options.city_max)) {
+  if (value < kTeValueMax) return CommunityUsage::kTrafficEngineering;
+  if ((value >= kCountryMin && value <= kCountryMax) ||
+      (value >= kCityMin && value <= kCityMax)) {
     return CommunityUsage::kLocation;
   }
   return CommunityUsage::kInformational;
@@ -183,6 +185,7 @@ void merge_usage(UsageEvidence& into, UsageEvidence&& from) {
 
 std::vector<AsUsage> finalize_usage(const UsageEvidence& evidence,
                                     const UsageOptions& options) {
+  constexpr double kDominantFraction = 0.6;
   std::map<std::uint16_t, AsUsage> per_namespace;
   for (const auto& [raw, count] : evidence.value_occurrences) {
     Community community{raw};
@@ -191,7 +194,7 @@ std::vector<AsUsage> finalize_usage(const UsageEvidence& evidence,
     usage.occurrences += count;
     ++usage.distinct_values;
     std::size_t category = static_cast<std::size_t>(
-        classify_community_usage(community, options));
+        classify_community_usage(community));
     usage.usage_occurrences[category] += count;
     ++usage.usage_values[category];
   }
@@ -214,7 +217,7 @@ std::vector<AsUsage> finalize_usage(const UsageEvidence& evidence,
       double share = static_cast<double>(usage.usage_occurrences[top]) /
                      static_cast<double>(usage.occurrences);
       // UsageProfile's first four enumerators mirror CommunityUsage.
-      usage.profile = share >= options.dominant_fraction
+      usage.profile = share >= kDominantFraction
                           ? static_cast<UsageProfile>(top)
                           : UsageProfile::kMixed;
     }

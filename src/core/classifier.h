@@ -220,30 +220,20 @@ enum class UsageProfile : std::uint8_t {
 [[nodiscard]] const char* label(CommunityUsage usage);
 [[nodiscard]] const char* label(UsageProfile profile);
 
-/// Heuristic knobs. The value-range defaults follow the operator
-/// conventions Krenc et al. catalogue: tiny values are action codes,
-/// 500-999 country codes, 2000-3999 city/ingress codes, 666 blackhole.
+/// The evidence floor of finalize_usage; its value ranges and dominance
+/// share are fixed.
 struct UsageOptions {
-  /// value16 strictly below this is a traffic-engineering action code.
-  std::uint16_t te_value_max = 100;
-  /// value16 in [country_min, country_max] or [city_min, city_max] is a
-  /// location encoding.
-  std::uint16_t country_min = 500;
-  std::uint16_t country_max = 999;
-  std::uint16_t city_min = 2000;
-  std::uint16_t city_max = 3999;
   /// Namespaces with fewer total occurrences stay kUnclassified.
   std::uint64_t min_occurrences = 10;
-  /// Occurrence share the top category needs before the namespace is
-  /// labeled with it; below, the profile is kMixed.
-  double dominant_fraction = 0.6;
 };
 
-/// Classifies one community value by the 16-bit-namespace heuristics.
-/// Well-known values (0xFFFF namespace) are kBlackhole for RFC 7999
-/// BLACKHOLE and kInformational otherwise.
-[[nodiscard]] CommunityUsage classify_community_usage(
-    Community community, const UsageOptions& options = {});
+/// Classifies one community value by the 16-bit-namespace heuristics,
+/// the operator conventions Krenc et al. catalogue: 666 is blackhole,
+/// values below 100 are traffic-engineering action codes, 500-999
+/// (country) and 2000-3999 (city/ingress) are location, the rest
+/// informational. Well-known values (0xFFFF namespace) are kBlackhole
+/// for RFC 7999 BLACKHOLE and kInformational otherwise.
+[[nodiscard]] CommunityUsage classify_community_usage(Community community);
 
 /// Mergeable evidence: per-value occurrence counts plus the sessions
 /// observed carrying each namespace. Counts sum and session sets unite
@@ -278,8 +268,10 @@ struct AsUsage {
   friend bool operator==(const AsUsage&, const AsUsage&) = default;
 };
 
-/// Applies the per-value heuristics and the dominance rule, sorted by
-/// occurrences descending then asn16 ascending.
+/// Applies the per-value heuristics and the dominance rule (a namespace
+/// takes its top category's label when that category holds at least 60%
+/// of its occurrences, else kMixed), sorted by occurrences descending
+/// then asn16 ascending.
 [[nodiscard]] std::vector<AsUsage> finalize_usage(
     const UsageEvidence& evidence, const UsageOptions& options);
 

@@ -12,8 +12,8 @@ void sort_seq_records(std::vector<SeqRecord>& records) {
 
 namespace cleaning {
 
-std::size_t repair_route_server_paths(std::vector<SeqRecord>& records,
-                                      const RouteServerMap& servers) {
+std::size_t repair_route_server_paths(
+    std::vector<SeqRecord>& records, const std::map<IpAddress, Asn>& servers) {
   if (servers.empty()) return 0;
   std::size_t repaired = 0;
   for (SeqRecord& sr : records) {
@@ -54,8 +54,8 @@ void drop_unallocated(std::vector<SeqRecord>& records,
 }
 
 std::size_t fix_second_granularity(std::vector<SeqRecord>& records,
-                                   Duration step, SecondCarry* carry,
-                                   std::size_t* late) {
+                                   SecondCarry* carry, std::size_t* late) {
+  constexpr std::int64_t kStepMicros = 10;
   std::size_t adjusted = 0;
   // Keyed by the stable FNV hash map: this runs once per record on the
   // per-shard cleaning hot path, where ordered-map lookups dominated.
@@ -72,7 +72,7 @@ std::size_t fix_second_granularity(std::vector<SeqRecord>& records,
     auto& [second, count] = it->second;
     if (!inserted && second == record.time.unix_seconds()) {
       ++count;
-      record.time = record.time + Duration::micros(step.count_micros() * count);
+      record.time = record.time + Duration::micros(kStepMicros * count);
       ++adjusted;
     } else {
       if (!inserted && late != nullptr && record.time.unix_seconds() < second) {
@@ -88,23 +88,17 @@ std::size_t fix_second_granularity(std::vector<SeqRecord>& records,
 CleaningReport run(std::vector<SeqRecord>& records,
                    const CleaningOptions& options, SecondCarry* carry) {
   CleaningReport report;
-  if (!options.route_servers.empty()) {
-    RouteServerMap servers(options.route_servers.begin(),
-                           options.route_servers.end());
-    report.route_server_paths_repaired =
-        repair_route_server_paths(records, servers);
-  }
+  report.route_server_paths_repaired =
+      repair_route_server_paths(records, options.route_servers);
   if (options.registry != nullptr) {
     drop_unallocated(records, *options.registry,
                      &report.dropped_unallocated_asn,
                      &report.dropped_unallocated_prefix);
   }
-  if (options.fix_second_granularity) {
-    sort_seq_records(records);
-    report.timestamps_adjusted = fix_second_granularity(
-        records, options.sub_second_step, carry, &report.late_records);
-    sort_seq_records(records);
-  }
+  sort_seq_records(records);
+  report.timestamps_adjusted =
+      fix_second_granularity(records, carry, &report.late_records);
+  sort_seq_records(records);
   return report;
 }
 

@@ -40,13 +40,11 @@ void sort_seq_records(std::vector<SeqRecord>& records);
 
 namespace cleaning {
 
-using RouteServerMap = std::map<IpAddress, Asn>;
-
 /// Prepends the route server's ASN to AS paths that lack it (§4: IXP
 /// route servers that do not insert their own ASN). Returns the number of
 /// paths repaired. Order-independent.
-std::size_t repair_route_server_paths(std::vector<SeqRecord>& records,
-                                      const RouteServerMap& servers);
+std::size_t repair_route_server_paths(
+    std::vector<SeqRecord>& records, const std::map<IpAddress, Asn>& servers);
 
 /// Drops records whose AS path or prefix was unallocated at message time
 /// (§4 unallocated-resource filtering). Order-independent.
@@ -66,8 +64,9 @@ using SecondCarry =
     std::unordered_map<SessionKey, std::pair<std::int64_t, int>,
                        SessionKeyHash>;
 
-/// Spaces successive same-second records of one session `step` apart (§4:
-/// second-granularity collectors). Requires `records` sorted by
+/// Spaces successive same-second records of one session 0.01 ms apart
+/// (§4: "assume that each subsequent message arrives 0.01 ms after the
+/// last"). Requires `records` sorted by
 /// (time, seq); returns the number of timestamps adjusted. Sessions are
 /// independent, so running this per SessionKey-shard equals running it
 /// over the whole stream. `carry`, when non-null, is read and updated in
@@ -75,15 +74,14 @@ using SecondCarry =
 /// this call. `late`, when non-null, counts the records whose second is
 /// earlier than their session's carried one (CleaningReport::late_records).
 std::size_t fix_second_granularity(std::vector<SeqRecord>& records,
-                                   Duration step,
                                    SecondCarry* carry = nullptr,
                                    std::size_t* late = nullptr);
 
 /// The full §4 pipeline over one shard (or the whole stream): route-server
-/// repair, unallocated filtering, then second-granularity timestamp repair
-/// (which sorts `records` by (time, seq) around the adjustment; with
-/// `fix_second_granularity` off the input order is preserved). `carry`
-/// threads the per-session second-granularity state across windowed calls.
+/// repair, unallocated filtering, then second-granularity timestamp repair,
+/// which sorts `records` by (time, seq) around the adjustment, so they
+/// leave in that order. `carry` threads the per-session second-granularity
+/// state across windowed calls.
 CleaningReport run(std::vector<SeqRecord>& records,
                    const CleaningOptions& options,
                    SecondCarry* carry = nullptr);

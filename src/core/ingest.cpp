@@ -354,13 +354,12 @@ void gather_and_clean(std::vector<DecodedChunk>& decoded,
       // around the sub-second spacing itself, so the gathered (file,
       // chunk) order goes in as is. Final merge order — which both the
       // observer and parallel_merge consume — then needs a sort only when
-      // run did not leave one: no cleaning, or no spacing.
-      bool sorted = false;
+      // no cleaning is set.
       if (options.cleaning != nullptr) {
         reports[s] = cleaning::run(shards[s], *options.cleaning, &carry[s]);
-        sorted = options.cleaning->fix_second_granularity;
+      } else {
+        sort_seq_records(shards[s]);
       }
-      if (!sorted) sort_seq_records(shards[s]);
     }
     if (options.shard_observer && !shards[s].empty()) {
       obs::StageTimer observe_timer(metrics.ingest_observe);

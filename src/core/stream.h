@@ -2,12 +2,14 @@
 // Raw collector output (MRT archives) is exploded into
 // per-prefix records, grouped by BGP session, then cleaned exactly as
 // §4 describes: unallocated-resource filtering, route-server AS-path
-// repair, and sub-second ordering for second-granularity collectors.
+// repair, and sub-second ordering for second-granularity collectors
+// (each same-second record 0.01 ms after the last).
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -94,19 +96,16 @@ void append_update_records(const std::string& collector, Asn peer_asn,
                            const UpdateMessage& update,
                            std::vector<UpdateRecord>& out);
 
-/// Knobs for the §4 cleaning pipeline.
+/// The data the §4 cleaning pipeline needs. The sub-second repair takes
+/// no setting: it always runs, and records with real sub-second stamps
+/// are left untouched.
 struct CleaningOptions {
   /// When set, drop records whose origin/peer ASN or prefix was not
   /// allocated at message time.
   const Registry* registry = nullptr;
   /// Peers (by address) that are IXP route servers not inserting their own
   /// ASN: their ASN is prepended to the AS path during normalization.
-  std::vector<std::pair<IpAddress, Asn>> route_servers;
-  /// Repair second-granularity collector timestamps by spacing same-second
-  /// records `sub_second_step` apart, preserving order (§4: "assume that
-  /// each subsequent message arrives 0.01 ms after the last").
-  bool fix_second_granularity = true;
-  Duration sub_second_step = Duration::micros(10);
+  std::map<IpAddress, Asn> route_servers;
 };
 
 struct CleaningReport {

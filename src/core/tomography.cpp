@@ -73,6 +73,9 @@ void accumulate_community_evidence(const UpdateRecord& record,
 
 std::vector<AsEvidence> finalize_community_behavior(
     std::map<Asn, AsEvidence> evidence, const TomographyOptions& options) {
+  constexpr double kTaggerMinFraction = 0.10;
+  constexpr double kCleanerMaxCommunityFraction = 0.01;
+  constexpr double kPropagatorMinFraction = 0.50;
   std::vector<AsEvidence> out;
   out.reserve(evidence.size());
   for (auto& [asn, e] : evidence) {
@@ -85,7 +88,7 @@ std::vector<AsEvidence> finalize_community_behavior(
                               ? 0.0
                               : static_cast<double>(e.own_namespace_tagged) /
                                     static_cast<double>(e.on_path);
-    bool tagger = tag_fraction >= options.tagger_min_fraction;
+    bool tagger = tag_fraction >= kTaggerMinFraction;
     bool cleaner = false;
     bool propagator = false;
     if (e.as_peer >= options.min_on_path) {
@@ -93,8 +96,8 @@ std::vector<AsEvidence> finalize_community_behavior(
                          static_cast<double>(e.as_peer);
       double with_foreign = static_cast<double>(e.as_peer_with_foreign) /
                             static_cast<double>(e.as_peer);
-      cleaner = with_comm < options.cleaner_max_community_fraction;
-      propagator = with_foreign >= options.propagator_min_fraction;
+      cleaner = with_comm < kCleanerMaxCommunityFraction;
+      propagator = with_foreign >= kPropagatorMinFraction;
     }
     if (tagger && cleaner) {
       e.classification = CommunityBehavior::kMixed;

@@ -57,19 +57,11 @@ struct AsEvidence {
   static Asn key(const AsEvidence& evidence) { return evidence.asn; }
 };
 
-/// Inference thresholds (fractions in [0,1]).
+/// The evidence floor of finalize_community_behavior; its fractions are
+/// fixed.
 struct TomographyOptions {
   /// Minimum announcements to classify at all.
   std::uint64_t min_on_path = 10;
-  /// Peer cleans if < this fraction of its announcements carry communities
-  /// (the paper's AS20811 removes communities in >99% of cases).
-  double cleaner_max_community_fraction = 0.01;
-  /// Tagger if >= this fraction of on-path announcements carry a community
-  /// in its namespace.
-  double tagger_min_fraction = 0.10;
-  /// Propagator if >= this fraction of peered announcements carry foreign
-  /// communities.
-  double propagator_min_fraction = 0.50;
 };
 
 /// Folds one announcement's evidence into `evidence` (withdrawals are
@@ -81,7 +73,12 @@ void accumulate_community_evidence(const UpdateRecord& record,
                                    std::map<Asn, AsEvidence>& evidence);
 
 /// Applies the thresholds and sorts by on-path volume, descending — the
-/// projection step of analytics::TomographyPass.
+/// projection step of analytics::TomographyPass. An AS is a tagger when
+/// at least 10% of its on-path announcements carry a community in its
+/// namespace. As a peer with at least min_on_path announcements, it is a
+/// cleaner when fewer than 1% of them carry any community (the paper's
+/// AS20811 removes communities in >99% of cases), and a propagator when
+/// at least 50% carry a foreign one. Tagger and cleaner at once is kMixed.
 [[nodiscard]] std::vector<AsEvidence> finalize_community_behavior(
     std::map<Asn, AsEvidence> evidence, const TomographyOptions& options);
 

@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iostream>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
@@ -406,5 +408,20 @@ void render_prometheus(std::ostream& out) {
 }
 
 void render_json(std::ostream& out) { Registry::global().render_json(out); }
+
+bool write_metrics(const std::string& target) {
+  if (target == "-") {
+    render_prometheus(std::cout);
+    return static_cast<bool>(std::cout.flush());
+  }
+  std::ofstream out(target, std::ios::trunc);
+  if (!out) return false;
+  if (target.ends_with(".json")) {
+    render_json(out);
+  } else {
+    render_prometheus(out);
+  }
+  return static_cast<bool>(out.flush());
+}
 
 }  // namespace bgpcc::obs

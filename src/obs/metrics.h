@@ -225,4 +225,10 @@ void render_prometheus(std::ostream& out);
 /// Renders the global registry as JSON.
 void render_json(std::ostream& out);
 
+/// Writes the global registry to a metrics target: "-" is stdout in the
+/// Prometheus text format, a path ending in .json is rewritten whole with
+/// the JSON rendering, any other path with the Prometheus text. Returns
+/// whether the write succeeded; the stream is checked after rendering.
+[[nodiscard]] bool write_metrics(const std::string& target);
+
 }  // namespace bgpcc::obs

@@ -121,7 +121,6 @@ TEST_F(BeaconDay, RegistryCoversEverything) {
   core::UpdateStream copy = *stream_;
   core::CleaningOptions options;
   options.registry = &registry;
-  options.fix_second_granularity = false;
   core::CleaningReport report = core::clean(copy, options);
   EXPECT_EQ(report.dropped_unallocated_asn, 0u);
   EXPECT_EQ(report.dropped_unallocated_prefix, 0u);

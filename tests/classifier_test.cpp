@@ -1,6 +1,8 @@
 // Unit tests: the §5 announcement-type classifier.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/classifier.h"
 #include "run_pass.h"
 
@@ -286,6 +288,39 @@ TEST(CommunityUsage, ValueHeuristics) {
             CommunityUsage::kInformational);
   EXPECT_EQ(classify_community_usage(Community::of(3356, 9000)),
             CommunityUsage::kInformational);
+  // Every range edge: below 100 is TE, 500-999 and 2000-3999 location.
+  const std::pair<std::uint16_t, CommunityUsage> edges[] = {
+      {99, CommunityUsage::kTrafficEngineering},
+      {100, CommunityUsage::kInformational},
+      {499, CommunityUsage::kInformational},
+      {500, CommunityUsage::kLocation},
+      {999, CommunityUsage::kLocation},
+      {1000, CommunityUsage::kInformational},
+      {1999, CommunityUsage::kInformational},
+      {2000, CommunityUsage::kLocation},
+      {3999, CommunityUsage::kLocation},
+      {4000, CommunityUsage::kInformational},
+  };
+  for (const auto& [value, usage] : edges) {
+    EXPECT_EQ(classify_community_usage(Community::of(3356, value)), usage)
+        << "3356:" << value;
+  }
+}
+
+TEST(CommunityUsage, DominanceEdgeIsSixtyPercent) {
+  // 600 of 1000 occurrences in one category label the namespace; 599
+  // leave it mixed.
+  for (const auto& [location, expected] :
+       {std::pair{std::uint64_t{600}, UsageProfile::kLocation},
+        std::pair{std::uint64_t{599}, UsageProfile::kMixed}}) {
+    UsageEvidence evidence;
+    evidence.value_occurrences[Community::of(3356, 2001).raw()] = location;
+    evidence.value_occurrences[Community::of(3356, 80).raw()] =
+        1000 - location;
+    auto usage = finalize_usage(evidence, UsageOptions{});
+    ASSERT_EQ(usage.size(), 1u);
+    EXPECT_EQ(usage[0].profile, expected) << location << " of 1000";
+  }
 }
 
 TEST(CommunityUsage, NamespaceProfilesAndEvidenceFloor) {

@@ -118,8 +118,8 @@ inline Registry golden_registry() {
 inline CleaningOptions golden_cleaning(const Registry& registry) {
   CleaningOptions cleaning;
   cleaning.registry = &registry;
-  cleaning.route_servers.emplace_back(IpAddress::from_string("10.0.0.9"),
-                                      Asn(65010));
+  cleaning.route_servers.emplace(IpAddress::from_string("10.0.0.9"),
+                                 Asn(65010));
   return cleaning;
 }
 

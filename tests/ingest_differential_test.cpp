@@ -158,8 +158,8 @@ Registry allocated_registry() {
 CleaningOptions cleaning_options(const Registry& registry) {
   CleaningOptions options;
   options.registry = &registry;
-  options.route_servers.emplace_back(IpAddress::from_string("10.0.0.9"),
-                                     Asn(65010));
+  options.route_servers.emplace(IpAddress::from_string("10.0.0.9"),
+                                Asn(65010));
   return options;
 }
 

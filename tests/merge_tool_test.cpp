@@ -17,6 +17,8 @@
 #include <sstream>
 #include <string>
 
+#include <sys/wait.h>
+
 #include "analytics/standard.h"
 #include "archive_gen.h"
 #include "core/ingest.h"
@@ -177,6 +179,23 @@ TEST_F(MergeToolTest, ErrorsExitNonZero) {
   std::string corrupt = temp_path("corrupt.state");
   write_file(corrupt, "BGPCthis is not a state file");
   EXPECT_NE(run_tool("merge " + corrupt, temp_path("corrupt.out")), 0);
+}
+
+TEST_F(MergeToolTest, UnwritableMetricsTargetExitsOne) {
+  std::string state = temp_path("a.state");
+  ASSERT_EQ(run_tool("ingest " + state + " rrc00=" + archive_a_,
+                     temp_path("ingest.out")),
+            0);
+  // The reports still print; the failed metrics write decides the exit.
+  std::string out = temp_path("merge.out");
+  int status = run_tool("--metrics " + temp_path("no-such-dir/m.prom") +
+                            " merge " + state,
+                        out);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  EXPECT_NE(read_file(out).find("[classifier]"), std::string::npos);
+  EXPECT_NE(read_file(out + ".err").find("cannot write metrics"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -217,9 +217,8 @@ TEST(Robustness, MacroRouteServerRepair) {
 
   core::CleaningOptions options;
   for (const core::SessionKey& key : stream.sessions()) {
-    options.route_servers.emplace_back(key.peer_address, key.peer_asn);
+    options.route_servers.emplace(key.peer_address, key.peer_asn);
   }
-  options.fix_second_granularity = false;
   core::CleaningReport report = core::clean(stream, options);
   EXPECT_EQ(report.route_server_paths_repaired, missing);
   for (const auto& record : stream.records()) {

@@ -513,22 +513,39 @@ TEST(SerializeRobustness, MismatchedHistogramBucketsThrow) {
   IngestOptions options;
   options.cleaning = &cleaning;
   AnalysisDriver writer_driver;
-  auto handle = writer_driver.add(CommunityStatsPass{/*histogram_buckets=*/8});
+  (void)writer_driver.add(CommunityStatsPass{});
   writer_driver.attach(options);
   StreamingIngestor engine(options);
   std::istringstream in(archive);
   engine.add_stream("rrc00", in);
   (void)engine.finish();
-  (void)handle;
   std::ostringstream out;
   writer_driver.save_state(out);
+  const std::string state = out.str();
 
-  AnalysisDriver reader_driver;
-  (void)reader_driver.add(CommunityStatsPass{/*histogram_buckets=*/17});
-  std::istringstream state_in(out.str());
-  // Same wire tag, different configuration: merging the histograms would
-  // index out of bounds, so load refuses.
-  EXPECT_THROW(reader_driver.load_state(state_in), ConfigError);
+  // Header (7), pass count (2), tag (2), blob length (8), then the u64
+  // value count, the u32 values and the u64 histogram count.
+  auto u64_at = [&state](std::size_t at) {
+    std::uint64_t v = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+      v = (v << 8) | static_cast<unsigned char>(state.at(at + b));
+    }
+    return v;
+  };
+  const std::size_t count_at = 19 + 8 + 4 * u64_at(19);
+  ASSERT_EQ(u64_at(count_at), 17u);
+  for (std::uint64_t count : {std::uint64_t{8}, std::uint64_t{18}}) {
+    std::string patched = state;
+    for (std::size_t b = 0; b < 8; ++b) {
+      patched[count_at + b] = static_cast<char>(count >> (8 * (7 - b)));
+    }
+    AnalysisDriver reader_driver;
+    (void)reader_driver.add(CommunityStatsPass{});
+    std::istringstream state_in(patched);
+    // The bucket count is fixed: any other count is a corrupt file.
+    EXPECT_THROW(reader_driver.load_state(state_in), DecodeError)
+        << "count " << count;
+  }
 }
 
 TEST(SerializeRobustness, BareIngestCursorIsRejected) {
@@ -760,14 +777,12 @@ std::vector<core::UpdateRecord> canonical_fixture() {
 }
 
 /// Cuts `payload` at every byte and flips every byte (three masks).
-/// Every cut must throw DecodeError. Every flip must throw DecodeError,
+/// Every cut must throw DecodeError. Every flip must throw DecodeError or
 /// decode to a value that `roundtrip` re-encodes to exactly the flipped
-/// bytes, or throw ConfigError from a configuration field that ends at
-/// `config_end`: only a flip before that end can reach its check.
+/// bytes.
 void expect_checked_or_canonical(
     const std::string& payload,
-    const std::function<std::string(const std::string&)>& roundtrip,
-    std::size_t config_end = 0) {
+    const std::function<std::string(const std::string&)>& roundtrip) {
   ASSERT_EQ(roundtrip(payload), payload);
   for (std::size_t cut = 0; cut < payload.size(); ++cut) {
     EXPECT_THROW((void)roundtrip(payload.substr(0, cut)), DecodeError)
@@ -781,9 +796,6 @@ void expect_checked_or_canonical(
         EXPECT_TRUE(roundtrip(bytes) == bytes)
             << "byte " << i << " mask " << mask << " decoded to other bytes";
       } catch (const DecodeError&) {
-      } catch (const ConfigError&) {
-        EXPECT_LT(i, config_end)
-            << "byte " << i << " mask " << mask << " threw ConfigError";
       }
     }
   }
@@ -838,25 +850,13 @@ void expect_pass_payload_canonical(P pass,
   }
   ASSERT_GT(payload.size(), 8u) << "tag " << P::kStateTag;
 
-  std::size_t config_end = 0;
-  if constexpr (std::is_same_v<P, CommunityStatsPass>) {
-    // The u64 histogram size follows the u64 value count and u32 values.
-    std::uint64_t values = 0;
-    for (int b = 0; b < 8; ++b) {
-      values = (values << 8) | static_cast<unsigned char>(payload[b]);
-    }
-    config_end = 8 + 4 * values + 8;
-  }
   SCOPED_TRACE("tag " + std::to_string(P::kStateTag));
-  expect_checked_or_canonical(
-      payload,
-      [&pass](const std::string& bytes) {
-        auto state = pass.make_state();
-        return reencode(
-            bytes, [&](ByteReader& r) { core::codec::read_value(r, state); },
-            [&](ByteWriter& w) { core::codec::write_value(w, state); });
-      },
-      config_end);
+  expect_checked_or_canonical(payload, [&pass](const std::string& bytes) {
+    auto state = pass.make_state();
+    return reencode(
+        bytes, [&](ByteReader& r) { core::codec::read_value(r, state); },
+        [&](ByteWriter& w) { core::codec::write_value(w, state); });
+  });
 }
 
 TEST(SerializeCanonical, EveryPassPayloadByteIsCheckedOrCanonical) {

@@ -193,7 +193,6 @@ TEST(Cleaning, DropsUnallocatedResources) {
                      announce("203.0.113.0/24", "100 200"));
   CleaningOptions options;
   options.registry = &registry;
-  options.fix_second_granularity = false;
   CleaningReport report = clean(stream, options);
   EXPECT_EQ(report.dropped_unallocated_asn, 1u);
   EXPECT_EQ(report.dropped_unallocated_prefix, 1u);
@@ -212,7 +211,6 @@ TEST(Cleaning, WithdrawalPrefixAlsoChecked) {
                      Timestamp::from_unix_seconds(1), withdraw);
   CleaningOptions options;
   options.registry = &registry;
-  options.fix_second_granularity = false;
   clean(stream, options);
   ASSERT_EQ(stream.size(), 1u);
   EXPECT_EQ(stream.records()[0].prefix, Prefix::from_string("10.3.0.0/16"));
@@ -231,7 +229,6 @@ TEST(Cleaning, RouteServerPathRepair) {
                      announce("11.0.0.0/8", "6695 100 200"));
   CleaningOptions options;
   options.route_servers = {{server_addr, Asn(6695)}};
-  options.fix_second_granularity = false;
   CleaningReport report = clean(stream, options);
   EXPECT_EQ(report.route_server_paths_repaired, 1u);
   EXPECT_EQ(stream.records()[0].attrs.as_path.to_string(), "6695 100 200");
@@ -296,12 +293,8 @@ TEST(Cleaning, LateRecordAcrossWindowCutIsCounted) {
   std::size_t late = 0;
   std::vector<SeqRecord> first{record_at(100, 0)};
   std::vector<SeqRecord> second{record_at(99, 1)};
-  EXPECT_EQ(cleaning::fix_second_granularity(first, Duration::micros(10),
-                                             &carry, &late),
-            0u);
-  EXPECT_EQ(cleaning::fix_second_granularity(second, Duration::micros(10),
-                                             &carry, &late),
-            0u);
+  EXPECT_EQ(cleaning::fix_second_granularity(first, &carry, &late), 0u);
+  EXPECT_EQ(cleaning::fix_second_granularity(second, &carry, &late), 0u);
   EXPECT_EQ(late, 1u);
   EXPECT_EQ(first[0].record.time, Timestamp::from_unix_seconds(100));
   EXPECT_EQ(second[0].record.time, Timestamp::from_unix_seconds(99));

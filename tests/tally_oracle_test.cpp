@@ -27,7 +27,7 @@
 namespace bgpcc::core {
 namespace {
 
-constexpr std::uint64_t kMinRun = 3;  // DuplicateBurstOptions' default
+constexpr std::uint64_t kMinRun = 3;  // DuplicateBurstPass's burst length
 
 /// What the oracle counts for one session. TypeCounts is plain storage
 /// here: the oracle fills its fields itself.
@@ -104,7 +104,7 @@ std::map<SessionKey, OracleTally> oracle(
   return tallies;
 }
 
-/// CommunityStatsPass's default bucket count: 0 to 15 communities, then
+/// CommunityStatsPass's bucket count: 0 to 15 communities, then
 /// one bucket for 16 or more.
 constexpr std::size_t kBuckets = 17;
 
@@ -159,7 +159,7 @@ void expect_reports_match_oracle(const std::vector<UpdateRecord>& records) {
   auto types = driver.add(analytics::ClassifierPass{});
   auto sessions = driver.add(analytics::PerSessionTypesPass{});
   auto duplicates = driver.add(analytics::DuplicateBurstPass{});
-  auto communities = driver.add(analytics::CommunityStatsPass{kBuckets});
+  auto communities = driver.add(analytics::CommunityStatsPass{});
   for (const UpdateRecord& record : records) driver.observe(record);
 
   // Table 1's community rows and Fig 4, field by field.

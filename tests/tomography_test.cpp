@@ -2,6 +2,8 @@
 // analytics::TomographyPass.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/tomography.h"
 #include "run_pass.h"
 
@@ -110,6 +112,43 @@ TEST(Tomography, WithdrawalsIgnored) {
   w.announcement = false;
   stream.add(w);
   EXPECT_TRUE(test::run_pass(analytics::TomographyPass{}, stream).empty());
+}
+
+// The fixed fractions at their edges, on hand-built evidence: a tagger
+// from 10% own-namespace tagging; as a peer, a cleaner below 1% of
+// announcements with any community and a propagator from 50% with a
+// foreign one.
+TEST(Tomography, ThresholdEdges) {
+  auto classify = [](const AsEvidence& e) {
+    std::map<Asn, AsEvidence> evidence{{e.asn, e}};
+    return finalize_community_behavior(std::move(evidence), {})
+        .front()
+        .classification;
+  };
+  AsEvidence on_path;
+  on_path.asn = Asn(1);
+  on_path.on_path = 1000;
+  on_path.own_namespace_tagged = 100;
+  EXPECT_EQ(classify(on_path), CommunityBehavior::kTagger);
+  on_path.own_namespace_tagged = 99;
+  EXPECT_EQ(classify(on_path), CommunityBehavior::kUnknown);
+
+  AsEvidence peer = on_path;
+  peer.own_namespace_tagged = 0;
+  peer.as_peer = 1000;
+  peer.as_peer_with_communities = 9;
+  EXPECT_EQ(classify(peer), CommunityBehavior::kCleaner);
+  peer.own_namespace_tagged = 100;
+  EXPECT_EQ(classify(peer), CommunityBehavior::kMixed);
+  peer.own_namespace_tagged = 0;
+  peer.as_peer_with_communities = 10;
+  EXPECT_EQ(classify(peer), CommunityBehavior::kUnknown);
+
+  peer.as_peer_with_communities = 1000;
+  peer.as_peer_with_foreign = 500;
+  EXPECT_EQ(classify(peer), CommunityBehavior::kPropagator);
+  peer.as_peer_with_foreign = 499;
+  EXPECT_EQ(classify(peer), CommunityBehavior::kUnknown);
 }
 
 TEST(Tomography, LabelsDistinct) {

@@ -17,7 +17,7 @@
 // --metrics enables the obs stage-timing layer and dumps the pipeline
 // metric registry after the command finishes: Prometheus text format,
 // or JSON when the path ends in .json; "-" writes Prometheus text to
-// stdout after the reports.
+// stdout after the reports. A metrics write that fails exits 1.
 //
 // Archives may be raw, gzip, or bzip2 MRT (detected by magic bytes).
 // Both commands register the standard pass set (analytics/standard.h),
@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -50,31 +49,6 @@ int usage_error() {
       "<state-file> [...]\n"
       "  bgpcc-merge tags <state-file>\n");
   return 2;
-}
-
-// Dumps the global metric registry to the --metrics target after the
-// command ran: "-" appends Prometheus text to stdout, a .json path
-// gets the JSON rendering, any other path the Prometheus text format.
-void emit_metrics(const std::string& target) {
-  if (target == "-") {
-    std::printf("\n");
-    obs::render_prometheus(std::cout);
-    std::cout.flush();
-    return;
-  }
-  std::ofstream out(target, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "bgpcc-merge: cannot write metrics to '%s'\n",
-                 target.c_str());
-    return;
-  }
-  const bool json = target.size() > 5 &&
-                    target.compare(target.size() - 5, 5, ".json") == 0;
-  if (json) {
-    obs::render_json(out);
-  } else {
-    obs::render_prometheus(out);
-  }
 }
 
 int cmd_ingest(const std::vector<std::string>& args) {
@@ -187,7 +161,14 @@ int main(int argc, char** argv) {
     } else {
       return usage_error();
     }
-    if (!metrics_target.empty()) emit_metrics(metrics_target);
+    if (!metrics_target.empty()) {
+      if (metrics_target == "-") std::printf("\n");
+      if (!obs::write_metrics(metrics_target)) {
+        std::fprintf(stderr, "bgpcc-merge: cannot write metrics to '%s'\n",
+                     metrics_target.c_str());
+        return rc != 0 ? rc : 1;
+      }
+    }
     return rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bgpcc-merge: %s\n", e.what());
